@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import atlas_svg, fre, ibps, picard, regions, sharpness, spectral
-from .phases import Coefficients
+from .phases import Coefficients, PhaseFloorError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,8 @@ KEY_TYPES = {
     "n": ("int", ("simulate", "ibps-check")),
     "dt": ("float", ("simulate", "ibps-check")),
     "T": ("float", ("simulate", "ibps-check")),
-    "dealias_fraction": ("float", ("simulate", "ibps-check")),
+    # ibps-check keeps the 2/3 rule its decomposition is built on
+    "dealias_fraction": ("float", ("simulate",)),
     "nonlinear": ("bool", ("simulate", "ibps-check")),
     "store_every": ("int", ("simulate", "ibps-check")),
     "u0_amp": ("float", ("simulate", "ibps-check")),
@@ -397,9 +398,8 @@ _RUNNERS = {
     "sharpness": _run_sharpness,
 }
 
-_NUMERICAL_ERRORS = (spectral.StabilityError, picard.PhaseFloorError,
-                     ibps.PhaseFloorError, fre.RootFindingError,
-                     sharpness.HypothesisError)
+_NUMERICAL_ERRORS = (spectral.StabilityError, PhaseFloorError,
+                     fre.RootFindingError, sharpness.HypothesisError)
 
 
 def run(cfg):

@@ -21,7 +21,7 @@ Problematic regions (with f ~= g meaning |f-g| <= eta*max(|f|,|g|)):
 
 import numpy as np
 
-from .phases import eval_phase
+from .phases import PhaseFloorError, eval_phase
 from .spectral import spectral_product
 
 TERM_TAGS = ("N0u", "N1u", "N2u", "N3u", "N0v", "N1v", "N2v", "N3v",
@@ -37,10 +37,6 @@ class CutoffParams:
         self.delta_u = float(delta_u)
         self.delta_v = float(delta_v)
         self.eta_sim = float(eta_sim)
-
-
-class PhaseFloorError(RuntimeError):
-    pass
 
 
 def _sim(f, g, eta):
@@ -226,7 +222,8 @@ def coupling_terms(state, a, cut):
     """Classical profile-equation right sides (u and v), dealiased.
 
     Equals (N0u + region part + N3u, N0v + region part) and also the
-    spectral module's rhs_nonlinear for the normalized coupling.
+    solver's right side (spectral._profile_rhs) for the normalized
+    coupling.
     """
     grid = state.grid
     ker = _kernels(grid, a, cut)

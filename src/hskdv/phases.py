@@ -28,6 +28,10 @@ CUBIC_TAGS = ("Psi1u", "Psi2u", "Psi1v", "Psi2v", "Psi3v", "Psi4v", "Theta")
 ALL_TAGS = QUADRATIC_TAGS + CUBIC_TAGS
 
 
+class PhaseFloorError(RuntimeError):
+    """A total phase came closer to zero than its stated floor."""
+
+
 class Coefficients:
     """System parameters (a, beta, gamma, theta).
 

@@ -9,14 +9,18 @@ a second iterate is a single convolution integral against the kernel
 with phi the relevant total phase, and the third iterate carries a
 nested version of the kernel. Data live on the continuum (box widths
 go down to N^-2), so everything here uses per-box Gauss-Legendre
-quadrature, never a periodic grid.
+quadrature, never a periodic grid. Both iterates share one core,
+_box_pairs: for a vector of output frequencies it yields, per box
+pair, the nodes of the convolution set, mapped affinely from the one
+leggauss rule that each iterate call builds.
 """
 
 import numpy as np
 
-from .phases import eval_phase
+from .phases import PhaseFloorError, eval_phase
 
 GL_NODES_DEFAULT = 64
+N_OUT = 256               # output samples of every iterate
 
 # below this |t*phi| the kernel switches to its 4-term power series
 SERIES_SWITCH = 1e-4
@@ -110,45 +114,50 @@ def duhamel_kernel(phi, t):
     return out
 
 
-def _gl_nodes(lo, hi, n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + half * x, half * w
+def _map_rule(rule, lo, hi):
+    """The [-1, 1] rule mapped affinely onto [lo, hi], per entry of lo, hi."""
+    x, w = rule
+    lo = np.asarray(lo)[..., None]
+    hi = np.asarray(hi)[..., None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * x, half * w
 
 
-def _intersect(lo0, hi0, lo1, hi1):
-    lo, hi = max(lo0, lo1), min(hi0, hi1)
-    if lo < hi:
-        return lo, hi
-    return None
+def _box_pairs(xi, boxes1, boxes2, rule):
+    """Quadrature of {xi1 in b1, xi - xi1 in b2} over every box pair.
+
+    xi is a vector of output frequencies. For each pair (b1, b2) with a
+    nonempty set at some xi, yields (rows, xr, x1, x2, w, amp): the
+    indices of those xi, the column xi[rows], the (rows x nodes) nodes
+    x1 and x2 = xr - x1, the weights and the amplitude product.
+    """
+    for b1 in boxes1:
+        for b2 in boxes2:
+            lo = np.maximum(b1.lo, xi - b2.hi)
+            hi = np.minimum(b1.hi, xi - b2.lo)
+            rows = np.flatnonzero(lo < hi)
+            if rows.size == 0:
+                continue
+            x1, w = _map_rule(rule, lo[rows], hi[rows])
+            xr = xi[rows, None]
+            x2 = xr - x1
+            yield rows, xr, x1, x2, w, b1.amplitude(x1) * b2.amplitude(x2)
 
 
 def _second_iterate(data1, data2, a, t, out_window, phase_tag, symbol,
-                    carrier_a, n_out=256, gl_nodes=GL_NODES_DEFAULT):
+                    carrier_a, gl_nodes=GL_NODES_DEFAULT):
     """Shared core: Ihat(xi) = i e^{i c t xi^3} *
     int symbol(xi, xi1, xi2) K(phase, t) f1(xi1) f2(xi2) dxi1."""
-    lo, hi = float(out_window[0]), float(out_window[1])
-    xi_s = np.linspace(lo, hi, n_out)
-    values = np.zeros(n_out, dtype=complex)
+    xi_s = np.linspace(out_window[0], out_window[1], N_OUT)
+    acc = np.zeros(N_OUT, dtype=complex)
     if t == 0 or data1.is_empty() or data2.is_empty():
-        return PicardOutput(xi_s, values, t)
-    boxes1 = data1.effective_boxes()
-    boxes2 = data2.effective_boxes()
-    for i, xi in enumerate(xi_s):
-        acc = 0.0 + 0.0j
-        for b1 in boxes1:
-            for b2 in boxes2:
-                # xi1 in b1 and xi2 = xi - xi1 in b2
-                iv = _intersect(b1.lo, b1.hi, xi - b2.hi, xi - b2.lo)
-                if iv is None:
-                    continue
-                x1, w = _gl_nodes(iv[0], iv[1], gl_nodes)
-                x2 = xi - x1
-                phi = eval_phase(phase_tag, a, (x1, x2))
-                ker = duhamel_kernel(phi, t)
-                amp = b1.amplitude(x1) * b2.amplitude(x2)
-                acc += np.sum(w * symbol(xi, x1, x2) * ker * amp)
-        values[i] = 1j * np.exp(1j * carrier_a * t * xi ** 3) * acc
+        return PicardOutput(xi_s, acc, t)
+    rule = np.polynomial.legendre.leggauss(gl_nodes)
+    for rows, xr, x1, x2, w, amp in _box_pairs(
+            xi_s, data1.effective_boxes(), data2.effective_boxes(), rule):
+        ker = duhamel_kernel(eval_phase(phase_tag, a, (x1, x2)), t)
+        acc[rows] += np.sum(w * symbol(xr, x1, x2) * ker * amp, axis=1)
+    values = 1j * np.exp(1j * carrier_a * t * xi_s ** 3) * acc
     return PicardOutput(xi_s, values, t)
 
 
@@ -174,10 +183,6 @@ def second_iterate_u(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT):
                            lambda xi, x1, x2: xi, a, gl_nodes=gl_nodes)
 
 
-class PhaseFloorError(RuntimeError):
-    pass
-
-
 def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
                     min_phase=1e-8, return_parts=False):
     """Third iterate of v on v0 box data (v -> u -> v cascade).
@@ -196,63 +201,51 @@ def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
     The first part of G scales like |t|/|Phi1u1| on the ladder data,
     the second like 1/(|Phi1u1||Phiv|); both phases must stay away from
     zero on the support (checked, PhaseFloorError otherwise).
+
+    The outer xi2 integral runs over each box and its nodes; at each
+    node the inner xi1 -> (xi11, xi12) integral is the box-pair core of
+    the second iterate, applied to xi1 = xi - xi2 for all samples.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
-    lo, hi = float(out_window[0]), float(out_window[1])
-    xi_s = np.linspace(lo, hi, 256)
-    vals = np.zeros(256, dtype=complex)
-    part1 = np.zeros(256, dtype=complex)
-    part2 = np.zeros(256, dtype=complex)
-    if t == 0 or v0.is_empty():
-        out = PicardOutput(xi_s, vals, t)
-        return (out, out, out) if return_parts else out
-    boxes = v0.effective_boxes()
-    for i, xi in enumerate(xi_s):
-        acc1 = 0.0 + 0.0j
-        acc2 = 0.0 + 0.0j
-        for b2 in boxes:          # xi2 runs over this box
-            x2, w2 = _gl_nodes(b2.lo, b2.hi, gl_nodes)
-            for j in range(gl_nodes):
-                xi2 = x2[j]
-                xi1 = xi - xi2
-                for b11 in boxes:     # xi11 in b11, xi12 = xi1 - xi11 in b12
-                    for b12 in boxes:
-                        iv = _intersect(b11.lo, b11.hi,
-                                        xi1 - b12.hi, xi1 - b12.lo)
-                        if iv is None:
-                            continue
-                        x11, w11 = _gl_nodes(iv[0], iv[1], gl_nodes)
-                        x12 = xi1 - x11
-                        phi_u1 = eval_phase("Phi1u", a, (x11, x12))
-                        phi_v = eval_phase("Phiv", a, (xi1, xi2))
-                        theta = phi_v + phi_u1
-                        bad = np.abs(phi_u1) < min_phase
-                        if np.any(bad):
-                            k = int(np.argmax(bad))
-                            raise PhaseFloorError(
-                                "inner phase below floor at "
-                                "(xi, xi1, xi11)=(%g, %g, %g)"
-                                % (xi, xi1, x11[k]))
-                        if abs(phi_v) < min_phase:
-                            raise PhaseFloorError(
-                                "outer phase below floor at (xi, xi1)="
-                                "(%g, %g)" % (xi, xi1))
-                        amp = (b11.amplitude(x11) * b12.amplitude(x12)
-                               * b2.amplitude(xi2))
-                        g1 = duhamel_kernel(theta, t) / (1j * phi_u1)
-                        g2 = -duhamel_kernel(phi_v, t) / (1j * phi_u1)
-                        common = w2[j] * xi1 * xi2 * amp
-                        acc1 += np.sum(w11 * common * g1)
-                        acc2 += np.sum(w11 * common * g2)
-        carrier = -np.exp(1j * t * xi ** 3)
-        part1[i] = carrier * acc1
-        part2[i] = carrier * acc2
-        vals[i] = part1[i] + part2[i]
-    out = PicardOutput(xi_s, vals, t)
-    if return_parts:
-        return out, PicardOutput(xi_s, part1, t), PicardOutput(xi_s, part2, t)
-    return out
+    xi_s = np.linspace(out_window[0], out_window[1], N_OUT)
+    acc1 = np.zeros(N_OUT, dtype=complex)
+    acc2 = np.zeros(N_OUT, dtype=complex)
+    if t != 0 and not v0.is_empty():
+        boxes = v0.effective_boxes()
+        rule = np.polynomial.legendre.leggauss(gl_nodes)
+        for b2 in boxes:
+            for xi2, w2 in zip(*_map_rule(rule, b2.lo, b2.hi)):
+                xi1 = xi_s - xi2
+                phi_v = eval_phase("Phiv", a, (xi1, xi2))
+                ker_v = duhamel_kernel(phi_v, t)
+                for rows, y1, x11, x12, w11, amp in _box_pairs(
+                        xi1, boxes, boxes, rule):
+                    phi_u1 = eval_phase("Phi1u", a, (x11, x12))
+                    bad = np.abs(phi_u1) < min_phase
+                    if np.any(bad):
+                        r, k = np.argwhere(bad)[0]
+                        raise PhaseFloorError(
+                            "inner phase below floor at "
+                            "(xi, xi1, xi11)=(%g, %g, %g)"
+                            % (xi_s[rows[r]], xi1[rows[r]], x11[r, k]))
+                    bad = np.abs(phi_v[rows]) < min_phase
+                    if np.any(bad):
+                        r = rows[np.argmax(bad)]
+                        raise PhaseFloorError(
+                            "outer phase below floor at (xi, xi1)="
+                            "(%g, %g)" % (xi_s[r], xi1[r]))
+                    theta = phi_v[rows, None] + phi_u1
+                    g1 = duhamel_kernel(theta, t) / (1j * phi_u1)
+                    g2 = -ker_v[rows, None] / (1j * phi_u1)
+                    common = w2 * y1 * xi2 * (amp * b2.amplitude(xi2))
+                    acc1[rows] += np.sum(w11 * common * g1, axis=1)
+                    acc2[rows] += np.sum(w11 * common * g2, axis=1)
+    carrier = -np.exp(1j * t * xi_s ** 3)
+    part1 = PicardOutput(xi_s, carrier * acc1, t)
+    part2 = PicardOutput(xi_s, carrier * acc2, t)
+    out = PicardOutput(xi_s, part1.values + part2.values, t)
+    return (out, part1, part2) if return_parts else out
 
 
 def hs_norm_window(out, s, window):

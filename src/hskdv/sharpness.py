@@ -20,7 +20,6 @@ construction certifies):
   L68_cubic_34   s >= -3/4    (a<1/4) third v-iterate
 """
 
-import json
 import math
 
 import numpy as np
@@ -129,8 +128,8 @@ def build(lemma, N, k=0.0, s=0.0, a=None, rho=None):
         d = L63_DELTA
         v0 = _boxes((-N - d * N, -N + d * N), (N + d * N, N + 2 * d * N))
         # the phase floor on the output window must be positive
-        if _support_min_abs_phase("Phi1u", a, v0, v0,
-                                  (d * N, 2 * d * N)) <= 0:
+        if np.min(_support_phases("Phi1u", a, v0, v0, (d * N, 2 * d * N)),
+                  initial=math.inf) <= 0:
             raise HypothesisError("L63 phase floor fails at delta=%g" % d)
         t = TIME_CONSTANT * N ** -3.0
         win = (d * N, 2 * d * N)
@@ -244,38 +243,17 @@ def _support_nodes(data, n=33):
     return np.concatenate(out)
 
 
-def _support_min_abs_phase(tag, a, d1, d2, out_window):
-    x1 = _support_nodes(d1)
-    x2 = _support_nodes(d2)
-    if x1.size == 0 or x2.size == 0:
-        return math.inf
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+def _support_phases(tag, a, d1, d2, out_window):
+    """|phase| over the data support (33 nodes per box) inside the window.
+
+    Empty when no node pair sums into the window.
+    """
+    X1, X2 = np.meshgrid(_support_nodes(d1), _support_nodes(d2),
+                         indexing="ij")
     xi = X1 + X2
     lo, hi = out_window
     sel = (xi >= lo) & (xi <= hi)
-    if not np.any(sel):
-        return math.inf
-    vals = eval_phase(tag, a, (X1[sel], X2[sel]))
-    return float(np.min(np.abs(vals)))
-
-
-def _phase_samples(spec):
-    """|phase| samples over the data support restricted to the window."""
-    if spec.iterate == "second_v":
-        x1 = _support_nodes(spec.u0)
-        x2 = _support_nodes(spec.v0)
-        tag = "Phiv"
-    else:
-        x1 = _support_nodes(spec.v0)
-        x2 = _support_nodes(spec.v0)
-        tag = "Phi1u"
-    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    xi = X1 + X2
-    lo, hi = spec.out_window
-    sel = (xi >= lo) & (xi <= hi)
-    if not np.any(sel):
-        return np.array([0.0])
-    return np.abs(eval_phase(tag, spec.a, (X1[sel], X2[sel])))
+    return np.abs(eval_phase(tag, a, (X1[sel], X2[sel])))
 
 
 def check_phase_regime(spec):
@@ -288,9 +266,12 @@ def check_phase_regime(spec):
     """
     if spec.phase_regime == "mixed":
         return
-    phases = _phase_samples(spec)
-    x = spec.t * phases
-    xmax = float(np.max(x))
+    if spec.iterate == "second_v":
+        tag, d1 = "Phiv", spec.u0
+    else:
+        tag, d1 = "Phi1u", spec.v0
+    phases = _support_phases(tag, spec.a, d1, spec.v0, spec.out_window)
+    xmax = float(np.max(spec.t * phases, initial=0.0))
     if spec.phase_regime == "bounded":
         if xmax > 0.1:
             raise HypothesisError(
@@ -304,7 +285,7 @@ def check_phase_regime(spec):
             % (spec.lemma, xmax))
 
 
-def evaluate_rung(spec, gl_nodes=None):
+def evaluate_rung(spec):
     """Run the designated iterate and return the windowed norm."""
     check_phase_regime(spec)
     if spec.iterate == "second_v":
@@ -316,7 +297,7 @@ def evaluate_rung(spec, gl_nodes=None):
     else:
         out = picard.third_iterate_v(
             spec.v0, spec.a, spec.t, spec.out_window,
-            gl_nodes=gl_nodes or 48, min_phase=0.4 * spec.N ** 1.5)
+            gl_nodes=48, min_phase=0.4 * spec.N ** 1.5)
     return picard.hs_norm_window(out, spec.norm_index, spec.norm_window)
 
 
@@ -392,7 +373,3 @@ def ladder_report(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None,
         "pass": v["pass"],
     }
 
-
-def report_json(report):
-    return json.dumps(report, sort_keys=True, indent=2,
-                      default=lambda o: o.as_dict())

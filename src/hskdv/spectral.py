@@ -132,30 +132,14 @@ def spectral_product(ahat, bhat, grid, mask):
     return prod * mask
 
 
-def rhs_nonlinear(state, cfg=None):
-    """Nonlinear right side in profile coordinates.
+def _profile_rhs(t, util, vtil, grid, params, mask):
+    """Nonlinear right side in profile coordinates at time t.
 
     Returns (util_dot, vtil_dot):
       util_dot = exp(-i a t xi^3) * i xi * (beta u^2 + gamma v^2)^hat
       vtil_dot = exp(-i t xi^3)   * theta * (u v_x)^hat
-    with dealiased products.
+    with products dealiased by mask.
     """
-    grid = state.grid
-    mask = grid.dealias_mask(cfg.dealias_fraction if cfg else 2.0 / 3.0)
-    p = state.params
-    xi = grid.xi
-    uh, vh = state.uhat.coeffs, state.vhat.coeffs
-    u2 = spectral_product(uh, uh, grid, mask)
-    v2 = spectral_product(vh, vh, grid, mask)
-    uvx = spectral_product(uh, 1j * xi * vh, grid, mask)
-    udot = np.exp(-1j * p.a * state.t * xi ** 3) * (
-        1j * xi * (p.beta * u2 + p.gamma * v2))
-    vdot = np.exp(-1j * state.t * xi ** 3) * (p.theta * uvx)
-    return udot, vdot
-
-
-def _profile_rhs(t, util, vtil, grid, params, mask):
-    # same as rhs_nonlinear but parameterized by profile arrays at time t
     xi = grid.xi
     eu = np.exp(1j * params.a * t * xi ** 3)
     ev = np.exp(1j * t * xi ** 3)

@@ -43,6 +43,10 @@ def test_parse_config_unknown_key_line():
 def test_parse_config_wrong_command_key():
     with pytest.raises(ConfigError):
         parse_config("command=classify\nlemma=L61\n")
+    # the IBPS identity holds for the 2/3 rule only
+    with pytest.raises(ConfigError):
+        parse_config("command=ibps-check\ndealias_fraction=0.5\n")
+    assert cli.main(["ibps-check", "--dealias_fraction", "0.5"]) == 2
 
 
 def test_parse_config_missing_command():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import dblquad, quad
 
 from hskdv.phases import eval_phase
 from hskdv.picard import (BoxData, FrequencyBox, PhaseFloorError,
@@ -148,6 +148,35 @@ def test_third_iterate_parts_sum():
     assert np.max(np.abs(total.values)) > 0.0
 
 
+def test_third_iterate_against_adaptive_quadrature():
+    # the G-kernel double integral by scipy's dblquad, with the phases
+    # and the kernel written out here rather than taken from hskdv
+    a, t, xi = 2.0, 0.005, 25.0
+    v0 = BoxData([FrequencyBox(8.0, 9.0)])
+    got = third_iterate_v(v0, a, t, (xi, 26.0), gl_nodes=24).values[0]
+
+    def kern(phi):
+        return (np.exp(1j * t * phi) - 1.0) / (1j * phi)
+
+    def integrand(x11, x1, part):
+        x12, x2 = x1 - x11, xi - x1
+        phi_u1 = -a * x1 ** 3 + x11 ** 3 + x12 ** 3
+        phi_v = -xi ** 3 + a * x1 ** 3 + x2 ** 3
+        g = (kern(phi_v + phi_u1) - kern(phi_v)) / (1j * phi_u1)
+        val = x1 * x2 * g
+        return val.real if part == "re" else val.imag
+
+    # xi2 = xi - xi1 in [8, 9] and xi11, xi1 - xi11 in [8, 9]
+    re, _ = dblquad(integrand, xi - 9.0, xi - 8.0, 8.0,
+                    lambda x1: x1 - 8.0, args=("re",),
+                    epsabs=0.0, epsrel=1e-12)
+    im, _ = dblquad(integrand, xi - 9.0, xi - 8.0, 8.0,
+                    lambda x1: x1 - 8.0, args=("im",),
+                    epsabs=0.0, epsrel=1e-12)
+    expect = -np.exp(1j * t * xi ** 3) * (re + 1j * im)
+    assert abs(got - expect) <= 1e-10 * abs(expect)
+
+
 def test_third_iterate_phase_floor():
     a = 2.0
     v0 = BoxData([FrequencyBox(8.0, 9.0)])
@@ -155,6 +184,12 @@ def test_third_iterate_phase_floor():
     with pytest.raises(PhaseFloorError):
         third_iterate_v(v0, a, 0.005, (24.0, 26.0), gl_nodes=8,
                         min_phase=1e9)
+    # |Phiv| reaches ~5.1e3 on this support while |Phi1u| stays above
+    # ~7.2e3, so a floor in between trips the outer check alone
+    with pytest.raises(PhaseFloorError,
+                       match=r"outer .*\(xi, xi1\)=\(24.0235, 16.0037\)"):
+        third_iterate_v(v0, a, 0.005, (24.0, 26.0), gl_nodes=8,
+                        min_phase=6000.0)
 
 
 def test_hs_norm_window_checks():

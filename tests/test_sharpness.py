@@ -5,11 +5,12 @@ import pytest
 from scipy.integrate import quad
 
 from hskdv import picard
+from hskdv.cli import to_json
 from hskdv.phases import eval_phase
 from hskdv.sharpness import (ExponentFit, HypothesisError, build,
                              canonical_tag, check_phase_regime,
                              evaluate_rung, ladder_report, predicted_slope,
-                             report_json, run_ladder, verdict)
+                             run_ladder, verdict)
 
 
 def test_canonical_tag():
@@ -144,8 +145,8 @@ def test_ladder_report_shape_and_json():
     assert rep["predicted"] == pytest.approx(-3.0)
     assert rep["tol"] == 0.15
     assert rep["pass"] is True
-    txt1 = report_json(rep)
-    txt2 = report_json(rep)
+    txt1 = to_json(rep)
+    txt2 = to_json(rep)
     assert txt1 == txt2
     assert json.loads(txt1)["lemma"] == "L61_s_le_k3"
 
