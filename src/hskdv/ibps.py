@@ -21,8 +21,8 @@ Problematic regions (with f ~= g meaning |f-g| <= eta*max(|f|,|g|)):
 
 import numpy as np
 
-from .phases import PhaseFloorError, eval_phase
-from .spectral import spectral_product
+from .phases import Coefficients, PhaseFloorError, eval_phase
+from .spectral import nonlinear_terms, spectral_product
 
 TERM_TAGS = ("N0u", "N1u", "N2u", "N3u", "N0v", "N1v", "N2v", "N3v",
              "Bu", "Bv")
@@ -221,22 +221,17 @@ def eval_term(tag, state, a, cut):
 def coupling_terms(state, a, cut):
     """Classical profile-equation right sides (u and v), dealiased.
 
-    Equals (N0u + region part + N3u, N0v + region part) and also the
-    solver's right side (spectral._profile_rhs) for the normalized
-    coupling.
+    Equals (N0u + region part + N3u, N0v + region part). These are the
+    solver's nonlinear terms (spectral.nonlinear_terms) at the
+    normalized coupling, mapped to profile coordinates.
     """
     grid = state.grid
-    ker = _kernels(grid, a, cut)
-    xi = grid.xi
-    uh = state.uhat.coeffs
-    vh = state.vhat.coeffs
-    mask = ker.outmask
-    eu = np.exp(-1j * a * state.t * xi ** 3)
-    ev = np.exp(-1j * state.t * xi ** 3)
-    cu = eu * (1j * xi) * (spectral_product(vh, vh, grid, mask)
-                           + spectral_product(uh, uh, grid, mask))
-    cv = ev * spectral_product(uh, 1j * xi * vh, grid, mask)
-    return cu, cv
+    xi3 = grid.xi ** 3
+    mask = _kernels(grid, a, cut).outmask
+    nu, nv = nonlinear_terms(state.uhat.coeffs, state.vhat.coeffs, grid,
+                             Coefficients(a), mask)[:2]
+    return (np.exp(-1j * a * state.t * xi3) * nu,
+            np.exp(-1j * state.t * xi3) * nv)
 
 
 def _simpson_weights(m, h):

@@ -102,13 +102,17 @@ def duhamel_kernel(phi, t):
     Accepts scalars or arrays.
     """
     phi = np.asarray(phi, dtype=float)
-    x = t * phi
-    small = np.abs(x) < SERIES_SWITCH
-    xs = np.where(small, x, 0.0)
-    series = t * (1.0 + 1j * xs / 2.0 - xs ** 2 / 6.0 - 1j * xs ** 3 / 24.0)
-    safe_phi = np.where(small, 1.0, phi)
-    direct = (np.exp(1j * t * phi) - 1.0) / (1j * safe_phi)
-    out = np.where(small, series, direct)
+    # each entry gets one of the two forms, written into one output
+    small = np.abs(t * phi) < SERIES_SWITCH
+    big = ~small
+    out = np.empty(phi.shape, dtype=complex)
+    xs = t * phi[small]
+    out[small] = t * (1.0 + 1j * xs / 2.0 - xs ** 2 / 6.0
+                      - 1j * xs ** 3 / 24.0)
+    direct = np.exp(1j * t * phi[big])
+    direct -= 1.0
+    direct /= 1j * phi[big]
+    out[big] = direct
     if out.ndim == 0:
         return complex(out)
     return out

@@ -132,77 +132,70 @@ def spectral_product(ahat, bhat, grid, mask):
     return prod * mask
 
 
-def _profile_rhs(t, util, vtil, grid, params, mask):
-    """Nonlinear right side in profile coordinates at time t.
+def nonlinear_terms(uh, vh, grid, params, mask):
+    """Nonlinear terms of the system at Fourier coefficients uh, vh.
 
-    Returns (util_dot, vtil_dot):
-      util_dot = exp(-i a t xi^3) * i xi * (beta u^2 + gamma v^2)^hat
-      vtil_dot = exp(-i t xi^3)   * theta * (u v_x)^hat
-    with products dealiased by mask.
+    Returns (i xi (beta u^2 + gamma v^2)^hat, theta (u v_x)^hat, u, v):
+    the two right sides, dealiased by mask, and the physical fields.
+    One batched inverse FFT gives u, v and v_x, and one batched forward
+    FFT transforms both products.
     """
-    xi = grid.xi
-    eu = np.exp(1j * params.a * t * xi ** 3)
-    ev = np.exp(1j * t * xi ** 3)
-    uh = eu * util
-    vh = ev * vtil
-    u2 = spectral_product(uh, uh, grid, mask)
-    v2 = spectral_product(vh, vh, grid, mask)
-    uvx = spectral_product(uh, 1j * xi * vh, grid, mask)
-    udot = np.conj(eu) * (1j * xi * (params.beta * u2 + params.gamma * v2))
-    vdot = np.conj(ev) * (params.theta * uvx)
-    return udot, vdot
+    ixi = 1j * grid.xi
+    u, v, vx = np.fft.ifft(np.array((uh, vh, ixi * vh)) * grid.n)
+    nl = np.fft.fft(np.array((params.beta * u * u + params.gamma * v * v,
+                              params.theta * u * vx))) * (mask / grid.n)
+    nl[0] *= ixi
+    return nl[0], nl[1], u, v
 
 
 def step(state, cfg):
-    """One integrating-factor RK4 step; the linear flow is exact."""
+    """One integrating-factor RK4 step; the linear flow is exact.
+
+    u and v are stacked as rows. The integrating factors
+    (exp(i a tau xi^3), exp(i tau xi^3)) are formed once at each stage
+    time tau = t, t + dt/2, t + dt; each stage calls nonlinear_terms
+    once. The stability bound is checked on the stage-1 fields, before
+    stages 2-4 run.
+    """
     grid = state.grid
     p = state.params
     dt = cfg.dt
-    xi = grid.xi
-    ximax = np.max(np.abs(xi))
-
-    amp = max(np.max(np.abs(state.uhat.to_physical().real)),
-              np.max(np.abs(state.vhat.to_physical().real)))
-    if cfg.nonlinear_enabled and amp > 0:
-        dt_max = STABILITY_C / (ximax * amp)
+    t = state.t
+    xi3 = grid.xi ** 3
+    w = np.array((state.uhat.coeffs, state.vhat.coeffs))
+    f0, fh, f1 = [np.exp(np.array((1j * p.a * tau * xi3, 1j * tau * xi3)))
+                  for tau in (t, t + dt / 2, t + dt)]
+    prof = f0.conj() * w
+    if cfg.nonlinear_enabled:
+        mask = grid.dealias_mask(cfg.dealias_fraction)
+        nl = nonlinear_terms(w[0], w[1], grid, p, mask)
+        amp = max(np.abs(nl[2].real).max(), np.abs(nl[3].real).max())
+        dt_max = (STABILITY_C / (np.abs(grid.xi).max() * amp) if amp > 0
+                  else np.inf)
         if dt > dt_max:
             raise StabilityError(
                 "dt=%g violates the advective stability bound "
                 "dt <= C/(max|xi| * max(|u|,|v|)) = %g (C=%g)"
                 % (dt, dt_max, STABILITY_C))
+        k = acc = f0.conj() * np.array(nl[:2])
+        # stages 2-4: factors at the stage time, offset, RK4 weight
+        for f, h, c in ((fh, dt / 2, 2), (fh, dt / 2, 2), (f1, dt, 1)):
+            y = f * (prof + h * k)
+            nl = nonlinear_terms(y[0], y[1], grid, p, mask)
+            k = f.conj() * np.array(nl[:2])
+            acc = acc + c * k
+        prof = prof + dt / 6 * acc
+    w_new = f1 * prof
 
-    t = state.t
-    util = np.exp(-1j * p.a * t * xi ** 3) * state.uhat.coeffs
-    vtil = np.exp(-1j * t * xi ** 3) * state.vhat.coeffs
-
-    if cfg.nonlinear_enabled:
-        mask = grid.dealias_mask(cfg.dealias_fraction)
-        k1u, k1v = _profile_rhs(t, util, vtil, grid, p, mask)
-        k2u, k2v = _profile_rhs(t + dt / 2, util + dt / 2 * k1u,
-                                vtil + dt / 2 * k1v, grid, p, mask)
-        k3u, k3v = _profile_rhs(t + dt / 2, util + dt / 2 * k2u,
-                                vtil + dt / 2 * k2v, grid, p, mask)
-        k4u, k4v = _profile_rhs(t + dt, util + dt * k3u,
-                                vtil + dt * k3v, grid, p, mask)
-        util_new = util + dt / 6 * (k1u + 2 * k2u + 2 * k3u + k4u)
-        vtil_new = vtil + dt / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-    else:
-        util_new, vtil_new = util, vtil
-
-    tn = t + dt
-    uh_new = np.exp(1j * p.a * tn * xi ** 3) * util_new
-    vh_new = np.exp(1j * tn * xi ** 3) * vtil_new
-
-    old = max(np.linalg.norm(state.uhat.coeffs),
-              np.linalg.norm(state.vhat.coeffs), 1e-300)
-    new = max(np.linalg.norm(uh_new), np.linalg.norm(vh_new))
+    old = max(np.linalg.norm(w, axis=1).max(), 1e-300)
+    new = np.linalg.norm(w_new, axis=1).max()
     if new > 10.0 * old:
         raise StabilityError(
             "instability detected: spectral norm grew %.3gx in one step "
             "at t=%g" % (new / old, t))
 
-    return SimState(tn, SpectralField(grid, uh_new),
-                    SpectralField(grid, vh_new), p)
+    return SimState(t + dt, SpectralField(grid, w_new[0]),
+                    SpectralField(grid, w_new[1]), p)
 
 
 def sobolev_norm(field, s):
@@ -218,8 +211,9 @@ def invariants_eval(state):
 
     M = int theta u^2 - 2 gamma v^2 dx is conserved for real
     coefficients. E = int (1-a) u_x^2 + gamma v_x^2 - 2(1-a) u^3
-    - gamma u v^2 dx is exact for the normalized coupling
-    beta = gamma = theta = 1; otherwise it is reported as measured.
+    - gamma u v^2 dx is reported, not conserved: at a = 1/2 and unit
+    coupling (demos/02_solver_invariants.py) it moves from -0.19337 to
+    -0.17614 over T = 0.5 while M holds to 1e-14.
     """
     grid = state.grid
     p = state.params
@@ -286,10 +280,25 @@ def save_snapshot(path, state):
 
 
 def load_snapshot(path, params=None):
+    """Read a save_snapshot file; params default to Coefficients(0.5).
+
+    Raises ValueError for a file shorter than the 24-byte header, a mode
+    count n that is not a positive even integer, or a length other than
+    24 + 32 n bytes.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    header = np.frombuffer(raw[:24], dtype="<f8")
-    L, n, t = header[0], int(header[1]), header[2]
+    if len(raw) < 24:
+        raise ValueError("snapshot %s has %d bytes, less than the 24-byte "
+                         "header" % (path, len(raw)))
+    L, n, t = np.frombuffer(raw[:24], dtype="<f8")
+    if not (n > 0 and n.is_integer() and n % 2 == 0):
+        raise ValueError("snapshot %s: mode count %r is not a positive "
+                         "even integer" % (path, float(n)))
+    n = int(n)
+    if len(raw) != 24 + 32 * n:
+        raise ValueError("snapshot %s has %d bytes; n=%d needs 24 + 32n = %d"
+                         % (path, len(raw), n, 24 + 32 * n))
     body = np.frombuffer(raw[24:], dtype="<f8").reshape(n, 4)
     grid = Grid(L, n)
     uh = SpectralField(grid, body[:, 0] + 1j * body[:, 1])

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from hskdv.phases import Coefficients
-from hskdv.spectral import (Grid, SimState, SolverConfig, SpectralField,
-                            StabilityError, invariants_eval, load_snapshot,
-                            make_state, run, save_snapshot, sobolev_norm,
-                            spectral_product, step, trajectory_csv)
+from hskdv.spectral import (STABILITY_C, Grid, SimState, SolverConfig,
+                            SpectralField, StabilityError, invariants_eval,
+                            load_snapshot, make_state, run, save_snapshot,
+                            sobolev_norm, spectral_product, step,
+                            trajectory_csv)
 
 
 def _cos_state(grid, params, amp_u=0.1, amp_v=0.1, mode=2):
@@ -104,6 +105,84 @@ def test_spectral_product_matches_direct_convolution():
     assert np.max(np.abs(got - oracle)) < 1e-10
 
 
+def _per_product_step(state, cfg):
+    """Reference RK4 step: three spectral_product calls per stage, twelve
+    complex exponentials and the amplitude from two more inverse FFTs.
+
+    Returns (next state, stability bound dt_max).
+    """
+    grid, p, dt, t = state.grid, state.params, cfg.dt, state.t
+    xi = grid.xi
+    mask = grid.dealias_mask(cfg.dealias_fraction)
+
+    def rhs(tau, util, vtil):
+        eu = np.exp(1j * p.a * tau * xi ** 3)
+        ev = np.exp(1j * tau * xi ** 3)
+        uh, vh = eu * util, ev * vtil
+        u2 = spectral_product(uh, uh, grid, mask)
+        v2 = spectral_product(vh, vh, grid, mask)
+        uvx = spectral_product(uh, 1j * xi * vh, grid, mask)
+        return (np.conj(eu) * (1j * xi * (p.beta * u2 + p.gamma * v2)),
+                np.conj(ev) * (p.theta * uvx))
+
+    amp = max(np.max(np.abs(state.uhat.to_physical().real)),
+              np.max(np.abs(state.vhat.to_physical().real)))
+    dt_max = STABILITY_C / (np.max(np.abs(xi)) * amp)
+    util = np.exp(-1j * p.a * t * xi ** 3) * state.uhat.coeffs
+    vtil = np.exp(-1j * t * xi ** 3) * state.vhat.coeffs
+    k1 = rhs(t, util, vtil)
+    k2 = rhs(t + dt / 2, util + dt / 2 * k1[0], vtil + dt / 2 * k1[1])
+    k3 = rhs(t + dt / 2, util + dt / 2 * k2[0], vtil + dt / 2 * k2[1])
+    k4 = rhs(t + dt, util + dt * k3[0], vtil + dt * k3[1])
+    util = util + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+    vtil = vtil + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    tn = t + dt
+    return SimState(tn, SpectralField(grid, np.exp(1j * p.a * tn * xi ** 3)
+                                      * util),
+                    SpectralField(grid, np.exp(1j * tn * xi ** 3) * vtil),
+                    p), dt_max
+
+
+def _random_state(grid, params, seed=3):
+    # non-Hermitian coefficients with a decaying spectrum
+    rng = np.random.default_rng(seed)
+    k = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n))
+
+    def coeffs():
+        z = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
+        return 0.05 * z * np.exp(-k / 4.0)
+    return SimState(0.0, SpectralField(grid, coeffs()),
+                    SpectralField(grid, coeffs()), params)
+
+
+@pytest.mark.parametrize("case", ["complex_couplings", "non_hermitian"])
+def test_step_matches_per_product_step(case):
+    if case == "complex_couplings":
+        g = Grid(2.0 * np.pi, 128)
+        st = _cos_state(g, Coefficients(0.5, gamma=1j, theta=-1),
+                        amp_u=0.3, amp_v=0.3)
+        cfg = SolverConfig(dt=1e-3)
+    else:
+        g = Grid(2.0 * np.pi, 64)
+        st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
+        cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
+    ref = st
+    for _ in range(20):
+        ref, dt_max = _per_product_step(ref, cfg)
+        st = step(st, cfg)
+        got = np.concatenate([st.uhat.coeffs, st.vhat.coeffs])
+        want = np.concatenate([ref.uhat.coeffs, ref.vhat.coeffs])
+        assert st.t == ref.t
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # the stability bound comes from the same amplitude
+    _, dt_max = _per_product_step(st, cfg)
+    with pytest.raises(StabilityError) as err:
+        step(st, SolverConfig(dt=1.001 * dt_max))
+    bound = float(str(err.value).split(" = ")[1].split(" ")[0])
+    assert bound == pytest.approx(dt_max, rel=1e-5)
+    step(st, SolverConfig(dt=0.999 * dt_max))
+
+
 def test_mass_conservation_short():
     g = Grid(2.0 * np.pi, 128)
     p = Coefficients(0.5)
@@ -147,6 +226,30 @@ def test_snapshot_roundtrip(tmp_path):
     assert back.t == st.t
     assert np.array_equal(back.uhat.coeffs, st.uhat.coeffs)
     assert np.array_equal(back.vhat.coeffs, st.vhat.coeffs)
+
+
+def _header_with_n(n):
+    return lambda raw: raw[:8] + np.array([n], "<f8").tobytes() + raw[16:]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda raw: raw[:-1], "needs 24"),
+    (lambda raw: raw + b"\0", "needs 24"),
+    (lambda raw: raw[:20], "less than the 24-byte header"),
+    (_header_with_n(31.0), "not a positive even integer"),
+    (_header_with_n(np.nan), "not a positive even integer"),
+    (_header_with_n(-32.0), "not a positive even integer"),
+], ids=["truncated", "trailing_byte", "short_header", "odd_n", "nan_n",
+        "negative_n"])
+def test_snapshot_rejects_damaged_file(tmp_path, edit, message):
+    path = os.path.join(tmp_path, "s.snap")
+    save_snapshot(path, _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5)))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(edit(raw))
+    with pytest.raises(ValueError, match=message):
+        load_snapshot(path)
 
 
 def test_trajectory_csv_header(tmp_path):
