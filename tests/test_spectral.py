@@ -168,7 +168,7 @@ def test_step_matches_per_product_step(case):
         cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
     ref = st
     for _ in range(20):
-        ref, dt_max = _per_product_step(ref, cfg)
+        ref, _ = _per_product_step(ref, cfg)
         st = step(st, cfg)
         got = np.concatenate([st.uhat.coeffs, st.vhat.coeffs])
         want = np.concatenate([ref.uhat.coeffs, ref.vhat.coeffs])
