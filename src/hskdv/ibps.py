@@ -9,6 +9,12 @@ profile equations for the differentiated factor. This module evaluates
 every term on a periodic spectral grid and checks that the classical
 and the integrated-by-parts reconstructions of the profiles agree.
 
+Each region is kept per grid as the index lists of its (xi, xi1)
+pairs with the real kernels on them, so B, N1, N2 and N3v are sums
+over the region's pairs only. A complement N0 is the convolution over
+every pair whose xi2 is a grid frequency, by one zero-padded FFT
+product, minus the region's part of it.
+
 All formulas use the normalized coupling beta = gamma = theta = 1.
 
 Problematic regions (with f ~= g meaning |f-g| <= eta*max(|f|,|g|)):
@@ -88,12 +94,19 @@ def v_phase_floor_constant(a, eta):
 
 
 class _GridKernels:
-    """Precomputed (xi, xi1) masks and phase kernels for one grid."""
+    """Index lists and real phase kernels of the regions U and V on one grid.
+
+    A region is a tuple (rows, starts, j, j2) over its pairs in row-major
+    order: pair p has first input xi1 = xi[j[p]] and xi2 = xi - xi1 at
+    grid index j2[p]; the pairs of output frequency xi[rows[r]] begin at
+    starts[r]. A pair whose xi2 is not a grid frequency lies in no
+    region. The kernels are real arrays over the pairs of their region:
+    ku = xi/Phi1u on U, kv2 = xi2/Phiv and kv12 = xi1 xi2/Phiv on V.
+    No n x n array outlives construction.
+    """
 
     def __init__(self, grid, a, cut):
         self.grid = grid
-        self.a = float(a)
-        self.cut = cut
         n = grid.n
         xi = grid.xi
         XI = xi[:, None]          # output frequency
@@ -103,51 +116,72 @@ class _GridKernels:
         dxi = 2.0 * np.pi / grid.L
         idx2 = np.rint(XI2 / dxi).astype(int)
         half = n // 2
-        self.valid = (idx2 >= -half) & (idx2 <= half - 1)
-        self.j2 = np.where(self.valid, idx2 % n, 0)
+        valid = (idx2 >= -half) & (idx2 <= half - 1)
 
         big_u = np.abs(XI) > 1.0 / cut.delta_u
-        u2 = (_sim(XI, XI1, cut.eta_sim)
-              | _sim(XI, XI2, cut.eta_sim)) & big_u
-        if self.a < 0.25:
-            self.mask_U = (_sim(XI1, XI2, cut.eta_sim) & big_u) | u2
-        else:
-            self.mask_U = u2
-        self.mask_U &= self.valid
-        self.mask_V = (_sim(XI, XI1, cut.eta_sim)
-                       & (np.abs(XI) > 1.0 / cut.delta_v)) & self.valid
+        mask_U = (_sim(XI, XI1, cut.eta_sim)
+                  | _sim(XI, XI2, cut.eta_sim)) & big_u
+        if a < 0.25:
+            mask_U |= _sim(XI1, XI2, cut.eta_sim) & big_u
+        mask_V = (_sim(XI, XI1, cut.eta_sim)
+                  & (np.abs(XI) > 1.0 / cut.delta_v))
 
-        self.XI, self.XI1, self.XI2 = XI, XI1, XI2
-        self.phi1u = eval_phase("Phi1u", self.a, (XI1, XI2))
-        self.phiv = eval_phase("Phiv", self.a, (XI1, XI2))
+        def region(mask):
+            i, j = np.nonzero(mask & valid)
+            rows, starts = np.unique(i, return_index=True)
+            return (rows, starts, j, idx2[i, j] % n), xi[i], xi[j]
 
-        self._check_floor("Phi1u", self.phi1u, self.mask_U,
-                          u_phase_floor_constant(self.a, cut.eta_sim))
-        self._check_floor("Phiv", self.phiv, self.mask_V,
-                          v_phase_floor_constant(self.a, cut.eta_sim))
+        self.U, xi_u, xi1_u = region(mask_U)
+        self.V, xi_v, xi1_v = region(mask_V)
 
-        self.inv_phi1u = np.where(
-            self.mask_U, 1.0 / np.where(self.mask_U, self.phi1u, 1.0), 0.0)
-        self.inv_phiv = np.where(
-            self.mask_V, 1.0 / np.where(self.mask_V, self.phiv, 1.0), 0.0)
+        phi1u = eval_phase("Phi1u", a, (xi1_u, xi_u - xi1_u))
+        self._check_floor("Phi1u", phi1u, xi_u, xi1_u,
+                          u_phase_floor_constant(a, cut.eta_sim))
+        self.ku = xi_u / phi1u
+
+        xi2_v = xi_v - xi1_v
+        phiv = eval_phase("Phiv", a, (xi1_v, xi2_v))
+        self._check_floor("Phiv", phiv, xi_v, xi1_v,
+                          v_phase_floor_constant(a, cut.eta_sim))
+        self.kv2 = xi2_v / phiv
+        self.kv12 = xi1_v * self.kv2
 
         self.outmask = grid.dealias_mask()
 
-    def _check_floor(self, name, phi, mask, c):
-        if not np.any(mask):
-            return
-        floor = 0.5 * c * np.abs(self.XI + np.zeros_like(phi)) ** 3
-        bad = mask & (np.abs(phi) < floor)
-        if np.any(bad):
-            i, j = np.argwhere(bad)[0]
+    @staticmethod
+    def _check_floor(name, phi, xi, xi1, c):
+        bad = np.flatnonzero(np.abs(phi) < 0.5 * c * np.abs(xi) ** 3)
+        if bad.size:
+            k = bad[0]
             raise PhaseFloorError(
                 "%s below its floor inside the region at (xi, xi1) = "
-                "(%g, %g)" % (name, self.grid.xi[i], self.grid.xi[j]))
+                "(%g, %g)" % (name, xi[k], xi1[k]))
 
-    def pair_sum(self, kernel, f1, f2):
-        """sum over xi1 of kernel(xi, xi1) f1(xi1) f2(xi - xi1)."""
-        f2m = f2[self.j2] * self.valid
-        return np.einsum("ij,j,ij->i", kernel, f1 + 0j, f2m)
+    def pair_sum(self, region, k, f1, f2):
+        """sum over the region's pairs at xi of k f1(xi1) f2(xi - xi1).
+
+        k is a real kernel over the region's pairs, or a scalar.
+        """
+        rows, starts, j, j2 = region
+        out = np.zeros(self.grid.n, dtype=complex)
+        out[rows] = np.add.reduceat(k * f1[j] * f2[j2], starts)
+        return out
+
+
+def _valid_conv(f1, f2):
+    """sum over every xi1 with xi - xi1 on the grid of f1(xi1) f2(xi - xi1).
+
+    The linear (non-circular) convolution of two coefficient arrays in
+    FFT order, by one FFT product zero-padded to length 2n, so that no
+    wrapped pair enters.
+    """
+    n = f1.size
+    pos = np.arange(n)
+    pos[n // 2:] += n             # frequency index k sits at k mod 2n
+    pad = np.zeros((2, 2 * n), dtype=complex)
+    pad[:, pos] = f1, f2
+    spec = np.fft.fft(pad)
+    return np.fft.ifft(spec[0] * spec[1])[pos]
 
 
 def _kernels(grid, a, cut, cache={}):
@@ -172,50 +206,46 @@ def eval_term(tag, state, a, cut):
     grid = state.grid
     ker = _kernels(grid, a, cut)
     xi = grid.xi
-    t = state.t
     uh = state.uhat.coeffs
     vh = state.vhat.coeffs
-    eu = np.exp(-1j * a * t * xi ** 3)
-    ev = np.exp(-1j * t * xi ** 3)
     mask = ker.outmask
+    U, V = ker.U, ker.V
+    # dealiased profile carrier of the term's equation
+    speed = a if tag.endswith("u") else 1.0
+    carrier = mask * np.exp(-1j * speed * state.t * xi ** 3)
 
     if tag == "N3u":
         # uncoupled quadratic term, never split
-        return eu * (1j * xi) * spectral_product(uh, uh, grid, mask)
+        return carrier * (1j * xi) * spectral_product(uh, uh, grid, mask)
 
+    # complements: every valid pair minus the region's pairs
     if tag == "N0u":
-        kernel = np.where(ker.valid & ~ker.mask_U, 1j * ker.XI + 0j, 0.0)
-        return mask * eu * ker.pair_sum(kernel, vh, vh)
-    if tag == "Bu":
-        kernel = ker.XI * ker.inv_phi1u + 0j
-        return mask * eu * ker.pair_sum(kernel, vh, vh)
+        part = _valid_conv(vh, vh) - ker.pair_sum(U, 1.0, vh, vh)
+        return carrier * (1j * xi) * part
     if tag == "N0v":
-        kernel = np.where(ker.valid & ~ker.mask_V, 1j * ker.XI2 + 0j, 0.0)
-        return mask * ev * ker.pair_sum(kernel, uh, vh)
+        ixv = 1j * xi * vh
+        part = _valid_conv(uh, ixv) - ker.pair_sum(V, 1.0, uh, ixv)
+        return carrier * part
+    if tag == "Bu":
+        return carrier * ker.pair_sum(U, ker.ku, vh, vh)
     if tag == "Bv":
-        kernel = ker.XI2 * ker.inv_phiv + 0j
-        return mask * ev * ker.pair_sum(kernel, uh, vh)
+        return carrier * ker.pair_sum(V, ker.kv2, uh, vh)
 
     # cubic terms: one inner dealiased convolution of physical spectra,
-    # then a masked pair sum against 1/phase kernels
-    w = -1j * spectral_product(uh, 1j * xi * vh, grid, mask)  # conv(uhat, xi vhat)
-    if tag == "N1u":
-        kernel = -1j * ker.XI * ker.inv_phi1u + 0j
-        return mask * eu * ker.pair_sum(kernel, w, vh)
-    if tag == "N2u":
-        kernel = -1j * ker.XI * ker.inv_phi1u + 0j
-        return mask * eu * ker.pair_sum(kernel, vh, w)
+    # then a region sum against a 1/phase kernel
     if tag == "N1v":
         conv_vv = spectral_product(vh, vh, grid, mask)
-        kernel = -1j * ker.XI1 * ker.XI2 * ker.inv_phiv + 0j
-        return mask * ev * ker.pair_sum(kernel, conv_vv, vh)
+        return -1j * carrier * ker.pair_sum(V, ker.kv12, conv_vv, vh)
     if tag == "N2v":
         conv_uu = spectral_product(uh, uh, grid, mask)
-        kernel = -1j * ker.XI1 * ker.XI2 * ker.inv_phiv + 0j
-        return mask * ev * ker.pair_sum(kernel, conv_uu, vh)
+        return -1j * carrier * ker.pair_sum(V, ker.kv12, conv_uu, vh)
+    w = -1j * spectral_product(uh, 1j * xi * vh, grid, mask)  # conv(uhat, xi vhat)
+    if tag == "N1u":
+        return -1j * carrier * ker.pair_sum(U, ker.ku, w, vh)
+    if tag == "N2u":
+        return -1j * carrier * ker.pair_sum(U, ker.ku, vh, w)
     # N3v
-    kernel = -1j * ker.XI2 * ker.inv_phiv + 0j
-    return mask * ev * ker.pair_sum(kernel, uh, w)
+    return -1j * carrier * ker.pair_sum(V, ker.kv2, uh, w)
 
 
 def coupling_terms(state, a, cut):
@@ -303,14 +333,3 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
     diff = max(np.max(np.abs(rec_cl_u - rec_ib_u)),
                np.max(np.abs(rec_cl_v - rec_ib_v)))
     return float(diff / scale)
-
-
-def terms_csv(path, tags, state, a, cut):
-    """Dump decomposition terms as CSV rows (tag, xi, re, im)."""
-    with open(path, "w") as fh:
-        fh.write("tag,xi,re,im\n")
-        for tag in tags:
-            vals = eval_term(tag, state, a, cut)
-            for x, v in zip(state.grid.xi, vals):
-                fh.write("%s,%.17g,%.17g,%.17g\n"
-                         % (tag, x, v.real, v.imag))

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from hskdv.ibps import (CutoffParams, coupling_terms, eval_term, in_U, in_V,
-                        ibps_residual, u_phase_floor_constant,
+from hskdv import ibps
+from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
+                        in_U, in_V, ibps_residual, u_phase_floor_constant,
                         v_phase_floor_constant)
 from hskdv.ibps import _kernels
-from hskdv.phases import Coefficients
-from hskdv.spectral import Grid, SolverConfig, make_state, run
+from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
+from hskdv.spectral import (Grid, SimState, SolverConfig, SpectralField,
+                            make_state, run)
 
 CUT10 = CutoffParams(delta_u=0.1, delta_v=0.1, eta_sim=0.1)
 
@@ -145,6 +147,104 @@ def test_partition_identity_u_and_v():
     assert np.max(np.abs(cv - (comp_v + regn_v))) < 1e-10
 
 
+def _circular(f, h, mask):
+    """Dealiased circular convolution, as spectral_product forms it."""
+    n = f.size
+    out = np.zeros(n, dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i] += f[j] * h[(i - j) % n]
+    return out * mask
+
+
+def _oracle_terms(st, a, cut):
+    """All ten decomposition terms by direct double loops over grid pairs.
+
+    The complements come from _oracle_split; the region terms are
+    written out from in_U, in_V, eval_phase and the kernels xi/Phi1u,
+    xi2/Phiv and xi1 xi2/Phiv.
+    """
+    g = st.grid
+    n = g.n
+    xi = g.xi
+    dxi = 2.0 * np.pi / g.L
+    mask = g.dealias_mask()
+    uh = st.uhat.coeffs
+    vh = st.vhat.coeffs
+    eu = np.exp(-1j * a * st.t * xi ** 3)
+    ev = np.exp(-1j * st.t * xi ** 3)
+    w = _circular(uh, xi * vh, mask)
+    conv_uu = _circular(uh, uh, mask)
+    conv_vv = _circular(vh, vh, mask)
+    terms = {tag: np.zeros(n, dtype=complex) for tag in TERM_TAGS}
+    terms["N0u"] = _oracle_split(st, a, cut, "u")[0]
+    terms["N0v"] = _oracle_split(st, a, cut, "v")[0]
+    terms["N3u"] = eu * 1j * xi * conv_uu
+    for i in range(n):
+        if not mask[i]:
+            continue
+        for j in range(n):
+            k2 = int(round((xi[i] - xi[j]) / dxi))
+            if not -n // 2 <= k2 <= n // 2 - 1:
+                continue
+            j2 = k2 % n
+            xi1, xi2 = xi[j], xi[i] - xi[j]
+            if in_U(a, xi[i], xi1, xi2, cut):
+                ku = xi[i] / eval_phase("Phi1u", a, (xi1, xi2))
+                terms["Bu"][i] += eu[i] * ku * vh[j] * vh[j2]
+                terms["N1u"][i] += eu[i] * -1j * ku * w[j] * vh[j2]
+                terms["N2u"][i] += eu[i] * -1j * ku * vh[j] * w[j2]
+            if in_V(xi[i], xi1, xi2, cut):
+                phiv = eval_phase("Phiv", a, (xi1, xi2))
+                kv2 = xi2 / phiv
+                kv12 = xi1 * xi2 / phiv
+                terms["Bv"][i] += ev[i] * kv2 * uh[j] * vh[j2]
+                terms["N1v"][i] += ev[i] * -1j * kv12 * conv_vv[j] * vh[j2]
+                terms["N2v"][i] += ev[i] * -1j * kv12 * conv_uu[j] * vh[j2]
+                terms["N3v"][i] += ev[i] * -1j * kv2 * uh[j] * w[j2]
+    return terms
+
+
+@pytest.mark.parametrize("a", [-1.0, 2.0])
+def test_every_term_matches_double_loop_oracle(a):
+    # a = -1 takes the U1 branch (xi1 ~= xi2), a = 2 does not
+    g = Grid(2.0 * np.pi, 32)
+    cut = CutoffParams(delta_u=0.2, delta_v=0.2)  # threshold 5, inside band
+    rng = np.random.default_rng(11)
+    field = lambda: SpectralField(
+        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    st = SimState(0.002, field(), field(), _norm_params(a))
+    oracle = _oracle_terms(st, a, cut)
+    for tag in TERM_TAGS:
+        got = eval_term(tag, st, a, cut)
+        scale = np.max(np.abs(oracle[tag]))
+        assert scale > 0.0, tag
+        assert np.max(np.abs(got - oracle[tag])) <= 1e-12 * scale, tag
+
+
+@pytest.mark.parametrize("name, constant", [
+    ("Phi1u", "u_phase_floor_constant"), ("Phiv", "v_phase_floor_constant")])
+def test_phase_floor_guard_names_first_pair(monkeypatch, name, constant):
+    monkeypatch.setattr(ibps, constant, lambda a, eta: 1e6)
+    g = Grid(2.0 * np.pi, 32)  # a fresh grid, so the kernel cache misses
+    a = -1.0
+    cut = CutoffParams(delta_u=0.2, delta_v=0.2)
+    st = _gaussian_state(g, a)
+    # with the floor this high every region pair offends: expect the
+    # first one in row-major order over the grid's index order
+    dxi = 2.0 * np.pi / g.L
+    member = ((lambda x, x1: in_U(a, x, x1, x - x1, cut)) if name == "Phi1u"
+              else (lambda x, x1: in_V(x, x1, x - x1, cut)))
+    first = next((x, x1) for x in g.xi for x1 in g.xi
+                 if -g.n // 2 <= round((x - x1) / dxi) <= g.n // 2 - 1
+                 and member(x, x1))
+    with pytest.raises(PhaseFloorError) as err:
+        eval_term("Bu", st, a, cut)
+    msg = str(err.value)
+    assert msg.startswith(name + " below its floor")
+    assert msg.endswith("(xi, xi1) = (%g, %g)" % first)
+
+
 def test_boundary_kernel_symmetric_in_arguments():
     g = Grid(2.0 * np.pi, 64)
     a = -1.0
@@ -153,9 +253,8 @@ def test_boundary_kernel_symmetric_in_arguments():
     rng = np.random.default_rng(7)
     f = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     h = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-    kernel = ker.XI * ker.inv_phi1u + 0j
-    fg = ker.pair_sum(kernel, f, h)
-    gf = ker.pair_sum(kernel, h, f)
+    fg = ker.pair_sum(ker.U, ker.ku, f, h)
+    gf = ker.pair_sum(ker.U, ker.ku, h, f)
     scale = max(np.max(np.abs(fg)), 1e-12)
     assert np.max(np.abs(fg - gf)) < 1e-10 * scale
 
