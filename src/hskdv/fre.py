@@ -43,6 +43,14 @@ class RootFindingError(RuntimeError):
     pass
 
 
+def _horner(coeffs, x):
+    """np.polyval(coeffs, x) for scalar x: same operations, plain floats."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def _real_cubic_roots(c):
     """Real roots of c[0] x^3 + c[1] x^2 + c[2] x + c[3].
 
@@ -91,17 +99,17 @@ def _real_cubic_roots(c):
         y = np.cbrt(half_q + sq) + np.cbrt(half_q - sq)
         roots.append(float(y) + shift)
 
-    poly = np.array([c3, c2, c1, c0])
-    dpoly = np.array([3 * c3, 2 * c2, c1])
+    poly = (c3, c2, c1, c0)
+    dpoly = (3 * c3, 2 * c2, c1)
     polished = []
     for r in roots:
         x = r
         for _ in range(3):
-            fx = np.polyval(poly, x)
-            dfx = np.polyval(dpoly, x)
+            fx = _horner(poly, x)
+            dfx = _horner(dpoly, x)
             if dfx != 0:
                 x -= fx / dfx
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             raise RootFindingError("Newton polish diverged for cubic %r"
                                    % (list(poly),))
         polished.append(float(x))
@@ -189,12 +197,13 @@ _GL64 = np.polynomial.legendre.leggauss(64)
 
 
 def _level_set_intervals(coeffs, alpha, M, clip):
-    """Intervals of {free : |poly(free) - alpha| < M}, clipped."""
-    upper = coeffs.copy()
-    upper[3] -= alpha + M
-    lower = coeffs.copy()
-    lower[3] -= alpha - M
-    pts = _real_cubic_roots(upper) + _real_cubic_roots(lower)
+    """Intervals of {free : |poly(free) - alpha| < M}, clipped.
+
+    coeffs is a sequence of four floats, highest power first.
+    """
+    c3, c2, c1, c0 = coeffs
+    pts = (_real_cubic_roots((c3, c2, c1, c0 - (alpha + M)))
+           + _real_cubic_roots((c3, c2, c1, c0 - (alpha - M))))
     pts = sorted(p for p in pts if -clip < p < clip)
     breaks = [-clip] + pts + [clip]
     out = []
@@ -202,7 +211,7 @@ def _level_set_intervals(coeffs, alpha, M, clip):
         if hi - lo < 1e-300:
             continue
         mid = 0.5 * (lo + hi)
-        val = np.polyval(coeffs, mid)
+        val = _horner(coeffs, mid)
         if abs(val - alpha) < M:
             out.append((lo, hi))
     return out
@@ -215,9 +224,26 @@ def fre_sup(spec, a, alpha, M, lam):
     {|Phi - alpha| < M} in the free variable is isolated by cubic root
     finding and the weight integrand is integrated over it with
     Gauss-Legendre nodes; the maximum over the grid is returned.
+
+    alpha and M are scalars (a float is returned) or equal-length 1-D
+    sequences of (alpha, M) pairs (an array of per-pair sups is
+    returned, each equal to the scalar call). The phase coefficients
+    are fitted once per fixed frequency and shared by every pair, and
+    one integrand evaluation covers the intervals of all pairs at that
+    frequency. The root finder stays scalar, one cubic at a time: when
+    the fitted leading coefficient is rounding noise the cubic branch
+    cancels catastrophically, and the one-ulp differences of numpy's
+    array pow/acos/cos would flip its branch decisions.
     """
-    if lam <= 0 or M <= 0:
+    scalar = np.ndim(alpha) == 0 and np.ndim(M) == 0
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+    Ms = np.atleast_1d(np.asarray(M, dtype=float))
+    if alphas.ndim != 1 or alphas.shape != Ms.shape:
+        raise ValueError("alpha and M must be scalars or 1-D sequences "
+                         "of equal length")
+    if lam <= 0 or np.any(Ms <= 0):
         raise ValueError("lam and M must be positive")
+    pairs = list(zip(alphas.tolist(), Ms.tolist()))
     # geometric grid with a fixed ratio so enlarging lam only appends
     # points; this keeps the sup monotone in lam
     mags = [0.1]
@@ -227,19 +253,25 @@ def fre_sup(spec, a, alpha, M, lam):
     mags = np.asarray(mags)
     grid = np.concatenate([-mags[::-1], mags])
     clip = 10.0 * lam
-    best = 0.0
+    best = np.zeros(len(pairs))
     gx, gw = _GL64
     for w in grid:
-        coeffs = _phase_cubic_coeffs(spec, a, w)
-        total = 0.0
-        for lo, hi in _level_set_intervals(coeffs, alpha, M, clip):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            nodes = mid + half * gx
-            xi, xi1, xi2 = _freqs_from(spec, w, nodes)
-            total += half * float(
-                np.sum(gw * _weight_integrand(spec, a, xi, xi1, xi2)))
-        best = max(best, total)
-    return best
+        coeffs = _phase_cubic_coeffs(spec, a, w).tolist()
+        ivs = [(i, lo, hi) for i, (al, m) in enumerate(pairs)
+               for lo, hi in _level_set_intervals(coeffs, al, m, clip)]
+        if not ivs:
+            continue
+        owner, lo, hi = np.array(ivs).T
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes = mid[:, None] + half[:, None] * gx
+        xi, xi1, xi2 = _freqs_from(spec, w, nodes)
+        part = half * np.sum(gw * _weight_integrand(spec, a, xi, xi1, xi2),
+                             axis=1)
+        # bincount sums each pair's parts in interval order from 0.0: the
+        # same additions as integrating that pair alone
+        best = np.maximum(best, np.bincount(owner.astype(int), weights=part,
+                                            minlength=len(pairs)))
+    return float(best[0]) if scalar else best
 
 
 class ScanReport:
@@ -272,20 +304,23 @@ def ratio_scan(spec, a, lams=(1e2, 1e3, 1e4),
     (alpha, M) grid is recorded; the slope of log(ratio) vs log(cutoff)
     is the report's growth_slope. Near-zero slope certifies a bounded
     FRE (inside the validity region); a decisively positive slope
-    reproduces the failure outside it.
+    reproduces the failure outside it. Each cutoff takes one fre_sup
+    call over all (alpha, M) pairs, so the phase coefficients of a
+    fixed frequency are fitted once per cutoff, not once per pair.
     """
     lams = sorted(float(x) for x in lams)
     if len(lams) < 3:
         raise ValueError("need at least 3 ladder points for a slope fit")
+    alphas = [al for al in alpha_grid for _ in m_grid]
+    Ms = [M for _ in alpha_grid for M in m_grid]
+    norms = [float(_bracket(al)) ** ALPHA_EXPONENT * M
+             for al, M in zip(alphas, Ms)]
     sups = []
     for lam in lams:
         worst = 0.0
-        for alpha in alpha_grid:
-            for M in m_grid:
-                val = fre_sup(spec, a, alpha, M, lam)
-                worst = max(worst,
-                            val / (float(_bracket(alpha)) ** ALPHA_EXPONENT
-                                   * M))
+        for val, norm in zip(fre_sup(spec, a, alphas, Ms, lam).tolist(),
+                             norms):
+            worst = max(worst, val / norm)
         sups.append(worst)
     logs = np.log(np.maximum(sups, 1e-300))
     slope = float(np.polyfit(np.log(lams), logs, 1)[0])

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from hskdv import fre
 from hskdv.fre import (FreSpec, SpaceTimeBox, dual_form_estimate, fre_sup,
                        level_set_measure, make_fre_spec, ratio_scan,
                        _real_cubic_roots)
@@ -102,6 +105,184 @@ def test_fre_sup_input_validation():
         fre_sup(spec, 0.5, 0.0, 1.0, -1.0)
     with pytest.raises(ValueError):
         fre_sup(spec, 0.5, 0.0, -1.0, 10.0)
+    # array inputs: any nonpositive M, lam <= 0, unequal lengths
+    with pytest.raises(ValueError):
+        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 0.0], 10.0)
+    with pytest.raises(ValueError):
+        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], 0.0)
+    with pytest.raises(ValueError):
+        fre_sup(spec, 0.5, [0.0, 1.0, -1.0], [1.0, 4.0], 10.0)
+    with pytest.raises(ValueError):
+        fre_sup(spec, 0.5, [0.0, 1.0], 1.0, 10.0)
+
+
+def _reference_level_set_intervals(coeffs, alpha, M, clip):
+    upper = coeffs.copy()
+    upper[3] -= alpha + M
+    lower = coeffs.copy()
+    lower[3] -= alpha - M
+    pts = fre._real_cubic_roots(upper) + fre._real_cubic_roots(lower)
+    pts = sorted(p for p in pts if -clip < p < clip)
+    lo = np.array([-clip] + pts)
+    hi = np.array(pts + [clip])
+    keep = ~(hi - lo < 1e-300)
+    keep &= np.abs(np.polyval(coeffs, 0.5 * (lo + hi)) - alpha) < M
+    return list(zip(lo[keep].tolist(), hi[keep].tolist()))
+
+
+def _fixed_grid(lam):
+    mags = [0.1]
+    while mags[-1] < lam:
+        mags.append(mags[-1] * 1.15)
+    mags[-1] = min(mags[-1], lam)
+    return np.concatenate([-np.asarray(mags)[::-1], mags])
+
+
+def _reference_ratio_scan(spec, a, lams):
+    """Reference scan: one fre_sup per (lam, alpha, M), each a loop over the
+    fixed frequency w with np.polyval level-set tests and one integrand call
+    per interval. The np.polyfit phase fit depends on w only, so it is done
+    once per w here. Returns (sups, slope).
+    """
+    gx, gw = fre._GL64
+    sups = []
+    for lam in lams:
+        fits = [(w, fre._phase_cubic_coeffs(spec, a, w))
+                 for w in _fixed_grid(lam)]
+        worst = 0.0
+        for alpha in fre.DEFAULT_ALPHA_GRID:
+            for M in fre.DEFAULT_M_GRID:
+                best = 0.0
+                for w, coeffs in fits:
+                    total = 0.0
+                    for lo, hi in _reference_level_set_intervals(
+                            coeffs, alpha, M, 10.0 * lam):
+                        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                        xi, xi1, xi2 = fre._freqs_from(spec, w,
+                                                       mid + half * gx)
+                        total += half * float(np.sum(
+                            gw * fre._weight_integrand(spec, a, xi, xi1,
+                                                       xi2)))
+                    best = max(best, total)
+                norm = (float(fre._bracket(alpha)) ** fre.ALPHA_EXPONENT
+                        * M)
+                worst = max(worst, best / norm)
+        sups.append(worst)
+    slope = float(np.polyfit(np.log(lams), np.log(sups), 1)[0])
+    return sups, slope
+
+
+# dxv2 at a = -1 holds a fixed frequency (lam = 100) whose fitted cubic
+# takes the Cardano branch on rounding noise: branch decisions must match
+@pytest.mark.parametrize("a", [0.5, 3.0, -1.0, 0.25])
+@pytest.mark.parametrize("kind", ["dxv2", "uvx"])
+def test_ratio_scan_matches_per_pair_reference(kind, a, monkeypatch):
+    # both scans call the same pure root finder; memoizing it on the exact
+    # coefficients only skips repeated calls on equal inputs
+    memo = {}
+
+    def roots(c, find=fre._real_cubic_roots):
+        key = tuple(float(x) for x in c)
+        if key not in memo:
+            memo[key] = find(c)
+        return list(memo[key])
+
+    monkeypatch.setattr(fre, "_real_cubic_roots", roots)
+    spec = make_fre_spec(kind, 1.0, 0.5)
+    lams = (10.0, 100.0, 1000.0)
+    sups, slope = _reference_ratio_scan(spec, a, lams)
+    got = ratio_scan(spec, a, lams=lams)
+    assert got.sup_values == sups
+    assert got.growth_slope == slope
+
+
+def _reference_cubic_roots(c):
+    """Root finder with np.polyval Newton polishing."""
+    c3, c2, c1, c0 = (float(x) for x in c)
+    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
+    if scale == 0.0:
+        return []
+    tol = 1e-14 * scale
+    if abs(c3) <= tol:
+        if abs(c2) <= tol:
+            if abs(c1) <= tol:
+                return []
+            return [-c0 / c1]
+        disc = c1 * c1 - 4.0 * c2 * c0
+        if disc < 0:
+            return []
+        r = math.sqrt(disc)
+        return sorted([(-c1 - r) / (2 * c2), (-c1 + r) / (2 * c2)])
+
+    b, cc, d = c2 / c3, c1 / c3, c0 / c3
+    # depressed form y^3 + p y + q with x = y - b/3
+    p = cc - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+    shift = -b / 3.0
+    roots = []
+    disc = -4.0 * p ** 3 - 27.0 * q ** 2
+    if disc >= 0 and p < 0:
+        m = 2.0 * math.sqrt(-p / 3.0)
+        arg = 3.0 * q / (p * m)
+        arg = min(1.0, max(-1.0, arg))
+        phi = math.acos(arg)
+        for kk in range(3):
+            roots.append(m * math.cos((phi - 2.0 * math.pi * kk) / 3.0)
+                         + shift)
+    else:
+        half_q = -q / 2.0
+        inner = half_q * half_q + (p / 3.0) ** 3
+        if inner < 0:
+            inner = 0.0
+        sq = math.sqrt(inner)
+        y = np.cbrt(half_q + sq) + np.cbrt(half_q - sq)
+        roots.append(float(y) + shift)
+
+    poly = np.array([c3, c2, c1, c0])
+    dpoly = np.array([3 * c3, 2 * c2, c1])
+    polished = []
+    for r in roots:
+        x = r
+        for _ in range(3):
+            fx = np.polyval(poly, x)
+            dfx = np.polyval(dpoly, x)
+            if dfx != 0:
+                x -= fx / dfx
+        if not np.isfinite(x):
+            raise fre.RootFindingError("Newton polish diverged for cubic %r"
+                                   % (list(poly),))
+        polished.append(float(x))
+    return sorted(polished)
+
+
+@pytest.mark.parametrize("kind", ["dxv2", "uvx"])
+def test_root_finder_matches_polyval_reference(kind):
+    rng = np.random.default_rng(7)
+    for p in rng.normal(size=(200, 4)) * 10.0 ** rng.integers(-14, 3, 4):
+        x = float(rng.normal() * 100.0)
+        assert fre._horner(p.tolist(), x) == float(np.polyval(p, x))
+    # every level-set cubic of a scan at a = -1, lam = 100, which holds a
+    # misfiring fixed frequency for dxv2
+    spec = make_fre_spec(kind, 1.0, 0.5)
+    for w in _fixed_grid(100.0):
+        c3, c2, c1, c0 = fre._phase_cubic_coeffs(spec, -1.0, w).tolist()
+        for alpha in fre.DEFAULT_ALPHA_GRID:
+            for M in fre.DEFAULT_M_GRID:
+                for c in ((c3, c2, c1, c0 - (alpha + M)),
+                          (c3, c2, c1, c0 - (alpha - M))):
+                    assert _real_cubic_roots(c) == _reference_cubic_roots(c)
+
+
+def test_fre_sup_pairs_match_scalar_calls():
+    alphas = [0.0, 1.0, -1.0, 10.0, -10.0, 3.0]
+    Ms = [1.0, 4.0, 1.0, 4.0, 0.5, 2.0]
+    for kind, a in (("dxv2", -1.0), ("uvx", 3.0)):
+        spec = make_fre_spec(kind, 1.0, 0.5)
+        got = fre_sup(spec, a, alphas, Ms, 100.0)
+        assert isinstance(got, np.ndarray) and got.shape == (6,)
+        want = [fre_sup(spec, a, al, M, 100.0) for al, M in zip(alphas, Ms)]
+        assert all(isinstance(x, float) for x in want)
+        assert got.tolist() == want
 
 
 def test_ratio_scan_dichotomy():

@@ -275,3 +275,19 @@ def test_run_stores_endpoints():
     assert stored[0].t == 0.0
     assert stored[-1].t == pytest.approx(fin.t)
     assert len(stored) == 6
+
+
+def test_run_matches_step_loop():
+    # run() builds the dealias mask once; step() alone builds its own
+    g = Grid(2.0 * np.pi, 64)
+    cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
+    st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
+    fin, stored = run(st, cfg, 0.02, store_every=5)
+    ref = [st]
+    for _ in range(20):
+        ref.append(step(ref[-1], cfg))
+    for got, want in zip(stored, ref[::5]):
+        assert got.t == want.t
+        assert np.array_equal(got.uhat.coeffs, want.uhat.coeffs)
+        assert np.array_equal(got.vhat.coeffs, want.vhat.coeffs)
+    assert len(stored) == 5 and fin.t == ref[-1].t
