@@ -183,6 +183,59 @@ def test_step_matches_per_product_step(case):
     step(st, SolverConfig(dt=0.999 * dt_max))
 
 
+@pytest.mark.parametrize("case", ["complex_couplings", "non_hermitian",
+                                  "non_dyadic_a"])
+def test_step_matches_per_product_step_at_large_t(case):
+    # at t0 = 37 the phases t xi^3 reach 1e6-1e7 rad, so the step's
+    # factors relative to the step start must agree with the reference's
+    # absolute ones; a = 0.3 makes a tau xi^3 depend on product order
+    if case == "complex_couplings":
+        g = Grid(2.0 * np.pi, 128)
+        st = _cos_state(g, Coefficients(0.5, gamma=1j, theta=-1),
+                        amp_u=0.3, amp_v=0.3)
+        cfg = SolverConfig(dt=1e-3)
+    elif case == "non_hermitian":
+        g = Grid(2.0 * np.pi, 64)
+        st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
+        cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
+    else:
+        g = Grid(2.0 * np.pi, 128)
+        st = _random_state(g, Coefficients(0.3, beta=0.5, gamma=1j))
+        cfg = SolverConfig(dt=1e-3)
+    st = ref = SimState(37.0, st.uhat, st.vhat, st.params)
+    assert 37.0 * np.max(g.xi) ** 3 > 1e6
+    for _ in range(20):
+        ref, _ = _per_product_step(ref, cfg)
+        st = step(st, cfg)
+        got = np.concatenate([st.uhat.coeffs, st.vhat.coeffs])
+        want = np.concatenate([ref.uhat.coeffs, ref.vhat.coeffs])
+        assert st.t == ref.t
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_linear_flow_norm_drift_is_a_random_walk():
+    # Each step multiplies every coefficient by a unit-modulus factor
+    # whose computed modulus is off by a few rounding units u = 2^-53.
+    # step() takes the flow as exp(rate (t+dt)) conj(exp(rate t)) at the
+    # absolute step times, so these errors change from step to step and
+    # after N steps add up like a random walk: about sqrt(N) u per mode,
+    # and the relative L2 drift, a |w|^2-weighted mean over modes, is no
+    # larger. A fixed factor exp(rate dt) repeats the same modulus error
+    # in every step, so the drift grows like N times its weighted mean.
+    # The bound 2 sqrt(N) u = 2.2e-14 (N = 1e4) lies between the two:
+    # this run drifts by 8.9e-16, and by 1.6e-13 with exp(rate dt).
+    g = Grid(2.0 * np.pi, 128)
+    st = _random_state(g, Coefficients(0.5))
+    nsteps = 10000
+    fin, _ = run(st, SolverConfig(dt=1e-3, nonlinear_enabled=False),
+                 nsteps * 1e-3)
+    w0 = np.concatenate([st.uhat.coeffs, st.vhat.coeffs])
+    w1 = np.concatenate([fin.uhat.coeffs, fin.vhat.coeffs])
+    drift = np.linalg.norm(w1) / np.linalg.norm(w0) - 1.0
+    assert fin.t == pytest.approx(10.0)
+    assert abs(drift) <= 2.0 * np.sqrt(nsteps) * 2.0 ** -53
+
+
 def test_mass_conservation_short():
     g = Grid(2.0 * np.pi, 128)
     p = Coefficients(0.5)
@@ -278,7 +331,8 @@ def test_run_stores_endpoints():
 
 
 def test_run_matches_step_loop():
-    # run() builds the dealias mask once; step() alone builds its own
+    # run() builds one propagator (mask, eh, exp memo) for all steps;
+    # step() alone builds its own, and the results are bit-identical
     g = Grid(2.0 * np.pi, 64)
     cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
     st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
