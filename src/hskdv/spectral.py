@@ -16,6 +16,17 @@ dealiased with the 2/3 rule, which makes them equal to exact
 
 Fourier coefficients follow the "continuous coefficient" convention
 c_k = fft(samples)/n, so a pure cosine has two coefficients of 1/2.
+
+A run steps on one of two mode spaces, chosen once from its input. Real
+couplings (Coefficients.is_real()) and two fields flagged hermitian,
+as make_state builds them, give the half space: the m = n/2+1 modes of
+frequencies 0, ..., n/2-1 and the Nyquist mode, transformed with
+irfft/rfft. Every other input (complex couplings, non-Hermitian data)
+keeps all n modes and ifft/fft. The Nyquist mode keeps fftfreq's
+xi = -pi n/L, so its coefficient follows the same linear flow as on the
+full space; it is outside every dealias mask, and irfft reads only its
+real part. Either way a step makes 8 FFT calls, one inverse and one
+forward per RK4 stage, and returns all n coefficients.
 """
 
 import numpy as np
@@ -52,7 +63,14 @@ class Grid:
 
 
 class SpectralField:
-    """Fourier coefficients of one scalar field on a Grid."""
+    """Fourier coefficients of one scalar field on a Grid.
+
+    hermitian marks the coefficients of a real field, c(-k) = conj(c(k)),
+    and is checked to 1e-12 relative when passed here. step() sets it,
+    unchecked, on the fields it builds on the half space: those are
+    exactly symmetric but for the imaginary part of the Nyquist
+    coefficient, which irfft ignores. copy() carries it over unchecked.
+    """
 
     def __init__(self, grid, coeffs, hermitian=False):
         coeffs = np.asarray(coeffs, dtype=complex)
@@ -72,7 +90,9 @@ class SpectralField:
         return np.fft.ifft(self.coeffs * self.grid.n)
 
     def copy(self):
-        return SpectralField(self.grid, self.coeffs.copy(), self.hermitian)
+        f = SpectralField(self.grid, self.coeffs.copy())
+        f.hermitian = self.hermitian
+        return f
 
 
 class SimState:
@@ -138,29 +158,55 @@ def nonlinear_terms(uh, vh, grid, params, mask):
     the two right sides, dealiased by mask, and the physical fields.
     One batched inverse FFT gives u, v and v_x, and one batched forward
     FFT transforms both products.
+
+    uh, vh and mask hold either all n modes in FFT order (complex fields
+    and couplings; ifft/fft) or, for real fields and real couplings, the
+    m = n/2+1 modes of frequencies 0, ..., n/2-1 and the Nyquist mode,
+    whose xi is fftfreq's -pi n/L (irfft/rfft; irfft reads only the
+    real part of the Nyquist coefficient). u and v are then real.
     """
-    ixi = 1j * grid.xi
-    u, v, vx = np.fft.ifft(np.array((uh, vh, ixi * vh)) * grid.n)
-    nl = np.fft.fft(np.array((params.beta * u * u + params.gamma * v * v,
-                              params.theta * u * vx))) * (mask / grid.n)
+    m = mask.size
+    ixi = 1j * grid.xi[:m]
+    if m == grid.n:
+        inv, fwd = np.fft.ifft, np.fft.fft
+        beta, gamma, theta = params.beta, params.gamma, params.theta
+    else:
+        inv, fwd = np.fft.irfft, np.fft.rfft
+        beta, gamma, theta = (params.beta.real, params.gamma.real,
+                              params.theta.real)
+    u, v, vx = inv(np.array((uh, vh, ixi * vh)), grid.n, norm="forward")
+    nl = fwd(np.array((beta * u * u + gamma * v * v, theta * u * vx)),
+             norm="forward") * mask
     nl[0] *= ixi
     return nl[0], nl[1], u, v
 
 
 class _Propagator:
-    """Linear-flow data for the steps of one run() call.
+    """Mode space and linear-flow data for the steps of one run() call.
 
-    Holds the dealias mask, the half-step factor eh = exp(rate dt/2)
-    for the rates rate = (i a xi^3, i xi^3) as rows, and a one-entry
-    memo of exp(rate tau). Each exponent is formed as (i a tau) xi^3,
-    the rounding of exp(1j * a * tau * xi**3); at tau xi^3 ~ 1e7 another
+    The space (module docstring) is chosen here, from the input state.
+    The propagator holds the space's xi^3 and dealias mask, the weights
+    1, 2, ..., 2, 1 on the half space (all 1 on the full space)
+    that turn sums of |c|^2 over its modes into sums over all n, the
+    half-step factor eh = exp(rate dt/2) for the rates
+    rate = (i a xi^3, i xi^3) as rows, and a one-entry memo of
+    exp(rate tau). Each exponent is formed as (i a tau) xi^3, the
+    rounding of exp(1j * a * tau * xi**3); at tau xi^3 ~ 1e7 another
     product order moves high-mode phases by ~1e-9.
     """
 
-    def __init__(self, grid, params, cfg):
-        self.mask = grid.dealias_mask(cfg.dealias_fraction)
-        self._ia = np.array(((1j * params.a,), (1j,)))
-        self._xi3 = grid.xi ** 3
+    def __init__(self, state, cfg):
+        grid, p = state.grid, state.params
+        self.half = (p.is_real() and state.uhat.hermitian
+                     and state.vhat.hermitian)
+        self.n = grid.n
+        m = grid.n // 2 + 1 if self.half else grid.n
+        self.mask = grid.dealias_mask(cfg.dealias_fraction)[:m]
+        self.weights = np.ones(m)
+        if self.half:
+            self.weights[1:-1] = 2.0
+        self._ia = np.array(((1j * p.a,), (1j,)))
+        self._xi3 = grid.xi[:m] ** 3
         self.dt = cfg.dt
         self._tau = None
         self.eh = self._exp(cfg.dt / 2)
@@ -176,13 +222,29 @@ class _Propagator:
         f0 = self._exp(t)
         return self._exp(t + self.dt) * f0.conj()
 
+    def norms(self, w):
+        """L2 norms over all n modes of the rows of w."""
+        return np.sqrt((w.real ** 2 + w.imag ** 2) @ self.weights)
+
+    def full(self, w):
+        """All n modes of the rows of w: on the half space, the mirror
+        c(-k) = conj(c(k)) of modes k = 1, ..., n/2-1 is appended."""
+        if not self.half:
+            return w
+        m = w.shape[1]
+        out = np.empty((2, self.n), dtype=complex)
+        out[:, :m] = w
+        np.conjugate(w[:, m - 2:0:-1], out=out[:, m:])
+        return out
+
 
 def step(state, cfg, prop=None):
     """One integrating-factor RK4 step; the linear flow is exact.
 
-    u and v are stacked as rows w, and N is the nonlinear_terms output.
-    The RK4 stages on the profiles exp(-rate tau) w are written relative
-    to the step start t, so they use only eh = exp(rate dt/2):
+    u and v are stacked as rows w over the propagator's modes, and N is
+    the nonlinear_terms output. The RK4 stages on the profiles
+    exp(-rate tau) w are written relative to the step start t, so they
+    use only eh = exp(rate dt/2):
 
         n1 = N(w),  n2 = N(eh w + dt/2 eh n1),  n3 = N(eh w + dt/2 n2),
         n4 = N(eh (eh w + dt n3)),
@@ -198,16 +260,22 @@ def step(state, cfg, prop=None):
     (a few 1e-15 there). Step k's f1 is step k+1's f0 for the same
     float t, so with the propagator of run() a step makes one exp call.
     The stability bound is checked on the stage-1 fields, before stages
-    2-4 run. prop is the _Propagator that run() builds once per call;
-    step(state, cfg) builds its own.
+    2-4 run; the growth guard compares norms over all n modes. prop is
+    the _Propagator that run() builds once per call; step(state, cfg)
+    builds its own.
+
+    On the half space the step reads modes 0..n/2 of the state and
+    returns all n, conjugate-symmetric, with the hermitian flag set, so
+    a following step(state, cfg) stays on the half space.
     """
     grid = state.grid
     p = state.params
     dt = cfg.dt
     t = state.t
     if prop is None:
-        prop = _Propagator(grid, p, cfg)
-    w = np.array((state.uhat.coeffs, state.vhat.coeffs))
+        prop = _Propagator(state, cfg)
+    m = prop.mask.size
+    w = np.array((state.uhat.coeffs[:m], state.vhat.coeffs[:m]))
     if cfg.nonlinear_enabled:
         def rhs(y):
             # drops the physical fields, so nothing outlives the call
@@ -239,15 +307,16 @@ def step(state, cfg, prop=None):
     else:
         w_new = prop.across(t) * w
 
-    old = max(np.linalg.norm(w, axis=1).max(), 1e-300)
-    new = np.linalg.norm(w_new, axis=1).max()
+    old = max(prop.norms(w).max(), 1e-300)
+    new = prop.norms(w_new).max()
     if new > 10.0 * old:
         raise StabilityError(
             "instability detected: spectral norm grew %.3gx in one step "
             "at t=%g" % (new / old, t))
 
-    return SimState(t + dt, SpectralField(grid, w_new[0]),
-                    SpectralField(grid, w_new[1]), p)
+    u, v = (SpectralField(grid, c) for c in prop.full(w_new))
+    u.hermitian = v.hermitian = prop.half  # exact by construction
+    return SimState(t + dt, u, v, p)
 
 
 def sobolev_norm(field, s):
@@ -266,7 +335,9 @@ def invariants_eval(state):
     - gamma u v^2 dx is reported, not conserved: at a = 1/2 and unit
     coupling (demos/02_solver_invariants.py) it moves from -0.19337 to
     -0.17614 over T = 0.5 while M drifts by 2.0e-14 relative, the
-    rounding random walk of 5000 steps.
+    rounding random walk of 5000 steps. The fields must be Hermitian to
+    1e-8 relative; u, v, u_x and v_x come from their n/2+1 nonnegative
+    modes by one batched irfft.
     """
     grid = state.grid
     p = state.params
@@ -275,12 +346,12 @@ def invariants_eval(state):
         scale = max(np.max(np.abs(f.coeffs)), 1e-300)
         if np.max(np.abs(f.coeffs - sym)) > 1e-8 * scale:
             raise ValueError("invariants need real (hermitian) fields")
-    L = grid.L
-    u = state.uhat.to_physical().real
-    v = state.vhat.to_physical().real
-    ux = np.fft.ifft(1j * grid.xi * state.uhat.coeffs * grid.n).real
-    vx = np.fft.ifft(1j * grid.xi * state.vhat.coeffs * grid.n).real
-    dx = L / grid.n
+    m = grid.n // 2 + 1
+    uh, vh = state.uhat.coeffs[:m], state.vhat.coeffs[:m]
+    ixi = 1j * grid.xi[:m]
+    u, v, ux, vx = np.fft.irfft(np.array((uh, vh, ixi * uh, ixi * vh)),
+                                grid.n, norm="forward")
+    dx = grid.L / grid.n
     mean_u = float(np.sum(u) * dx)
     gamma = p.gamma.real
     theta = p.theta.real
@@ -303,7 +374,7 @@ def run(state, cfg, T, store_every=0):
     """
     nsteps = int(round(T / cfg.dt))
     stored = [state.copy()] if store_every else []
-    prop = _Propagator(state.grid, state.params, cfg)
+    prop = _Propagator(state, cfg)
     for i in range(nsteps):
         state = step(state, cfg, prop)
         if store_every and ((i + 1) % store_every == 0 or i == nsteps - 1):

@@ -302,3 +302,31 @@ def test_residual_zero_data():
         st.t = k * 0.01
         states.append(st)
     assert ibps_residual(states, 0.5, CutoffParams()) == 0.0
+
+
+@pytest.mark.parametrize("a", [-1.0, 2.0])
+def test_output_row_filter_keeps_every_term(monkeypatch, a):
+    # the regions keep only pairs whose output row is dealiased; every
+    # term must equal the one summed over the unfiltered regions
+    cut = CutoffParams(delta_u=0.2, delta_v=0.2)
+    rng = np.random.default_rng(5)
+    field = lambda g: SpectralField(
+        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    g = Grid(2.0 * np.pi, 64)
+    st = SimState(0.002, field(g), field(g), _norm_params(a))
+    filtered = {tag: eval_term(tag, st, a, cut) for tag in TERM_TAGS}
+    ker = _kernels(g, a, cut)
+
+    keep_all = ibps._region
+    monkeypatch.setattr(ibps, "_region", lambda i, j, j2, ks, keep:
+                        keep_all(i, j, j2, ks, np.ones_like(keep)))
+    g2 = Grid(2.0 * np.pi, 64)  # a fresh grid, so the kernel cache misses
+    st2 = SimState(st.t, SpectralField(g2, st.uhat.coeffs),
+                   SpectralField(g2, st.vhat.coeffs), st.params)
+    full = _kernels(g2, a, cut)
+    for region in ("U", "V"):
+        kept = getattr(ker, region)[2].size
+        assert 0 < kept < getattr(full, region)[2].size
+        assert np.all(ker.outmask[getattr(ker, region)[0]])
+    for tag in TERM_TAGS:
+        assert np.array_equal(filtered[tag], eval_term(tag, st2, a, cut)), tag

@@ -9,6 +9,7 @@ from hskdv.spectral import (STABILITY_C, Grid, SimState, SolverConfig,
                             load_snapshot, make_state, run, save_snapshot,
                             sobolev_norm, spectral_product, step,
                             trajectory_csv)
+from hskdv.spectral import _Propagator
 
 
 def _cos_state(grid, params, amp_u=0.1, amp_v=0.1, mode=2):
@@ -345,3 +346,115 @@ def test_run_matches_step_loop():
         assert np.array_equal(got.uhat.coeffs, want.uhat.coeffs)
         assert np.array_equal(got.vhat.coeffs, want.vhat.coeffs)
     assert len(stored) == 5 and fin.t == ref[-1].t
+
+
+def _unflagged(state):
+    # the same coefficients without the hermitian flag: the full space
+    return SimState(state.t, SpectralField(state.grid, state.uhat.coeffs),
+                    SpectralField(state.grid, state.vhat.coeffs),
+                    state.params)
+
+
+def test_half_space_step_matches_per_product_step():
+    # case real_couplings: real beta, gamma, theta and real data step on
+    # the n/2+1 nonnegative modes with irfft/rfft
+    g = Grid(2.0 * np.pi, 128)
+    st = _cos_state(g, Coefficients(0.5, beta=0.5, gamma=-1.0, theta=2.0),
+                    amp_u=0.3, amp_v=0.3)
+    cfg = SolverConfig(dt=1e-3)
+    assert _Propagator(st, cfg).half
+    assert _Propagator(st, cfg).mask.size == g.n // 2 + 1
+    ref = st
+    for _ in range(20):
+        ref, _ = _per_product_step(ref, cfg)
+        st = step(st, cfg)
+        got = np.concatenate([st.uhat.coeffs, st.vhat.coeffs])
+        want = np.concatenate([ref.uhat.coeffs, ref.vhat.coeffs])
+        assert st.t == ref.t
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_half_and_full_run_agree():
+    g = Grid(40.0, 256)
+    f = lambda x: 0.5 * np.exp(-((x - 20.0) / 2.0) ** 2)
+    st = make_state(g, f, lambda x: 0.4 * f(x), Coefficients(-1.0))
+    cfg = SolverConfig(dt=1e-4)
+    full = _unflagged(st)
+    assert _Propagator(st, cfg).half and not _Propagator(full, cfg).half
+    got, _ = run(st, cfg, 200 * 1e-4)
+    want, _ = run(full, cfg, 200 * 1e-4)
+    assert got.t == want.t
+    for a, b in ((got.uhat, want.uhat), (got.vhat, want.vhat)):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= (
+            1e-13 * np.max(np.abs(b.coeffs)))
+    assert not np.array_equal(got.uhat.coeffs, want.uhat.coeffs)
+
+
+def test_half_space_states_are_exactly_hermitian():
+    g = Grid(2.0 * np.pi, 64)
+    st = _cos_state(g, Coefficients(2.0, gamma=-0.5), amp_u=0.3,
+                    amp_v=0.3, mode=3)
+    _, stored = run(st, SolverConfig(dt=1e-3), 0.02, store_every=5)
+    assert len(stored) == 5
+    k = np.arange(1, g.n // 2)
+    for s in stored[1:]:
+        for f in (s.uhat, s.vhat):
+            assert f.hermitian
+            assert np.array_equal(f.coeffs[-k], np.conj(f.coeffs[k]))
+            assert f.coeffs[0].imag == 0.0
+            SpectralField(g, f.coeffs, hermitian=True)  # the verified flag
+
+
+def test_half_space_stability_errors_match_full_space():
+    g = Grid(2.0 * np.pi, 128)
+    st = _cos_state(g, Coefficients(0.5, gamma=-1.0), amp_u=0.3, amp_v=0.3)
+    # the advective bound: the value of the per-product reference
+    _, dt_max = _per_product_step(st, SolverConfig(dt=1e-3))
+    assert _Propagator(st, SolverConfig(dt=1e-3)).half
+    with pytest.raises(StabilityError) as err:
+        step(st, SolverConfig(dt=1.001 * dt_max))
+    bound = float(str(err.value).split(" = ")[1].split(" ")[0])
+    assert bound == pytest.approx(dt_max, rel=1e-5)
+    step(st, SolverConfig(dt=0.999 * dt_max))
+    # a coupling far above the amplitude bound's scale trips the 10x
+    # growth guard; the norm over all n modes gives the same message
+    strong = Coefficients(0.5, gamma=-1.0, theta=100.0)  # grows 87x
+    st = SimState(0.0, st.uhat, st.vhat, strong)
+    cfg = SolverConfig(dt=0.5 * dt_max)
+    messages = []
+    for s in (st, _unflagged(st)):
+        with pytest.raises(StabilityError) as err:
+            step(s, cfg)
+        messages.append(str(err.value))
+    assert messages[0].startswith("instability detected: spectral norm grew")
+    assert messages[0] == messages[1]
+
+
+def test_cli_gaussian_state_steps_on_half_space():
+    from hskdv.cli import _gaussian_state, parse_config
+    cfg = parse_config("command=simulate\na=0.5\nbeta=2\ngamma=-1\n"
+                       "theta=0.5\nn=64\n")
+    st, g = _gaussian_state(cfg)
+    prop = _Propagator(st, SolverConfig(dt=1e-4))
+    assert prop.half and prop.mask.size == 33
+    # the same data with a complex coupling keep the full space
+    st = SimState(0.0, st.uhat, st.vhat, Coefficients(0.5, gamma=1j))
+    assert not _Propagator(st, SolverConfig(dt=1e-4)).half
+
+
+def test_half_space_nyquist_mode_follows_full_space_flow():
+    # the Nyquist coefficient keeps xi = -pi n/L on the half space, so a
+    # linear run moves it with the phase of the full space
+    g = Grid(2.0 * np.pi, 32)
+    p = Coefficients(0.3)
+    st = make_state(g, lambda x: np.cos(x) + 0.25 * np.cos(16 * x),
+                    lambda x: 0.5 * np.cos(16 * x), p)
+    assert st.uhat.coeffs[16] == pytest.approx(0.25)
+    cfg = SolverConfig(dt=1e-2, nonlinear_enabled=False)
+    got, _ = run(st, cfg, 0.37)
+    want, _ = run(_unflagged(st), cfg, 0.37)
+    nyq = np.exp(1j * np.array((p.a, 1.0)) * got.t * (-16.0) ** 3)
+    assert np.allclose((got.uhat.coeffs[16], got.vhat.coeffs[16]),
+                       nyq * (0.25, 0.5), rtol=1e-13, atol=0)
+    for a, b in ((got.uhat, want.uhat), (got.vhat, want.vhat)):
+        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
