@@ -159,11 +159,9 @@ def nonlinear_terms(uh, vh, grid, params, mask):
     One batched inverse FFT gives u, v and v_x, and one batched forward
     FFT transforms both products.
 
-    uh, vh and mask hold either all n modes in FFT order (complex fields
-    and couplings; ifft/fft) or, for real fields and real couplings, the
-    m = n/2+1 modes of frequencies 0, ..., n/2-1 and the Nyquist mode,
-    whose xi is fftfreq's -pi n/L (irfft/rfft; irfft reads only the
-    real part of the Nyquist coefficient). u and v are then real.
+    uh, vh and mask hold all n modes (ifft/fft) or the m = n/2+1 modes
+    of the half space (irfft/rfft, real couplings; module docstring);
+    on the half space u and v are real.
     """
     m = mask.size
     ixi = 1j * grid.xi[:m]
@@ -186,13 +184,13 @@ class _Propagator:
 
     The space (module docstring) is chosen here, from the input state.
     The propagator holds the space's xi^3 and dealias mask, the weights
-    1, 2, ..., 2, 1 on the half space (all 1 on the full space)
-    that turn sums of |c|^2 over its modes into sums over all n, the
-    half-step factor eh = exp(rate dt/2) for the rates
-    rate = (i a xi^3, i xi^3) as rows, and a one-entry memo of
-    exp(rate tau). Each exponent is formed as (i a tau) xi^3, the
-    rounding of exp(1j * a * tau * xi**3); at tau xi^3 ~ 1e7 another
-    product order moves high-mode phases by ~1e-9.
+    (1, 2, ..., 2, 1 on the half space, all 1 on the full one) that turn
+    sums of |c|^2 over its modes into sums over all n, the half-step
+    factor eh = exp(rate dt/2) for the rates rate = (i a xi^3, i xi^3)
+    as rows, and a one-entry memo of exp(rate tau). Each exponent is
+    formed as (i a tau) xi^3, the rounding of exp(1j * a * tau * xi**3);
+    at tau xi^3 ~ 1e7 another product order moves high-mode phases by
+    ~1e-9.
     """
 
     def __init__(self, state, cfg):

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from hskdv.cli import _gaussian_state, parse_config
 from hskdv.phases import Coefficients
 from hskdv.spectral import (STABILITY_C, Grid, SimState, SolverConfig,
                             SpectralField, StabilityError, invariants_eval,
@@ -362,8 +363,8 @@ def test_half_space_step_matches_per_product_step():
     st = _cos_state(g, Coefficients(0.5, beta=0.5, gamma=-1.0, theta=2.0),
                     amp_u=0.3, amp_v=0.3)
     cfg = SolverConfig(dt=1e-3)
-    assert _Propagator(st, cfg).half
-    assert _Propagator(st, cfg).mask.size == g.n // 2 + 1
+    prop = _Propagator(st, cfg)
+    assert prop.half and prop.mask.size == g.n // 2 + 1
     ref = st
     for _ in range(20):
         ref, _ = _per_product_step(ref, cfg)
@@ -431,7 +432,6 @@ def test_half_space_stability_errors_match_full_space():
 
 
 def test_cli_gaussian_state_steps_on_half_space():
-    from hskdv.cli import _gaussian_state, parse_config
     cfg = parse_config("command=simulate\na=0.5\nbeta=2\ngamma=-1\n"
                        "theta=0.5\nn=64\n")
     st, g = _gaussian_state(cfg)
