@@ -34,9 +34,11 @@ KEY_TYPES = {
     "a": ("float", _ALL),
     "k": ("rat", ("classify", "fre-scan", "sharpness")),
     "s": ("rat", ("classify", "fre-scan", "sharpness")),
-    "beta": ("float", ("classify", "simulate", "ibps-check")),
-    "gamma": ("float", ("classify", "simulate", "ibps-check")),
-    "theta": ("float", ("classify", "simulate", "ibps-check")),
+    # ibps-check keeps beta = gamma = theta = 1, the system its
+    # decomposition describes
+    "beta": ("float", ("classify", "simulate")),
+    "gamma": ("float", ("classify", "simulate")),
+    "theta": ("float", ("classify", "simulate")),
     "original_system": ("bool", ("classify",)),
     "k_max": ("float", ("atlas",)),
     "L": ("float", ("simulate", "ibps-check")),

@@ -202,3 +202,11 @@ def test_classify_byte_identical(tmp_path):
                   "--out", str(d)])
         outs.append((d / "classify.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_ibps_check_rejects_couplings():
+    # the IBPS decomposition describes beta = gamma = theta = 1 only
+    for key in ("beta", "gamma", "theta"):
+        with pytest.raises(ConfigError):
+            parse_config("command=ibps-check\n%s=2\n" % key)
+    assert cli.main(["ibps-check", "--a", "0.5", "--beta", "2"]) == EXIT_CONFIG

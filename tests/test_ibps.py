@@ -8,7 +8,8 @@ from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
 from hskdv.ibps import _kernels
 from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
 from hskdv.spectral import (Grid, SimState, SolverConfig, SpectralField,
-                            make_state, run)
+                            make_state, nonlinear_terms, run,
+                            spectral_product)
 
 CUT10 = CutoffParams(delta_u=0.1, delta_v=0.1, eta_sim=0.1)
 
@@ -330,3 +331,149 @@ def test_output_row_filter_keeps_every_term(monkeypatch, a):
         assert np.all(ker.outmask[getattr(ker, region)[0]])
     for tag in TERM_TAGS:
         assert np.array_equal(filtered[tag], eval_term(tag, st2, a, cut)), tag
+
+
+# Per-term reference: every term on its own, with its own transforms and
+# region sum, written out from the formulas. ibps._state_terms forms all
+# of them together and must agree row by row.
+
+def _ref_valid_conv(f1, f2):
+    n = f1.size
+    pos = np.arange(n)
+    pos[n // 2:] += n             # frequency index k sits at k mod 2n
+    pad = np.zeros((2, 2 * n), dtype=complex)
+    pad[:, pos] = f1, f2
+    spec = np.fft.fft(pad)
+    return np.fft.ifft(spec[0] * spec[1])[pos]
+
+
+def _ref_eval_term(tag, state, a, cut):
+    grid = state.grid
+    ker = _kernels(grid, a, cut)
+    xi = grid.xi
+    uh = state.uhat.coeffs
+    vh = state.vhat.coeffs
+    mask = ker.outmask
+    U, V = ker.U, ker.V
+    speed = a if tag.endswith("u") else 1.0
+    carrier = mask * np.exp(-1j * speed * state.t * xi ** 3)
+    if tag == "N3u":
+        return carrier * (1j * xi) * spectral_product(uh, uh, grid, mask)
+    if tag == "N0u":
+        part = _ref_valid_conv(vh, vh) - ker.pair_sum(U, 1.0, vh, vh)
+        return carrier * (1j * xi) * part
+    if tag == "N0v":
+        ixv = 1j * xi * vh
+        part = _ref_valid_conv(uh, ixv) - ker.pair_sum(V, 1.0, uh, ixv)
+        return carrier * part
+    if tag == "Bu":
+        return carrier * ker.pair_sum(U, ker.ku, vh, vh)
+    if tag == "Bv":
+        return carrier * ker.pair_sum(V, ker.kv2, uh, vh)
+    if tag == "N1v":
+        conv_vv = spectral_product(vh, vh, grid, mask)
+        return -1j * carrier * ker.pair_sum(V, ker.kv12, conv_vv, vh)
+    if tag == "N2v":
+        conv_uu = spectral_product(uh, uh, grid, mask)
+        return -1j * carrier * ker.pair_sum(V, ker.kv12, conv_uu, vh)
+    w = -1j * spectral_product(uh, 1j * xi * vh, grid, mask)
+    if tag == "N1u":
+        return -1j * carrier * ker.pair_sum(U, ker.ku, w, vh)
+    if tag == "N2u":
+        return -1j * carrier * ker.pair_sum(U, ker.ku, vh, w)
+    assert tag == "N3v"
+    return -1j * carrier * ker.pair_sum(V, ker.kv2, uh, w)
+
+
+def _ref_coupling_terms(state, a, cut):
+    grid = state.grid
+    xi3 = grid.xi ** 3
+    mask = _kernels(grid, a, cut).outmask
+    nu, nv = nonlinear_terms(state.uhat.coeffs, state.vhat.coeffs, grid,
+                             Coefficients(a), mask)[:2]
+    return (np.exp(-1j * a * state.t * xi3) * nu,
+            np.exp(-1j * state.t * xi3) * nv)
+
+
+def _ref_residual(trajectory, a, cut):
+    """ibps_residual's Simpson loop over the per-term reference."""
+    grid = trajectory[0].grid
+    xi = grid.xi
+    t0 = trajectory[0].t
+    m = len(trajectory) - 1
+    h = (trajectory[-1].t - t0) / m
+    w = ibps._simpson_weights(m, h)
+    acc = np.zeros((4, grid.n), dtype=complex)
+    for wi, st in zip(w, trajectory):
+        cu, cv = _ref_coupling_terms(st, a, cut)
+        nu = sum(_ref_eval_term(tag, st, a, cut)
+                 for tag in ("N0u", "N1u", "N2u", "N3u"))
+        nv = sum(_ref_eval_term(tag, st, a, cut)
+                 for tag in ("N0v", "N1v", "N2v", "N3v"))
+        acc += wi * np.array((cu, cv, nu, nv))
+    b = [_ref_eval_term(tag, trajectory[k], a, cut)
+         for tag in ("Bu", "Bv") for k in (0, -1)]
+    util0 = np.exp(-1j * a * t0 * xi ** 3) * trajectory[0].uhat.coeffs
+    vtil0 = np.exp(-1j * t0 * xi ** 3) * trajectory[0].vhat.coeffs
+    rec_cl = (util0 + acc[0], vtil0 + acc[1])
+    rec_ib = (util0 + (b[1] - b[0]) + acc[2], vtil0 + (b[3] - b[2]) + acc[3])
+    scale = max(np.max(np.abs(rec_cl[0])), np.max(np.abs(rec_cl[1])))
+    diff = max(np.max(np.abs(rec_cl[0] - rec_ib[0])),
+               np.max(np.abs(rec_cl[1] - rec_ib[1])))
+    return diff / scale
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
+def test_state_terms_match_per_term_reference(n, a):
+    # a = -1 takes the U1 branch (xi1 ~= xi2); random non-Hermitian data
+    g = Grid(2.0 * np.pi, n)
+    cut = CutoffParams(delta_u=0.2, delta_v=0.2)
+    rng = np.random.default_rng(n)
+    field = lambda: SpectralField(
+        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    st = SimState(0.0123, field(), field(), _norm_params(a))
+    got = ibps._state_terms(st, a, cut, g.xi ** 3)
+    ref = ([_ref_eval_term(tag, st, a, cut) for tag in TERM_TAGS]
+           + list(_ref_coupling_terms(st, a, cut)))
+    assert got.shape == (12, n)
+    for row, (x, y) in enumerate(zip(got, ref)):
+        scale = np.max(np.abs(y))
+        assert scale > 0.0, row
+        assert np.max(np.abs(x - y)) <= 1e-13 * scale, row
+    for k, tag in enumerate(TERM_TAGS):
+        assert np.array_equal(eval_term(tag, st, a, cut), got[k]), tag
+    cu, cv = coupling_terms(st, a, cut)
+    assert np.array_equal(cu, got[10]) and np.array_equal(cv, got[11])
+
+
+def test_residual_matches_per_term_reference(short_trajectory):
+    cut = CutoffParams()
+    ref = _ref_residual(short_trajectory, 0.5, cut)
+    got = ibps_residual(short_trajectory, 0.5, cut)
+    assert ref > 0.0
+    assert abs(got - ref) <= 1e-6 * ref
+
+
+def test_residual_rejects_other_grids(short_trajectory):
+    states = list(short_trajectory[:5])
+    st = states[2]
+    g = Grid(st.grid.L, st.grid.n)  # equal, but not the shared grid
+    states[2] = SimState(st.t, SpectralField(g, st.uhat.coeffs),
+                         SpectralField(g, st.vhat.coeffs), st.params)
+    with pytest.raises(ValueError, match="share one grid"):
+        ibps_residual(states, 0.5, CutoffParams())
+
+
+def test_residual_rejects_other_systems(short_trajectory):
+    # the decomposition describes (a, 1, 1, 1) only
+    with pytest.raises(ValueError, match="describes the system"):
+        ibps_residual(short_trajectory[:5], 2.0, CutoffParams())
+    states = list(short_trajectory[:5])
+    for key in ("beta", "gamma", "theta"):
+        st = states[-1]
+        states[-1] = SimState(st.t, st.uhat, st.vhat,
+                              Coefficients(0.5, **{key: 2.0}))
+        with pytest.raises(ValueError, match="describes the system"):
+            ibps_residual(states, 0.5, CutoffParams())
+        states[-1] = st
