@@ -16,7 +16,7 @@ from .picard import (FrequencyBox, BoxData, PicardOutput, duhamel_kernel,
                      hs_norm_window)
 from .ibps import CutoffParams, eval_term, coupling_terms, ibps_residual
 from .fre import (FreSpec, make_fre_spec, level_set_measure, fre_sup,
-                  ratio_scan, SpaceTimeBox, dual_form_estimate)
+                  ratio_scan)
 from .sharpness import (CounterexampleSpec, build, predicted_slope,
                         run_ladder, verdict, ladder_report)
 
@@ -35,7 +35,7 @@ __all__ = [
     "hs_norm_window",
     "CutoffParams", "eval_term", "coupling_terms", "ibps_residual",
     "FreSpec", "make_fre_spec", "level_set_measure", "fre_sup",
-    "ratio_scan", "SpaceTimeBox", "dual_form_estimate",
+    "ratio_scan",
     "CounterexampleSpec", "build", "predicted_slope", "run_ladder",
     "verdict", "ladder_report",
     "__version__",

@@ -6,7 +6,9 @@ Command-line flags mirror config keys (``--a 2`` is ``a=2``) and
 override the file. Unknown keys are hard errors with a line number.
 
 Exit codes: 0 success, 2 config error, 3 numerical-validity failure,
-4 acceptance-check failure.
+4 acceptance-check failure. A parameter that a module rejects with
+ValueError (say an odd mode count n or a negative dt) is a config
+error too: one ``config error:`` line, no traceback, exit 2.
 """
 
 import os
@@ -30,7 +32,6 @@ _ALL = tuple(COMMANDS)
 KEY_TYPES = {
     "command": ("str", _ALL),
     "output_dir": ("str", _ALL),
-    "seed": ("int", _ALL),
     "a": ("float", _ALL),
     "k": ("rat", ("classify", "fre-scan", "sharpness")),
     "s": ("rat", ("classify", "fre-scan", "sharpness")),
@@ -122,13 +123,12 @@ def _convert(key, raw):
 
 
 class RunConfig:
-    def __init__(self, command, params, output_dir=".", seed=0):
+    def __init__(self, command, params, output_dir="."):
         if command not in COMMANDS:
             raise ConfigError("unknown command %r" % (command,))
         self.command = command
         self.params = dict(params)
         self.output_dir = output_dir
-        self.seed = int(seed)
 
     def get(self, key, default=None):
         return self.params.get(key, default)
@@ -168,14 +168,13 @@ def parse_config(text, overrides=None):
         raise ConfigError("unknown command %r" % (command,))
     output_dir = raw.pop("output_dir",
                          os.environ.get("HSKDV_OUT", "."))
-    seed = int(raw.pop("seed", "0"))
     params = {}
     for key, val in raw.items():
         if command not in KEY_TYPES[key][1]:
             raise ConfigError("key %r does not apply to command %r"
                               % (key, command))
         params[key] = _convert(key, val)
-    return RunConfig(command, params, output_dir, seed)
+    return RunConfig(command, params, output_dir)
 
 
 def _fmt_float(x):
@@ -409,13 +408,14 @@ def run(cfg):
     art = _Artifacts(cfg.output_dir)
     try:
         return _RUNNERS[cfg.command](cfg, art)
-    except ConfigError:
-        art.discard()
-        raise
     except _NUMERICAL_ERRORS as exc:
         art.discard()
         print("numerical validity failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
+    except ValueError as exc:  # ConfigError, or a parameter a module rejects
+        art.discard()
+        print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
     except Exception:
         art.discard()
         raise
@@ -447,17 +447,10 @@ def main(argv=None):
             else:
                 overrides[key] = val
         cfg = parse_config(text, overrides)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    except OSError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return run(cfg)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Frequency-restricted estimate (FRE) quantities and dual-form scans.
+"""Frequency-restricted estimate (FRE) quantities and cutoff scans.
 
 The bilinear space-time estimates behind the contraction argument
 reduce to sup-over-one-frequency integrals over the level sets
@@ -6,8 +6,7 @@ reduce to sup-over-one-frequency integrals over the level sets
 sup-integrals with exact level-set root isolation, measures quadratic
 level sets in closed form, fits the growth of the sup against the
 frequency cutoff (bounded inside the sharp validity region, power
-growth outside), and Monte-Carlo-estimates the dual quadrilinear forms
-used by the sharpness counterexample boxes.
+growth outside).
 """
 
 import math
@@ -117,19 +116,16 @@ def _real_cubic_roots(c):
 
 
 class FreSpec:
-    """What to integrate: multiplier, Sobolev weights, phase, sup variable.
+    """What to integrate: multiplier, Sobolev weights, phase.
 
-    multiplier: 'xi' (symbol of d/dx(v*v)), 'xi2' (symbol of u v_x) or
-    'one'. weights = (s_out, s_1, s_2). fixed_var names the frequency
-    held fixed by the sup; the integral runs over xi1 (fixed xi or xi2)
-    or xi2 (fixed xi1).
+    multiplier: 'xi' (symbol of d/dx(v*v)) or 'xi2' (symbol of u v_x).
+    weights = (s_out, s_1, s_2). The sup runs over the output frequency
+    xi and the integral over xi1, with xi2 = xi - xi1.
     """
 
-    def __init__(self, multiplier, weights, phase_tag, fixed_var="xi"):
-        if multiplier not in ("xi", "xi2", "one"):
+    def __init__(self, multiplier, weights, phase_tag):
+        if multiplier not in ("xi", "xi2"):
             raise ValueError("unknown multiplier %r" % (multiplier,))
-        if fixed_var not in ("xi", "xi1", "xi2"):
-            raise ValueError("unknown fixed_var %r" % (fixed_var,))
         from .phases import PhaseId
         pid = PhaseId(phase_tag) if isinstance(phase_tag, str) else phase_tag
         if pid.arity != 2:
@@ -137,7 +133,6 @@ class FreSpec:
         self.multiplier = multiplier
         self.weights = tuple(float(wq) for wq in weights)
         self.phase = pid
-        self.fixed_var = fixed_var
 
 
 def make_fre_spec(kind, k, s):
@@ -148,28 +143,17 @@ def make_fre_spec(kind, k, s):
     H^s (multiplier xi2, phase Phiv).
     """
     if kind == "dxv2":
-        return FreSpec("xi", (k, s, s), "Phi1u", fixed_var="xi")
+        return FreSpec("xi", (k, s, s), "Phi1u")
     if kind == "uvx":
-        return FreSpec("xi2", (s, k, s), "Phiv", fixed_var="xi")
+        return FreSpec("xi2", (s, k, s), "Phiv")
     raise ValueError("unknown FRE kind %r" % (kind,))
 
 
 def _freqs_from(spec, w, free):
-    """(xi, xi1, xi2) arrays given the fixed value w and free samples."""
-    free = np.asarray(free, dtype=float)
-    if spec.fixed_var == "xi":
-        xi = np.full_like(free, w)
-        xi1 = free
-        xi2 = xi - xi1
-    elif spec.fixed_var == "xi1":
-        xi1 = np.full_like(free, w)
-        xi2 = free
-        xi = xi1 + xi2
-    else:
-        xi2 = np.full_like(free, w)
-        xi1 = free
-        xi = xi1 + xi2
-    return xi, xi1, xi2
+    """(xi, xi1, xi2) arrays given the fixed xi = w and free xi1 samples."""
+    xi1 = np.asarray(free, dtype=float)
+    xi = np.full_like(xi1, w)
+    return xi, xi1, xi - xi1
 
 
 def _phase_cubic_coeffs(spec, a, w):
@@ -183,12 +167,7 @@ def _phase_cubic_coeffs(spec, a, w):
 
 def _weight_integrand(spec, a, xi, xi1, xi2):
     s_out, s1, s2 = spec.weights
-    if spec.multiplier == "xi":
-        m2 = xi ** 2
-    elif spec.multiplier == "xi2":
-        m2 = xi2 ** 2
-    else:
-        m2 = np.ones_like(xi)
+    m2 = xi ** 2 if spec.multiplier == "xi" else xi2 ** 2
     return (m2 * _bracket(xi) ** (2 * s_out)
             / (_bracket(xi1) ** (2 * s1) * _bracket(xi2) ** (2 * s2)))
 
@@ -325,85 +304,3 @@ def ratio_scan(spec, a, lams=(1e2, 1e3, 1e4),
     logs = np.log(np.maximum(sups, 1e-300))
     slope = float(np.polyfit(np.log(lams), logs, 1)[0])
     return ScanReport(sups[-1], sups[-1], slope, lams, sups)
-
-
-class SpaceTimeBox:
-    """Product box: xi in [xi_lo, xi_hi], tau - r*xi^3 in [tau_lo, tau_hi].
-
-    tau_slope r = 0 gives a plain rectangle; r != 0 lets the box follow
-    a dispersion surface.
-    """
-
-    def __init__(self, xi_lo, xi_hi, tau_lo, tau_hi, tau_slope=0.0):
-        if not (xi_lo < xi_hi and tau_lo < tau_hi):
-            raise ValueError("degenerate space-time box")
-        self.xi_lo = float(xi_lo)
-        self.xi_hi = float(xi_hi)
-        self.tau_lo = float(tau_lo)
-        self.tau_hi = float(tau_hi)
-        self.tau_slope = float(tau_slope)
-
-    def volume(self):
-        return (self.xi_hi - self.xi_lo) * (self.tau_hi - self.tau_lo)
-
-    def contains(self, xi, tau):
-        rel = tau - self.tau_slope * xi ** 3
-        return ((self.xi_lo <= xi) & (xi <= self.xi_hi)
-                & (self.tau_lo <= rel) & (rel <= self.tau_hi))
-
-    def sample(self, rng, size):
-        xi = rng.uniform(self.xi_lo, self.xi_hi, size)
-        tau = (self.tau_slope * xi ** 3
-               + rng.uniform(self.tau_lo, self.tau_hi, size))
-        return xi, tau
-
-
-def dual_form_estimate(h_box, h1_box, h2_box, a, weights, which,
-                       n_samples=200000, n_strata=16, seed=1234):
-    """Stratified Monte-Carlo value of a dual quadrilinear form.
-
-    weights = (k, s, b, b'). For which='vv_to_u' the integrand is
-      |xi| <xi>^k <tau - a xi^3>^{b'} /
-      (<xi1>^s <tau1 - xi1^3>^b <xi2>^s <tau2 - xi2^3>^b)
-    and for which='uv_to_v'
-      |xi2| <xi>^s <tau - xi^3>^{b'} /
-      (<xi1>^k <tau1 - a xi1^3>^b <xi2>^s <tau2 - xi2^3>^b),
-    integrated over (xi1, tau1) in h1, (xi2, tau2) in h2 with the
-    output point (xi1+xi2, tau1+tau2) restricted to h, normalized by
-    the L^2 norms of the three box indicators.
-    """
-    if which not in ("vv_to_u", "uv_to_v"):
-        raise ValueError("unknown dual form %r" % (which,))
-    k, s, b, bp = (float(x) for x in weights)
-    per = max(n_samples // n_strata, 1)
-    width1 = (h1_box.xi_hi - h1_box.xi_lo) / n_strata
-    total = 0.0
-    hits = 0
-    for strat in range(n_strata):
-        rng = np.random.default_rng(seed + 7919 * strat)
-        lo = h1_box.xi_lo + strat * width1
-        sub1 = SpaceTimeBox(lo, lo + width1, h1_box.tau_lo, h1_box.tau_hi,
-                            h1_box.tau_slope)
-        xi1, tau1 = sub1.sample(rng, per)
-        xi2, tau2 = h2_box.sample(rng, per)
-        xi = xi1 + xi2
-        tau = tau1 + tau2
-        inside = h_box.contains(xi, tau)
-        hits += int(np.count_nonzero(inside))
-        if not np.any(inside):
-            continue
-        if which == "vv_to_u":
-            num = np.abs(xi) * _bracket(xi) ** k * \
-                _bracket(tau - a * xi ** 3) ** bp
-            den = (_bracket(xi1) ** s * _bracket(tau1 - xi1 ** 3) ** b
-                   * _bracket(xi2) ** s * _bracket(tau2 - xi2 ** 3) ** b)
-        else:
-            num = np.abs(xi2) * _bracket(xi) ** s * \
-                _bracket(tau - xi ** 3) ** bp
-            den = (_bracket(xi1) ** k
-                   * _bracket(tau1 - a * xi1 ** 3) ** b
-                   * _bracket(xi2) ** s * _bracket(tau2 - xi2 ** 3) ** b)
-        vals = np.where(inside, num / den, 0.0)
-        total += float(np.mean(vals)) * sub1.volume() * h2_box.volume()
-    norm = math.sqrt(h_box.volume() * h1_box.volume() * h2_box.volume())
-    return total / norm

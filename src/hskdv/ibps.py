@@ -134,13 +134,8 @@ class _GridKernels:
         half = n // 2
         valid = (idx2 >= -half) & (idx2 <= half - 1)
 
-        big_u = np.abs(XI) > 1.0 / cut.delta_u
-        mask_U = (_sim(XI, XI1, cut.eta_sim)
-                  | _sim(XI, XI2, cut.eta_sim)) & big_u
-        if a < 0.25:
-            mask_U |= _sim(XI1, XI2, cut.eta_sim) & big_u
-        mask_V = (_sim(XI, XI1, cut.eta_sim)
-                  & (np.abs(XI) > 1.0 / cut.delta_v))
+        mask_U = in_U(a, XI, XI1, XI2, cut)
+        mask_V = in_V(XI, XI1, XI2, cut)
 
         def pairs(mask):
             i, j = np.nonzero(mask & valid)

@@ -51,28 +51,15 @@ class FrequencyBox:
 
 
 class BoxData:
-    """Initial datum given by disjoint frequency boxes.
+    """Initial datum given by disjoint frequency boxes."""
 
-    With conjugate_symmetric=True each box is mirrored to negative
-    frequencies with the conjugate-symmetric (here: identical real)
-    amplitude, as for the transform of a real field.
-    """
-
-    def __init__(self, boxes, conjugate_symmetric=False):
+    def __init__(self, boxes):
         boxes = list(boxes)
         ivs = sorted((b.lo, b.hi) for b in boxes)
         for (l0, h0), (l1, h1) in zip(ivs, ivs[1:]):
             if l1 < h0:
                 raise ValueError("boxes must be pairwise disjoint")
         self.boxes = boxes
-        self.conjugate_symmetric = bool(conjugate_symmetric)
-
-    def effective_boxes(self):
-        out = list(self.boxes)
-        if self.conjugate_symmetric:
-            out += [FrequencyBox(-b.hi, -b.lo, b.weight_exponent)
-                    for b in self.boxes]
-        return out
 
     def is_empty(self):
         return len(self.boxes) == 0
@@ -158,7 +145,7 @@ def _second_iterate(data1, data2, a, t, out_window, phase_tag, symbol,
         return PicardOutput(xi_s, acc, t)
     rule = np.polynomial.legendre.leggauss(gl_nodes)
     for rows, xr, x1, x2, w, amp in _box_pairs(
-            xi_s, data1.effective_boxes(), data2.effective_boxes(), rule):
+            xi_s, data1.boxes, data2.boxes, rule):
         ker = duhamel_kernel(eval_phase(phase_tag, a, (x1, x2)), t)
         acc[rows] += np.sum(w * symbol(xr, x1, x2) * ker * amp, axis=1)
     values = 1j * np.exp(1j * carrier_a * t * xi_s ** 3) * acc
@@ -216,7 +203,7 @@ def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
     acc1 = np.zeros(N_OUT, dtype=complex)
     acc2 = np.zeros(N_OUT, dtype=complex)
     if t != 0 and not v0.is_empty():
-        boxes = v0.effective_boxes()
+        boxes = v0.boxes
         rule = np.polynomial.legendre.leggauss(gl_nodes)
         for b2 in boxes:
             for xi2, w2 in zip(*_map_rule(rule, b2.lo, b2.hi)):

@@ -238,7 +238,7 @@ def _support_nodes(data, n=33):
     if data is None or data.is_empty():
         return np.array([])
     out = []
-    for b in data.effective_boxes():
+    for b in data.boxes:
         out.append(np.linspace(b.lo, b.hi, n))
     return np.concatenate(out)
 
@@ -308,10 +308,6 @@ class ExponentFit:
         self.r2 = float(r2)
         self.Ns = list(Ns)
         self.norms = list(norms)
-
-    def as_dict(self):
-        return {"slope": self.slope, "intercept": self.intercept,
-                "r2": self.r2, "Ns": self.Ns, "norms": self.norms}
 
 
 def run_ladder(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None):

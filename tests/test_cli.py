@@ -14,7 +14,6 @@ def test_parse_config_basic():
     assert cfg.command == "classify"
     assert cfg.get("a") == 0.5
     assert cfg.get("k") == "0"      # kept verbatim for exact handling
-    assert cfg.seed == 0
 
 
 def test_parse_config_sections_comments():
@@ -210,3 +209,33 @@ def test_ibps_check_rejects_couplings():
         with pytest.raises(ConfigError):
             parse_config("command=ibps-check\n%s=2\n" % key)
     assert cli.main(["ibps-check", "--a", "0.5", "--beta", "2"]) == EXIT_CONFIG
+
+
+def test_simulate_real_run_with_complex_nyquist(tmp_path):
+    # the linear flow makes the Nyquist coefficient complex; irfft drops
+    # its imaginary part, so the invariants must not reject the state
+    code = cli.main(["simulate", "--a", "0.5", "--n", "256", "--L", "10",
+                     "--width", "4", "--T", "0.01", "--dt", "1e-4",
+                     "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 3  # header, initial and final state
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "7"), ("--dt", "-1")])
+def test_rejected_parameter_is_config_error(tmp_path, capsys, flag, value):
+    code = cli.main(["simulate", "--a", "0.5", flag, value,
+                     "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_seed_is_unknown_key(tmp_path, command):
+    with pytest.raises(ConfigError):
+        parse_config("command=%s\nseed=3\n" % command)
+    assert cli.main([command, "--seed", "3",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from hskdv import fre
-from hskdv.fre import (FreSpec, SpaceTimeBox, dual_form_estimate, fre_sup,
-                       level_set_measure, make_fre_spec, ratio_scan,
-                       _real_cubic_roots)
+from hskdv.fre import (FreSpec, fre_sup, level_set_measure, make_fre_spec,
+                       ratio_scan, _real_cubic_roots)
 
 
 def test_level_set_measure_cases():
@@ -62,7 +61,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         make_fre_spec("nope", 1.0, 0.5)
     sp = make_fre_spec("dxv2", 1.0, 0.5)
-    assert sp.multiplier == "xi" and sp.fixed_var == "xi"
+    assert sp.multiplier == "xi"
     sp = make_fre_spec("uvx", 1.0, 0.5)
     assert sp.multiplier == "xi2" and sp.phase.tag == "Phiv"
 
@@ -303,34 +302,3 @@ def test_ratio_scan_dichotomy():
 def test_ratio_scan_needs_three_points():
     with pytest.raises(ValueError):
         ratio_scan(make_fre_spec("dxv2", 1.0, 0.5), 0.5, lams=(10.0, 100.0))
-
-
-def test_spacetime_box():
-    with pytest.raises(ValueError):
-        SpaceTimeBox(1.0, 1.0, 0.0, 1.0)
-    box = SpaceTimeBox(2.0, 4.0, -1.0, 1.0, tau_slope=1.0)
-    assert box.volume() == pytest.approx(4.0)
-    assert box.contains(3.0, 27.5)
-    assert not box.contains(3.0, 30.0)
-    rng = np.random.default_rng(2)
-    xi, tau = box.sample(rng, 500)
-    assert np.all(box.contains(xi, tau))
-
-
-def test_dual_form_estimate_deterministic_positive():
-    h = SpaceTimeBox(7.0, 9.0, -2.0, 2.0)
-    h1 = SpaceTimeBox(3.0, 5.0, -1.0, 1.0)
-    h2 = SpaceTimeBox(3.5, 5.5, -1.0, 1.0)
-    w = (0.5, 0.5, 0.4, -0.4)
-    v1 = dual_form_estimate(h, h1, h2, 0.5, w, "vv_to_u", n_samples=40000)
-    v2 = dual_form_estimate(h, h1, h2, 0.5, w, "vv_to_u", n_samples=40000)
-    assert v1 == v2
-    assert v1 > 0.0
-    v3 = dual_form_estimate(h, h1, h2, 0.5, w, "uv_to_v", n_samples=40000)
-    assert v3 > 0.0
-    with pytest.raises(ValueError):
-        dual_form_estimate(h, h1, h2, 0.5, w, "bad")
-    # disjoint sumset gives exactly zero
-    far = SpaceTimeBox(100.0, 101.0, -1.0, 1.0)
-    assert dual_form_estimate(far, h1, h2, 0.5, w, "vv_to_u",
-                              n_samples=4000) == 0.0

@@ -46,10 +46,6 @@ def test_box_validation():
         FrequencyBox(2.0, 2.0)
     with pytest.raises(ValueError):
         BoxData([FrequencyBox(0, 2), FrequencyBox(1, 3)])
-    d = BoxData([FrequencyBox(1, 2)], conjugate_symmetric=True)
-    eff = d.effective_boxes()
-    assert len(eff) == 2
-    assert eff[1].lo == -2.0 and eff[1].hi == -1.0
 
 
 def test_second_iterate_v_against_adaptive_quadrature():

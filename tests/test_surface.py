@@ -1,0 +1,90 @@
+"""Static guards against dead config keys and dangling public names."""
+
+import ast
+import glob
+import importlib
+import os
+import re
+
+import pytest
+
+import hskdv
+from hskdv import cli
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+DEMOS = sorted(glob.glob(os.path.join(HERE, os.pardir, "demos", "*.py")))
+
+
+def _cli_functions():
+    """name -> (keys read through cfg.get/require, helpers called on cfg)."""
+    with open(cli.__file__) as fh:
+        src = fh.read()
+    out = {}
+    for block in re.split(r"^def ", src, flags=re.M)[1:]:
+        name = block.split("(", 1)[0]
+        keys = set(re.findall(r"""cfg\.(?:get|require)\(["'](\w+)["']""",
+                              block))
+        calls = set(re.findall(r"\b(_\w+)\(cfg\b", block))
+        out[name] = (keys, calls)
+    return out
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_accepted_key_is_read(command):
+    funcs = _cli_functions()
+    seen, todo, read = set(), [cli._RUNNERS[command].__name__], set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in funcs:
+            continue
+        seen.add(name)
+        keys, calls = funcs[name]
+        read |= keys
+        todo.extend(calls)
+    accepted = {key for key, (_, cmds) in cli.KEY_TYPES.items()
+                if command in cmds} - {"command", "output_dir"}
+    assert accepted - read == set()
+
+
+def test_all_names_resolve():
+    for name in hskdv.__all__:
+        assert hasattr(hskdv, name), name
+
+
+def _demo_references(path):
+    """(module, name, attribute) triples of hskdv that one demo uses.
+
+    attribute is None for the imported name itself.
+    """
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    refs, aliases = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "hskdv"):
+            for al in node.names:
+                refs.append((node.module, al.name, None))
+                aliases[al.asname or al.name] = (node.module, al.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            refs.append(aliases[node.value.id] + (node.attr,))
+    return refs
+
+
+def _imported(module, name):
+    """What `from module import name` binds, submodules included."""
+    mod = importlib.import_module(module)
+    if not hasattr(mod, name):
+        importlib.import_module(module + "." + name)
+    return getattr(mod, name)
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_names_exist(path):
+    refs = _demo_references(path)
+    assert refs
+    for module, name, attr in refs:
+        obj = _imported(module, name)
+        assert attr is None or hasattr(obj, attr), (module, name, attr)
