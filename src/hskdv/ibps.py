@@ -15,11 +15,13 @@ over the region's pairs only. A complement N0 is the convolution over
 every pair whose xi2 is a grid frequency, by one zero-padded FFT
 product, minus the region's part of it.
 
-One evaluator (_state_terms) forms all ten terms and both classical
+One evaluator (_StateTerms) forms all ten terms and both classical
 right sides of a state together; eval_term and coupling_terms select
-rows of it, and ibps_residual calls it once per state. Per state it
+rows of it, and ibps_residual builds it once and calls it once per
+state. Its classical sides come from the solver's own right side,
+spectral.NonlinearTerms, built once with the evaluator. Per state it
 makes five FFT calls (the batched inverse and forward transforms of
-spectral.nonlinear_terms, one forward transform of (u^2, v^2), and one
+NonlinearTerms, one forward transform of (u^2, v^2), and one
 zero-padded length-2n forward and inverse pair for both complements),
 one exp call for the two carriers and two gathers per region, each
 region's rows summed by one np.add.reduceat.
@@ -39,7 +41,7 @@ import numpy as np
 from .phases import Coefficients, PhaseFloorError, eval_phase
 # spectral_product is bound here too, unused, so that the benchmark's
 # tracer (perfbench/tracing.py) finds it in every module it patches
-from .spectral import nonlinear_terms, spectral_product  # noqa: F401
+from .spectral import NonlinearTerms, spectral_product  # noqa: F401
 
 TERM_TAGS = ("N0u", "N1u", "N2u", "N3u", "N0v", "N1v", "N2v", "N3v",
              "Bu", "Bv")
@@ -224,59 +226,71 @@ def _kernels(grid, a, cut, cache={}):
     return cache[key]
 
 
-# rows of _state_terms: TERM_TAGS, then the classical u and v sides; the
+# rows of _StateTerms: TERM_TAGS, then the classical u and v sides; the
 # carrier of each row's equation (0: u, 1: v)
 _EQUATION = [0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1]
 
 
-def _state_terms(state, a, cut, xi3):
-    """Every decomposition term and both classical sides at one state.
+class _StateTerms:
+    """Every decomposition term and both classical sides, state by state.
 
-    Returns a (12, n) array: the TERM_TAGS terms in order, then the u
+    Built once per grid, a and cut: the region kernels, the solver's
+    NonlinearTerms on all n modes for the normalized coupling (a, 1, 1,
+    1) and the grid's dealias mask, and xi^3. Calling it at a state
+    returns a (12, n) array: the TERM_TAGS terms in order, then the u
     and v sides of coupling_terms, each in profile coordinates at the
-    state's time for the normalized coupling. xi3 is grid.xi ** 3. The
-    grid's dealias mask is applied to every row, so the partition
-    N0 + (region part) reproduces exactly the solver's coupling term.
+    state's time. The dealias mask is applied to every row, so the
+    partition N0 + (region part) reproduces exactly the solver's
+    coupling term.
     """
-    grid = state.grid
-    ker = _kernels(grid, a, cut)
-    mask = ker.outmask
-    ixi = 1j * grid.xi
-    uh = state.uhat.coeffs
-    vh = state.vhat.coeffs
-    ixv = ixi * vh
-    # the solver's right sides, dealiased, and the physical u and v
-    cl_u, cl_v, u, v = nonlinear_terms(uh, vh, grid, Coefficients(a), mask)
-    w = -1j * cl_v                                 # conv(uhat, xi vhat)
-    conv_uu, conv_vv = np.fft.fft(np.array((u * u, v * v)),
-                                  norm="forward") * mask
-    # complements: every valid pair minus the region's pairs
-    full_u, full_v = _valid_conv(np.array((vh, uh, ixv)), [0, 1], [0, 2])
 
-    # u region rows: N0u part, N1u, N2u, Bu
-    j, j2 = ker.U[2:]
-    pu = (np.array((vh, w, vh, vh)).take(j, axis=1)
-          * np.array((vh, vh, w, vh)).take(j2, axis=1))
-    pu[1:] *= ker.ku
-    su = ker.sums(ker.U, pu)
-    # v region rows: N0v part, N1v, N2v, N3v, Bv
-    j, j2 = ker.V[2:]
-    pv = (np.array((uh, conv_vv, conv_uu, uh, uh)).take(j, axis=1)
-          * np.array((ixv, vh, vh, w, vh)).take(j2, axis=1))
-    pv[1:3] *= ker.kv12
-    pv[3:] *= ker.kv2
-    sv = ker.sums(ker.V, pv)
-    # the cubic terms' factor -i from substituting the profile equations
-    su[1:3] *= -1j
-    sv[1:4] *= -1j
+    def __init__(self, grid, a, cut):
+        self.a = a
+        self.ker = _kernels(grid, a, cut)
+        self.nonlinear = NonlinearTerms(grid, Coefficients(a),
+                                        self.ker.outmask)
+        self.xi3 = grid.xi ** 3
 
-    terms = np.array((ixi * (full_u - su[0]), su[1], su[2], ixi * conv_uu,
-                      full_v - sv[0], sv[1], sv[2], sv[3], su[3], sv[4],
-                      cl_u, cl_v))
-    carriers = mask * np.exp(np.multiply.outer(
-        (-1j * a * state.t, -1j * state.t), xi3))
-    terms *= carriers[_EQUATION]
-    return terms
+    def __call__(self, state):
+        a, ker = self.a, self.ker
+        mask = ker.outmask
+        ixi = self.nonlinear.ixi
+        uh = state.uhat.coeffs
+        vh = state.vhat.coeffs
+        ixv = ixi * vh
+        # the solver's right sides, dealiased, and the physical u and v
+        (cl_u, cl_v), (u, v) = self.nonlinear(np.array((uh, vh)))
+        w = -1j * cl_v                             # conv(uhat, xi vhat)
+        conv_uu, conv_vv = np.fft.fft(np.array((u * u, v * v)),
+                                      norm="forward") * mask
+        # complements: every valid pair minus the region's pairs
+        full_u, full_v = _valid_conv(np.array((vh, uh, ixv)), [0, 1],
+                                     [0, 2])
+
+        # u region rows: N0u part, N1u, N2u, Bu
+        j, j2 = ker.U[2:]
+        pu = (np.array((vh, w, vh, vh)).take(j, axis=1)
+              * np.array((vh, vh, w, vh)).take(j2, axis=1))
+        pu[1:] *= ker.ku
+        su = ker.sums(ker.U, pu)
+        # v region rows: N0v part, N1v, N2v, N3v, Bv
+        j, j2 = ker.V[2:]
+        pv = (np.array((uh, conv_vv, conv_uu, uh, uh)).take(j, axis=1)
+              * np.array((ixv, vh, vh, w, vh)).take(j2, axis=1))
+        pv[1:3] *= ker.kv12
+        pv[3:] *= ker.kv2
+        sv = ker.sums(ker.V, pv)
+        # the cubic terms' factor -i, from the profile equations
+        su[1:3] *= -1j
+        sv[1:4] *= -1j
+
+        terms = np.array((ixi * (full_u - su[0]), su[1], su[2],
+                          ixi * conv_uu, full_v - sv[0], sv[1], sv[2],
+                          sv[3], su[3], sv[4], cl_u, cl_v))
+        carriers = mask * np.exp(np.multiply.outer(
+            (-1j * a * state.t, -1j * state.t), self.xi3))
+        terms *= carriers[_EQUATION]
+        return terms
 
 
 def eval_term(tag, state, a, cut):
@@ -284,23 +298,22 @@ def eval_term(tag, state, a, cut):
 
     Returns the term as a coefficient array over the grid, in profile
     coordinates at the state's time, for the normalized coupling: the
-    tag's row of _state_terms.
+    tag's row of _StateTerms.
     """
     if tag not in TERM_TAGS:
         raise ValueError("unknown term tag %r" % (tag,))
-    return _state_terms(state, a, cut,
-                        state.grid.xi ** 3)[TERM_TAGS.index(tag)]
+    return _StateTerms(state.grid, a, cut)(state)[TERM_TAGS.index(tag)]
 
 
 def coupling_terms(state, a, cut):
     """Classical profile-equation right sides (u and v), dealiased.
 
     Equals (N0u + region part + N3u, N0v + region part). These are the
-    solver's nonlinear terms (spectral.nonlinear_terms) at the
+    solver's nonlinear terms (spectral.NonlinearTerms) at the
     normalized coupling, mapped to profile coordinates: the last two
-    rows of _state_terms.
+    rows of _StateTerms.
     """
-    cu, cv = _state_terms(state, a, cut, state.grid.xi ** 3)[-2:]
+    cu, cv = _StateTerms(state.grid, a, cut)(state)[-2:]
     return cu, cv
 
 
@@ -319,11 +332,11 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
     even number of intervals) that share one grid and whose params are
     (a, 1, 1, 1), the system the decomposition describes; anything else
     raises ValueError. Both right sides are integrated in time with
-    composite Simpson over the stored states, from one _state_terms call
-    per state; the boundary terms come from the first and last states'
-    rows. The return value is the maximum over modes (u and v alike) of
-    |classical - integrated-by-parts| divided by the largest profile
-    coefficient magnitude.
+    composite Simpson over the stored states, from one _StateTerms
+    call per state; the boundary terms come from the first and last
+    states' rows. The return value is the maximum over modes (u and v
+    alike) of |classical - integrated-by-parts| divided by the largest
+    profile coefficient magnitude.
     """
     if len(trajectory) < 3 or len(trajectory) % 2 == 0:
         raise ValueError("need an odd number of equally spaced states "
@@ -349,15 +362,16 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
         # all coupling terms carry the switched-off coefficients
         return 0.0
 
-    xi3 = grid.xi ** 3
+    state_terms = _StateTerms(grid, a, cut)
     acc = np.zeros((len(_EQUATION), grid.n), dtype=complex)
     for k, (wi, st) in enumerate(zip(_simpson_weights(m, h), trajectory)):
-        terms = _state_terms(st, a, cut, xi3)
+        terms = state_terms(st)
         acc += wi * terms
         if k == 0:
             b0 = terms[8:10]
     b1 = terms[8:10]
 
+    xi3 = state_terms.xi3
     s0 = trajectory[0]
     profile0 = np.array((np.exp(-1j * a * t0 * xi3) * s0.uhat.coeffs,
                          np.exp(-1j * t0 * xi3) * s0.vhat.coeffs))

@@ -183,7 +183,16 @@ def classify_gwp(coeffs, p, original_system=False):
       * the original Hirota-Satsuma coupling is used, a = 1/4,
         k, s >= 1, (k, s) in A_{1/4}, gamma > 0 and theta < 0.
 
-    Both branches require real coefficients.
+    Both branches require real coefficients. Each rests on a
+    conserved pair of spectral.invariants_eval. The first uses the mass
+    M = int theta u^2 - 2 gamma v^2, which is definite when
+    gamma theta < 0. The original_system branch rests on M together
+    with the energy E_H, which needs beta = a theta. At a = 1/4 with
+    gamma > 0 > theta, M is definite and the quadratic part
+    1/2 u_x^2 - 4 gamma/theta v_x^2 of E_H is positive, so with the
+    Gagliardo-Nirenberg inequality for its cubic terms the pair bounds
+    the H^1 x H^1 norm. original_system=True asserts that coupling; it
+    is not checked here.
     """
     if not isinstance(p, RegularityPoint):
         p = RegularityPoint(*p)

@@ -27,6 +27,14 @@ xi = -pi n/L, so its coefficient follows the same linear flow as on the
 full space; it is outside every dealias mask, and irfft reads only its
 real part. Either way a step makes 8 FFT calls, one inverse and one
 forward per RK4 stage, and returns all n coefficients.
+
+A run builds its constant data once, in a _Propagator: the space's
+linear-flow factors and its NonlinearTerms, which hold i xi, the
+transform pair, the couplings and scratch arrays. The IBPS check
+(ibps.py) builds a NonlinearTerms of its own on all n modes, so the
+quadratic products of both are formed by the same code. Each step
+leaves its result's coefficient rows and norm in the propagator, and
+the next step of the run starts from them.
 """
 
 import numpy as np
@@ -86,13 +94,16 @@ class SpectralField:
         self.coeffs = coeffs
         self.hermitian = bool(hermitian)
 
-    def to_physical(self):
-        return np.fft.ifft(self.coeffs * self.grid.n)
+    @classmethod
+    def _checked(cls, grid, coeffs, hermitian):
+        """A field from a complex (n,) array whose checks the caller made."""
+        f = cls.__new__(cls)
+        f.grid, f.coeffs, f.hermitian = grid, coeffs, hermitian
+        return f
 
     def copy(self):
-        f = SpectralField(self.grid, self.coeffs.copy())
-        f.hermitian = self.hermitian
-        return f
+        return SpectralField._checked(self.grid, self.coeffs.copy(),
+                                      self.hermitian)
 
 
 class SimState:
@@ -108,9 +119,17 @@ class SimState:
         self.params = params
         self.grid = uhat.grid
 
+    @classmethod
+    def _checked(cls, t, uhat, vhat, params):
+        """A state of finite fields on one grid, as the caller checked."""
+        st = cls.__new__(cls)
+        st.t, st.uhat, st.vhat, st.params = t, uhat, vhat, params
+        st.grid = uhat.grid
+        return st
+
     def copy(self):
-        return SimState(self.t, self.uhat.copy(), self.vhat.copy(),
-                        self.params)
+        return SimState._checked(self.t, self.uhat.copy(), self.vhat.copy(),
+                                 self.params)
 
 
 class SolverConfig:
@@ -151,55 +170,95 @@ def spectral_product(ahat, bhat, grid, mask):
     return prod * mask
 
 
-def nonlinear_terms(uh, vh, grid, params, mask):
-    """Nonlinear terms of the system at Fourier coefficients uh, vh.
+class NonlinearTerms:
+    """The nonlinear right sides of the system on one mode space.
 
-    Returns (i xi (beta u^2 + gamma v^2)^hat, theta (u v_x)^hat, u, v):
-    the two right sides, dealiased by mask, and the physical fields.
-    One batched inverse FFT gives u, v and v_x, and one batched forward
-    FFT transforms both products.
+    mask is the dealias mask over the space's modes: all n of them
+    (ifft/fft, the complex couplings) or the m = n/2+1 of the half
+    space (irfft/rfft, the couplings' real parts; module docstring).
+    i xi, the transform pair, the couplings and the scratch arrays are
+    set up here, once, and every call reuses them.
 
-    uh, vh and mask hold all n modes (ifft/fft) or the m = n/2+1 modes
-    of the half space (irfft/rfft, real couplings; module docstring);
-    on the half space u and v are real.
+    Calling it at coefficient rows w = (uhat, vhat), shape (2, m),
+    returns (N, uv): N is the new (2, m) array with rows
+    i xi (beta u^2 + gamma v^2)^hat and theta (u v_x)^hat, dealiased by
+    mask, and uv the physical rows (u, v), real on the half space.
+    One batched inverse FFT of (uhat, vhat, i xi vhat) gives u, v and
+    v_x, and one batched forward FFT transforms both products. uv is
+    scratch that the next call overwrites. The quadratic products of
+    the solver and of the IBPS check are formed here and nowhere else.
     """
-    m = mask.size
-    ixi = 1j * grid.xi[:m]
-    if m == grid.n:
-        inv, fwd = np.fft.ifft, np.fft.fft
-        beta, gamma, theta = params.beta, params.gamma, params.theta
-    else:
-        inv, fwd = np.fft.irfft, np.fft.rfft
-        beta, gamma, theta = (params.beta.real, params.gamma.real,
-                              params.theta.real)
-    u, v, vx = inv(np.array((uh, vh, ixi * vh)), grid.n, norm="forward")
-    nl = fwd(np.array((beta * u * u + gamma * v * v, theta * u * vx)),
-             norm="forward") * mask
-    nl[0] *= ixi
-    return nl[0], nl[1], u, v
+
+    def __init__(self, grid, params, mask):
+        m, n = mask.size, grid.n
+        self.n = n
+        self.mask = mask
+        self.ixi = 1j * grid.xi[:m]
+        if m == n:
+            self._inv, self._fwd = np.fft.ifft, np.fft.fft
+            self._c = (params.beta, params.gamma, params.theta)
+            dtype = complex
+        else:
+            self._inv, self._fwd = np.fft.irfft, np.fft.rfft
+            self._c = (params.beta.real, params.gamma.real,
+                       params.theta.real)
+            dtype = float
+        self._in = np.empty((3, m), dtype=complex)
+        self._phys = np.empty((3, n), dtype=dtype)
+        self._prod = np.empty((2, n), dtype=dtype)
+        # views of the scratch rows, so that a call makes none
+        self._uv_in, self._ivx_in = self._in[:2], self._in[2]
+        self._uv = self._phys[:2]
+        self._u, self._v, self._vx = self._phys
+        self._p, self._q = self._prod
+
+    def __call__(self, w):
+        u, v, vx, p, q = self._u, self._v, self._vx, self._p, self._q
+        beta, gamma, theta = self._c
+        self._uv_in[...] = w
+        np.multiply(self.ixi, w[1], out=self._ivx_in)
+        self._inv(self._in, self.n, norm="forward", out=self._phys)
+        np.multiply(beta, u, out=p)
+        p *= u
+        np.multiply(gamma, v, out=q)
+        q *= v
+        p += q
+        np.multiply(theta, u, out=q)
+        q *= vx
+        nl = self._fwd(self._prod, norm="forward")
+        nl *= self.mask
+        nl[0] *= self.ixi
+        return nl, self._uv
 
 
 class _Propagator:
-    """Mode space and linear-flow data for the steps of one run() call.
+    """Mode space, linear flow and right side of the steps of one run().
 
-    The space (module docstring) is chosen here, from the input state.
-    The propagator holds the space's xi^3 and dealias mask, the weights
-    (1, 2, ..., 2, 1 on the half space, all 1 on the full one) that turn
-    sums of |c|^2 over its modes into sums over all n, the half-step
-    factor eh = exp(rate dt/2) for the rates rate = (i a xi^3, i xi^3)
-    as rows, and a one-entry memo of exp(rate tau). Each exponent is
-    formed as (i a tau) xi^3, the rounding of exp(1j * a * tau * xi**3);
-    at tau xi^3 ~ 1e7 another product order moves high-mode phases by
+    The space (module docstring) is chosen here, from the input state,
+    and the propagator serves the states of that run: same grid, params
+    and cfg. It holds the space's xi^3, dealias mask and NonlinearTerms,
+    max |xi| for the stability bound, the weights (1, 2, ..., 2, 1 on
+    the half space, all 1 on the full one) that turn sums of |c|^2 over
+    its modes into sums over all n, the half-step factor
+    eh = exp(rate dt/2) for the rates rate = (i a xi^3, i xi^3) as rows,
+    and a one-entry memo of exp(rate tau). Each exponent is formed as
+    (i a tau) xi^3, the rounding of exp(1j * a * tau * xi**3); at
+    tau xi^3 ~ 1e7 another product order moves high-mode phases by
     ~1e-9.
+
+    step() leaves here the state it last returned (last), with that
+    state's (2, m) coefficient rows (w) and their largest norm (norm).
     """
 
     def __init__(self, state, cfg):
         grid, p = state.grid, state.params
         self.half = (p.is_real() and state.uhat.hermitian
                      and state.vhat.hermitian)
-        self.n = grid.n
+        self.grid = grid
         m = grid.n // 2 + 1 if self.half else grid.n
         self.mask = grid.dealias_mask(cfg.dealias_fraction)[:m]
+        self.terms = NonlinearTerms(grid, p, self.mask)
+        self.xi_max = np.abs(grid.xi).max()
         self.weights = np.ones(m)
         if self.half:
             self.weights[1:-1] = 2.0
@@ -208,6 +267,7 @@ class _Propagator:
         self.dt = cfg.dt
         self._tau = None
         self.eh = self._exp(cfg.dt / 2)
+        self.last = self.w = self.norm = None
 
     def _exp(self, tau):
         if tau != self._tau:
@@ -230,7 +290,7 @@ class _Propagator:
         if not self.half:
             return w
         m = w.shape[1]
-        out = np.empty((2, self.n), dtype=complex)
+        out = np.empty((2, self.grid.n), dtype=complex)
         out[:, :m] = w
         np.conjugate(w[:, m - 2:0:-1], out=out[:, m:])
         return out
@@ -240,9 +300,9 @@ def step(state, cfg, prop=None):
     """One integrating-factor RK4 step; the linear flow is exact.
 
     u and v are stacked as rows w over the propagator's modes, and N is
-    the nonlinear_terms output. The RK4 stages on the profiles
-    exp(-rate tau) w are written relative to the step start t, so they
-    use only eh = exp(rate dt/2):
+    its NonlinearTerms. The RK4 stages on the profiles exp(-rate tau) w
+    are written relative to the step start t, so they use only
+    eh = exp(rate dt/2):
 
         n1 = N(w),  n2 = N(eh w + dt/2 eh n1),  n3 = N(eh w + dt/2 n2),
         n4 = N(eh (eh w + dt n3)),
@@ -257,64 +317,70 @@ def step(state, cfg, prop=None):
     factors changes from step to step, so the drift only random-walks
     (a few 1e-15 there). Step k's f1 is step k+1's f0 for the same
     float t, so with the propagator of run() a step makes one exp call.
+
     The stability bound is checked on the stage-1 fields, before stages
-    2-4 run; the growth guard compares norms over all n modes. prop is
-    the _Propagator that run() builds once per call; step(state, cfg)
-    builds its own.
+    2-4 run. The growth guard compares norms over all n modes, and the
+    new rows must be finite (ValueError otherwise, as for SimState).
+    prop is the _Propagator that run() builds once per call;
+    step(state, cfg) builds its own. When state is the one that prop
+    last returned, its rows and norm are taken from prop instead of
+    being read again, so the growth guard's old norm is the previous
+    step's new one; a state whose coefficients were changed in place
+    since must be passed as a copy. The returned state is built without
+    repeating these checks.
 
     On the half space the step reads modes 0..n/2 of the state and
     returns all n, conjugate-symmetric, with the hermitian flag set, so
     a following step(state, cfg) stays on the half space.
     """
-    grid = state.grid
-    p = state.params
-    dt = cfg.dt
-    t = state.t
     if prop is None:
         prop = _Propagator(state, cfg)
-    m = prop.mask.size
-    w = np.array((state.uhat.coeffs[:m], state.vhat.coeffs[:m]))
+    dt = cfg.dt
+    t = state.t
+    if state is prop.last:
+        w, old = prop.w, prop.norm
+    else:
+        m = prop.mask.size
+        w = np.array((state.uhat.coeffs[:m], state.vhat.coeffs[:m]))
+        old = prop.norms(w).max()
     if cfg.nonlinear_enabled:
-        def rhs(y):
-            # drops the physical fields, so nothing outlives the call
-            return np.array(nonlinear_terms(y[0], y[1], grid, p,
-                                            prop.mask)[:2])
-
-        nl = nonlinear_terms(w[0], w[1], grid, p, prop.mask)
-        amp = max(np.abs(nl[2].real).max(), np.abs(nl[3].real).max())
-        dt_max = (STABILITY_C / (np.abs(grid.xi).max() * amp) if amp > 0
-                  else np.inf)
+        rhs = prop.terms
+        n1, uv = rhs(w)
+        amp = np.abs(uv.real).max()
+        dt_max = STABILITY_C / (prop.xi_max * amp) if amp > 0 else np.inf
         if dt > dt_max:
             raise StabilityError(
                 "dt=%g violates the advective stability bound "
                 "dt <= C/(max|xi| * max(|u|,|v|)) = %g (C=%g)"
                 % (dt, dt_max, STABILITY_C))
-        n1 = np.array(nl[:2])
-        del nl
         eh = prop.eh
         ew = eh * w
-        s = rhs(ew + dt / 2 * (eh * n1))  # n2, then n2 + n3
-        n3 = rhs(ew + dt / 2 * s)
+        s = rhs(ew + dt / 2 * (eh * n1))[0]  # n2, then n2 + n3
+        n3 = rhs(ew + dt / 2 * s)[0]
         s += n3
         y4 = eh * (ew + dt * n3)
         del ew, n3
         # all but the n4 term, so that n1 and s are freed before stage 4
         w_new = prop.across(t) * (w + dt / 6 * (n1 + 2 * eh.conj() * s))
         del n1, s
-        w_new += dt / 6 * rhs(y4)
+        w_new += dt / 6 * rhs(y4)[0]
     else:
         w_new = prop.across(t) * w
 
-    old = max(prop.norms(w).max(), 1e-300)
+    old = max(old, 1e-300)
     new = prop.norms(w_new).max()
     if new > 10.0 * old:
         raise StabilityError(
             "instability detected: spectral norm grew %.3gx in one step "
             "at t=%g" % (new / old, t))
+    if not np.isfinite(w_new).all():
+        raise ValueError("non-finite coefficients in state")
 
-    u, v = (SpectralField(grid, c) for c in prop.full(w_new))
-    u.hermitian = v.hermitian = prop.half  # exact by construction
-    return SimState(t + dt, u, v, p)
+    u, v = (SpectralField._checked(prop.grid, c, prop.half)
+            for c in prop.full(w_new))
+    prop.w, prop.norm = w_new, new
+    prop.last = SimState._checked(t + dt, u, v, state.params)
+    return prop.last
 
 
 def sobolev_norm(field, s):
@@ -326,18 +392,40 @@ def sobolev_norm(field, s):
 
 
 def invariants_eval(state):
-    """Mean of u, mass M and energy E by spectral quadrature.
+    """Mean of u, mass M and energy E_H by spectral quadrature.
 
     M = int theta u^2 - 2 gamma v^2 dx is conserved for real
-    coefficients. E = int (1-a) u_x^2 + gamma v_x^2 - 2(1-a) u^3
-    - gamma u v^2 dx is reported, not conserved: at a = 1/2 and unit
-    coupling (demos/02_solver_invariants.py) it moves from -0.19337 to
-    -0.17614 over T = 0.5 while M drifts by 2.0e-14 relative, the
-    rounding random walk of 5000 steps. The fields must be Hermitian to
-    1e-8 relative, except for the imaginary part of the Nyquist
-    coefficient: the linear flow makes that coefficient complex, and
-    irfft ignores its imaginary part. u, v, u_x and v_x come from their
-    n/2+1 nonnegative modes by one batched irfft.
+    couplings. Under "E" the energy
+
+        E_H = int 1/2 u_x^2 + beta/(3a) u^3
+                  + gamma/(a-1) (3/theta v_x^2 + u v^2) dx
+
+    is reported for real couplings with beta = a theta (to 1e-12
+    relative) and a != 1; a and theta are nonzero for every
+    Coefficients. For any other system E is NaN.
+
+    Derivation. Write the u equation as u_t = R_x with
+    R = -a u_xx + beta u^2 + gamma v^2, and let k = gamma/(a-1). The
+    variational derivatives of E_H are P = -u_xx + (beta/a) u^2 + k v^2
+    and Q = -(6k/theta) v_xx + 2k u v, so dE_H/dt = int P u_t + Q v_t.
+    With beta = a theta, P = R/a + (k/a) v^2, and int R R_x = 0 and
+    int v^3 v_x = 0 leave
+    int P u_t = -(2k/a) int v v_x R = 2k int u_xx v v_x
+    - 2k theta int u^2 v v_x. Integrating by parts with
+    v_t = -v_xxx + theta u v_x, int Q v_t = -2k int u_xx v v_x
+    + 2k theta int u^2 v v_x, so the two cancel and dE_H/dt = 0. From
+    the data of demos/02_solver_invariants.py (n = 256, L = 40,
+    dt = 1e-3, T = 2) E_H drifts by at most 2.7e-13 relative for
+    (a, beta, gamma, theta) = (1/2, 1/2, 1, 1), (2, 2, 1, 1),
+    (-1, 1, 0.7, -1) and (3, 1.5, -2, 0.5). At unit coupling
+    (1/2, 1, 1, 1), where beta != a theta, the same functional moves by
+    6.5%.
+
+    The fields must be Hermitian to 1e-8 relative, except for the
+    imaginary part of the Nyquist coefficient: the linear flow makes
+    that coefficient complex, and irfft ignores its imaginary part.
+    u, v, u_x and v_x come from their n/2+1 nonnegative modes by one
+    batched irfft.
     """
     grid = state.grid
     p = state.params
@@ -354,12 +442,16 @@ def invariants_eval(state):
                                 grid.n, norm="forward")
     dx = grid.L / grid.n
     mean_u = float(np.sum(u) * dx)
+    a, beta = p.a, p.beta.real
     gamma = p.gamma.real
     theta = p.theta.real
     M = float(np.sum(theta * u ** 2 - 2.0 * gamma * v ** 2) * dx)
-    E = float(np.sum((1.0 - p.a) * ux ** 2 + gamma * vx ** 2
-                     - 2.0 * (1.0 - p.a) * u ** 3
-                     - gamma * u * v ** 2) * dx)
+    E = float("nan")
+    if (p.is_real() and a != 1.0
+            and abs(beta - a * theta) <= 1e-12 * abs(beta)):
+        k = gamma / (a - 1.0)
+        E = float(np.sum(0.5 * ux ** 2 + beta / (3.0 * a) * u ** 3
+                         + k * (3.0 / theta * vx ** 2 + u * v ** 2)) * dx)
     return {"mean_u": mean_u, "M": M, "E": E}
 
 
@@ -372,6 +464,11 @@ def run(state, cfg, T, store_every=0):
     so the last one is final_state. They are not copied, because copies
     interleaved with the step temporaries fragment the heap (a 0.5 MB
     larger malloc arena after an ibps-check solve keeping 257 states).
+
+    One _Propagator serves every step, and each step() call gets the
+    state the previous one returned, so it reuses that state's rows and
+    norm from the propagator. run() makes exactly one module-level
+    step() call per step, which perfbench/tracing.py counts and times.
     """
     nsteps = int(round(T / cfg.dt))
     stored = [state.copy()] if store_every else []

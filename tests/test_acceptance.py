@@ -158,6 +158,40 @@ def test_criterion_3_solver():
     assert np.max(np.abs(got - oracle)) <= 1e-10
 
 
+def _energy_h(state, a, beta, gamma, theta):
+    """E_H written out on all n modes, for any coupling."""
+    g = state.grid
+    c = np.array((state.uhat.coeffs, state.vhat.coeffs)) * g.n
+    u, v = np.fft.ifft(c).real
+    ux, vx = np.fft.ifft(1j * g.xi * c).real
+    return float(np.sum(0.5 * ux ** 2 + beta / (3.0 * a) * u ** 3
+                        + gamma / (a - 1.0) * (3.0 / theta * vx ** 2
+                                               + u * v ** 2))
+                 * g.L / g.n)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0.5, 0.5, 1.0, 1.0), (2.0, 2.0, 1.0, 1.0), (-1.0, 1.0, 0.7, -1.0),
+    (3.0, 1.5, -2.0, 0.5), (0.5, 1.0, 1.0, 1.0)])
+def test_criterion_3_energy_h(coeffs):
+    # E_H is conserved when beta = a theta; at unit coupling the same
+    # functional drifts, and invariants_eval reports NaN for it
+    g = spectral.Grid(40.0, 256)
+    bump = lambda x: 0.5 * np.exp(-((x - 20.0) / 2.0) ** 2)
+    st = spectral.make_state(g, bump, lambda x: 0.4 * bump(x),
+                             Coefficients(*coeffs))
+    fin, _ = spectral.run(st, spectral.SolverConfig(dt=1e-3), 1.0)
+    e0, e1 = _energy_h(st, *coeffs), _energy_h(fin, *coeffs)
+    got = [spectral.invariants_eval(s)["E"] for s in (st, fin)]
+    a, beta, _, theta = coeffs
+    if beta == a * theta:
+        assert abs(e1 - e0) <= 1e-10 * abs(e0)
+        assert got == pytest.approx([e0, e1], rel=1e-12)
+    else:
+        assert abs(e1 - e0) >= 1e-3 * abs(e0)
+        assert np.isnan(got).all()
+
+
 # --------------------------------------------------------------- 4
 
 

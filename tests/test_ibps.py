@@ -7,8 +7,8 @@ from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
                         v_phase_floor_constant)
 from hskdv.ibps import _kernels
 from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
-from hskdv.spectral import (Grid, SimState, SolverConfig, SpectralField,
-                            make_state, nonlinear_terms, run,
+from hskdv.spectral import (Grid, NonlinearTerms, SimState, SolverConfig,
+                            SpectralField, make_state, run,
                             spectral_product)
 
 CUT10 = CutoffParams(delta_u=0.1, delta_v=0.1, eta_sim=0.1)
@@ -334,7 +334,7 @@ def test_output_row_filter_keeps_every_term(monkeypatch, a):
 
 
 # Per-term reference: every term on its own, with its own transforms and
-# region sum, written out from the formulas. ibps._state_terms forms all
+# region sum, written out from the formulas. ibps._StateTerms forms all
 # of them together and must agree row by row.
 
 def _ref_valid_conv(f1, f2):
@@ -389,8 +389,8 @@ def _ref_coupling_terms(state, a, cut):
     grid = state.grid
     xi3 = grid.xi ** 3
     mask = _kernels(grid, a, cut).outmask
-    nu, nv = nonlinear_terms(state.uhat.coeffs, state.vhat.coeffs, grid,
-                             Coefficients(a), mask)[:2]
+    nu, nv = NonlinearTerms(grid, Coefficients(a), mask)(
+        np.array((state.uhat.coeffs, state.vhat.coeffs)))[0]
     return (np.exp(-1j * a * state.t * xi3) * nu,
             np.exp(-1j * state.t * xi3) * nv)
 
@@ -433,7 +433,7 @@ def test_state_terms_match_per_term_reference(n, a):
     field = lambda: SpectralField(
         g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
     st = SimState(0.0123, field(), field(), _norm_params(a))
-    got = ibps._state_terms(st, a, cut, g.xi ** 3)
+    got = ibps._StateTerms(g, a, cut)(st)
     ref = ([_ref_eval_term(tag, st, a, cut) for tag in TERM_TAGS]
            + list(_ref_coupling_terms(st, a, cut)))
     assert got.shape == (12, n)

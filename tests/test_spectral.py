@@ -33,7 +33,7 @@ def test_grid_frequencies():
 def test_make_state_roundtrip():
     g = Grid(2.0 * np.pi, 32)
     st = _cos_state(g, Coefficients(0.5))
-    u = st.uhat.to_physical().real
+    u = np.fft.ifft(st.uhat.coeffs * g.n).real
     assert np.max(np.abs(u - 0.1 * np.cos(2 * g.x))) < 1e-13
     # cosine splits into two modes of half amplitude
     assert st.uhat.coeffs[2] == pytest.approx(0.05)
@@ -127,8 +127,9 @@ def _per_product_step(state, cfg):
         return (np.conj(eu) * (1j * xi * (p.beta * u2 + p.gamma * v2)),
                 np.conj(ev) * (p.theta * uvx))
 
-    amp = max(np.max(np.abs(state.uhat.to_physical().real)),
-              np.max(np.abs(state.vhat.to_physical().real)))
+    u, v = np.fft.ifft(np.array((state.uhat.coeffs, state.vhat.coeffs))
+                       * grid.n).real
+    amp = max(np.max(np.abs(u)), np.max(np.abs(v)))
     dt_max = STABILITY_C / (np.max(np.abs(xi)) * amp)
     util = np.exp(-1j * p.a * t * xi ** 3) * state.uhat.coeffs
     vtil = np.exp(-1j * t * xi ** 3) * state.vhat.coeffs
@@ -458,3 +459,108 @@ def test_half_space_nyquist_mode_follows_full_space_flow():
                        nyq * (0.25, 0.5), rtol=1e-13, atol=0)
     for a, b in ((got.uhat, want.uhat), (got.vhat, want.vhat)):
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
+
+
+def _chain(state, cfg, nsteps, store_every):
+    """run()'s stored and final states from fresh step(state, cfg) calls."""
+    stored = [state] if store_every else []
+    for i in range(nsteps):
+        state = step(state, cfg)
+        if store_every and ((i + 1) % store_every == 0 or i == nsteps - 1):
+            stored.append(state)
+    return state, stored
+
+
+@pytest.mark.parametrize("space", ["half", "full"])
+@pytest.mark.parametrize("store_every", [0, 3])
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_run_equals_fresh_step_chain(space, store_every, nonlinear):
+    # run() carries each state's rows and norm to the next step in its
+    # propagator; a chain of fresh steps reads every state anew
+    g = Grid(2.0 * np.pi, 64)
+    st = _cos_state(g, Coefficients(2.0, beta=0.5, gamma=-1.0, theta=2.0),
+                    amp_u=0.3, amp_v=0.3, mode=3)
+    if space == "full":
+        st = _unflagged(st)
+    cfg = SolverConfig(dt=1e-3, nonlinear_enabled=nonlinear)
+    assert _Propagator(st, cfg).half == (space == "half")
+    fin, stored = run(st, cfg, 0.013, store_every=store_every)
+    want_fin, want = _chain(st, cfg, 13, store_every)
+    assert len(stored) == len(want) == (6 if store_every else 0)
+    for got, ref in zip(stored + [fin], want + [want_fin]):
+        assert got.t == ref.t
+        assert np.array_equal(got.uhat.coeffs, ref.uhat.coeffs)
+        assert np.array_equal(got.vhat.coeffs, ref.vhat.coeffs)
+        assert got.uhat.hermitian == ref.uhat.hermitian
+
+
+def test_run_calls_step_once_per_step(monkeypatch):
+    from hskdv import spectral
+    calls = []
+
+    def counting(state, cfg, prop=None):
+        calls.append(state)
+        return step(state, cfg, prop)
+
+    monkeypatch.setattr(spectral, "step", counting)
+    st = _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5))
+    fin, _ = spectral.run(st, SolverConfig(dt=1e-3), 0.017)
+    assert len(calls) == 17
+    assert all(isinstance(s, SimState) for s in calls)
+    assert fin.t == pytest.approx(0.017)
+
+
+@pytest.mark.parametrize("space", ["half", "full"])
+def test_step_reads_a_state_its_propagator_did_not_return(space):
+    g = Grid(2.0 * np.pi, 64)
+    st = _cos_state(g, Coefficients(0.5, gamma=-1.0), amp_u=0.3, amp_v=0.3)
+    if space == "full":
+        st = _unflagged(st)
+    cfg = SolverConfig(dt=1e-3)
+    prop = _Propagator(st, cfg)
+    last = step(step(st, cfg, prop), cfg, prop)
+    assert prop.last is last
+    # the initial state, and a copy of the last one, are other states
+    for other in (st, last.copy()):
+        got = step(other, cfg, prop)
+        want = step(other, cfg)
+        assert got.t == want.t
+        assert np.array_equal(got.uhat.coeffs, want.uhat.coeffs)
+        assert np.array_equal(got.vhat.coeffs, want.vhat.coeffs)
+
+
+@pytest.mark.parametrize("space", ["half", "full"])
+def test_growth_guard_fires_mid_run_as_in_a_fresh_step_chain(space):
+    g = Grid(2.0 * np.pi, 64)
+    st = _cos_state(g, Coefficients(0.5, gamma=-1.0, theta=100.0),
+                    amp_u=0.3, amp_v=0.3)
+    if space == "full":
+        st = _unflagged(st)
+    cfg = SolverConfig(dt=1e-2)
+    s, fresh = st, None
+    for k in range(20):
+        try:
+            s = step(s, cfg)
+        except StabilityError as err:
+            fresh = str(err)
+            break
+    assert k >= 2 and fresh.startswith("instability detected")
+    with pytest.raises(StabilityError) as err:
+        run(st, cfg, 0.2)
+    assert str(err.value) == fresh
+
+
+def test_non_finite_right_side_raises(monkeypatch):
+    from hskdv import spectral
+    orig = spectral.NonlinearTerms.__call__
+
+    def nan_terms(self, w):
+        nl, uv = orig(self, w)
+        return nl * np.nan, uv
+
+    monkeypatch.setattr(spectral.NonlinearTerms, "__call__", nan_terms)
+    st = _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5))
+    for s in (st, _unflagged(st)):
+        with pytest.raises(ValueError,
+                           match="^non-finite coefficients in state$"):
+            step(s, SolverConfig(dt=1e-3))
