@@ -1,11 +1,14 @@
 from fractions import Fraction
+import hashlib
+import json
 import random
 
 import pytest
 
 from hskdv.atlas_svg import (build_layers, color_at, diagonal_threshold,
                              render_svg)
-from hskdv.regions import classify, in_A, in_A0
+from hskdv.cli import to_json
+from hskdv.regions import boundary_segments, classify, in_A, in_A0
 
 F = Fraction
 
@@ -67,3 +70,46 @@ def test_svg_quarter_and_low_cases():
 
 def test_svg_deterministic():
     assert render_svg(F(1, 2)) == render_svg(F(1, 2))
+
+
+# sha256 of the SVG and canonical digest of the segments JSON that
+# `hskdv atlas --a A` writes at the default k_max
+ATLAS_PINS = {
+    0.5: ("667a6b64ef8ea79ba911a60fda03f60e2c5906df0c989a6f2db6d2d6b86742e2",
+          "225b13a7d4b697ca8cec549a267cf1da999af812c4f35bc56835d7a29e2f769c"),
+    2.0: ("642377159d598ab31712782273f80239fb2ebca49f3f9ebd35a0231d4107b18d",
+          "225b13a7d4b697ca8cec549a267cf1da999af812c4f35bc56835d7a29e2f769c"),
+    -1.0: ("22c582f381b7b0b8caedc0913470a58b12ac019e32c55f7eeab1386aaf8d164a",
+           "1d6ce732c7d766ff539b0ac68aa9d9e897db8e0f1fdc8d3b3b5798ab5a589e27"),
+    0.25: ("1cc8c00ed57ed7b26a0491228c492933c2ab9fdfe2bd17bca29f830c1cb977f1",
+           "cb99bbd92dcfd9b69a9f1a837f46c6b4c3de04b8586a0131ae4fb7602c1fb1d3"),
+    3.0: ("deab569978b4eda84a81b1dbcb835cc734b82593519ca9d30dd5495a2db34db6",
+          "225b13a7d4b697ca8cec549a267cf1da999af812c4f35bc56835d7a29e2f769c"),
+}
+
+# classify, in_A, in_A0 and color_at over k in [-1, 5], s in [-2, 4] at
+# step 1/4, a grid through every kink of A_a, A0_a, the C^2 wedges and
+# the a = -1/8 gap
+GRID_PIN = "6d91130cd2d5a81a14bcf2e9bac36a29fa8f10e957a5b149ffc45a2b657fa102"
+
+
+@pytest.mark.parametrize("a", sorted(ATLAS_PINS))
+def test_atlas_bytes_pinned(a):
+    svg_sha, seg_digest = ATLAS_PINS[a]
+    assert hashlib.sha256(render_svg(a).encode()).hexdigest() == svg_sha
+    segs = json.loads(to_json([s.as_dict() for s in boundary_segments(a)]))
+    text = json.dumps(segs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == seg_digest
+
+
+def test_region_grid_pinned():
+    h = hashlib.sha256()
+    for a in (F(1, 2), F(2), F(-1), F(1, 4), F(3), F(-1, 8)):
+        for k in [F(i, 4) for i in range(-4, 21)]:
+            for s in [F(j, 4) for j in range(-8, 17)]:
+                v = classify(a, (k, s))
+                h.update(("%s %s %s %s %s %s %s %s %s %s\n" % (
+                    a, k, s, v.lwp, v.illposed, v.open_region, v.supported,
+                    in_A(a, (k, s)), in_A0(a, (k, s)),
+                    color_at(a, k, s))).encode())
+    assert h.hexdigest() == GRID_PIN
