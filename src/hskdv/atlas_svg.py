@@ -10,15 +10,16 @@ plane, painted bottom-up:
   blue    direct-contraction core
   yellow  the diagonal s = k with its supported threshold
 
-Every painted layer carries the exact rational half-plane constraints
-it was clipped from, so the same stack answers point-in-region queries
-(color_at) in exact arithmetic; this is what the rasterization
-agreement check against the classifier exercises.
+Every layer is clipped from half-planes of the regions table, so the
+same stack answers point-in-region queries (color_at) in exact
+arithmetic, and the tests check it against the classifier.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 
-from .regions import _rat, boundary_segments, QUARTER
+from .regions import (QUARTER, _rat, boundary_segments, inside,
+                      region_planes)
 
 COLORS = {
     "blue": "#4878cf",
@@ -35,30 +36,8 @@ PX_PER_UNIT = 40
 MARGIN = 30
 
 
-class HalfPlane:
-    """ck*k + cs*s + c0 >= 0 (or > 0 when strict)."""
-
-    def __init__(self, ck, cs, c0, strict=False):
-        self.ck = _rat(ck)
-        self.cs = _rat(cs)
-        self.c0 = _rat(c0)
-        self.strict = bool(strict)
-
-    def value(self, k, s):
-        return self.ck * k + self.cs * s + self.c0
-
-    def contains(self, k, s):
-        v = self.value(k, s)
-        return v > 0 if self.strict else v >= 0
-
-
-class Layer:
-    def __init__(self, color, planes):
-        self.color = color
-        self.planes = list(planes)
-
-    def contains(self, k, s):
-        return all(h.contains(k, s) for h in self.planes)
+# one painted polygon: a color and the half-planes it is clipped from
+Layer = namedtuple("Layer", "color planes")
 
 
 def _clip(poly, plane):
@@ -75,11 +54,7 @@ def _clip(poly, plane):
         vq = plane.value(*q)
         if vp >= 0:
             out.append(p)
-            if vq < 0:
-                t = vp / (vp - vq)
-                out.append((p[0] + t * (q[0] - p[0]),
-                            p[1] + t * (q[1] - p[1])))
-        elif vq >= 0:
+        if (vp >= 0) != (vq >= 0):
             t = vp / (vp - vq)
             out.append((p[0] + t * (q[0] - p[0]),
                         p[1] + t * (q[1] - p[1])))
@@ -96,87 +71,35 @@ def polygon_of(planes, view_k=VIEW_K, view_s=VIEW_S):
     return poly
 
 
-def _A_planes(a):
-    aq = _rat(a)
-    if aq < QUARTER:
-        return [HalfPlane(1, 0, Fraction(3, 4), strict=True),
-                HalfPlane(0, 1, Fraction(3, 4), strict=True),
-                HalfPlane(Fraction(-1, 2), 1, Fraction(3, 4), strict=True),
-                HalfPlane(-1, 1, 2, strict=True),
-                HalfPlane(1, -1, 3, strict=True)]
-    if aq == QUARTER:
-        return [HalfPlane(1, 0, Fraction(-3, 4)),
-                HalfPlane(Fraction(-1, 2), 1, Fraction(-3, 8)),
-                HalfPlane(-1, 1, 2, strict=True),
-                HalfPlane(1, -1, 3, strict=True)]
-    return [HalfPlane(1, 0, 0),
-            HalfPlane(Fraction(-1, 2), 1, 0),
-            HalfPlane(-1, 1, 2, strict=True),
-            HalfPlane(1, -1, 3, strict=True)]
-
-
-def _A0_planes(a):
-    aq = _rat(a)
-    if aq < QUARTER:
-        return [HalfPlane(1, 0, Fraction(3, 4), strict=True),
-                HalfPlane(Fraction(-1, 2), 1, Fraction(3, 8), strict=True),
-                HalfPlane(-1, 1, Fraction(3, 2), strict=True),
-                HalfPlane(1, -1, Fraction(5, 2), strict=True)]
-    if aq == QUARTER:
-        return [HalfPlane(1, 0, Fraction(-3, 4)),
-                HalfPlane(Fraction(-1, 2), 1, Fraction(-3, 8)),
-                HalfPlane(-1, 1, Fraction(3, 2), strict=True),
-                HalfPlane(1, -1, Fraction(5, 2), strict=True)]
-    return [HalfPlane(1, 0, 0),
-            HalfPlane(Fraction(-1, 2), 1, 0),
-            HalfPlane(-1, 1, Fraction(3, 2), strict=True),
-            HalfPlane(1, -1, Fraction(5, 2), strict=True)]
-
-
 def build_layers(a):
     """Painted polygon stack for one figure, bottom to top."""
     aq = _rat(a)
-    if aq in (0, 1):
-        raise ValueError("no atlas figure for a in {0,1}")
-    layers = []
-    if aq >= QUARTER:
-        layers.append(Layer("red", []))          # whole exterior
-    else:
+    A, A0, wedges = region_planes(aq)  # ValueError for a in {0, 1}
+    # the C^2 wedges (for a >= 1/4 one wedge: the whole exterior)
+    layers = [Layer("red", w) for w in wedges]
+    if aq < QUARTER:
         base = "white" if aq == Fraction(-1, 8) else "orange"
-        layers.append(Layer(base, []))
-        # C^2 wedge above s = k+3
-        layers.append(Layer("red",
-                            [HalfPlane(-1, 1, -3, strict=True)]))
-        # C^2 wedge below s = min(k/2-3/4, k-2, -1)
-        layers.append(Layer("red", [
-            HalfPlane(Fraction(1, 2), -1, Fraction(-3, 4), strict=True),
-            HalfPlane(1, -1, -2, strict=True),
-            HalfPlane(0, -1, -1, strict=True)]))
-    layers.append(Layer("gray", _A_planes(aq)))
-    layers.append(Layer("blue", _A0_planes(aq)))
-    return layers
+        layers.insert(0, Layer(base, []))
+    return layers + [Layer("gray", A), Layer("blue", A0)]
 
 
 def color_at(a, k, s):
     """Topmost layer color at an exact rational point."""
     k, s = _rat(k), _rat(s)
-    color = None
-    for layer in build_layers(a):
-        if layer.contains(k, s):
-            color = layer.color
-    return color
+    return next((layer.color for layer in reversed(build_layers(a))
+                 if inside(layer.planes, k, s)), None)
 
 
 def diagonal_threshold(a):
-    """Lower end of the supported part of the diagonal s = k."""
+    """Lower end of the supported part of the diagonal s = k.
+
+    On s = k each A_a plane with ck+cs > 0 reads k >= -c0/(ck+cs).
+    """
     aq = _rat(a)
     if aq in (0, 1):
         return None
-    if aq < QUARTER:
-        return Fraction(-3, 4)
-    if aq == QUARTER:
-        return Fraction(3, 4)
-    return Fraction(0)
+    return max(Fraction(-h.c0, h.ck + h.cs) for h in region_planes(aq)[0]
+               if h.ck + h.cs > 0)
 
 
 def _xy(k, s):

@@ -13,6 +13,7 @@ error too: one ``config error:`` line, no traceback, exit 2.
 
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -103,7 +104,9 @@ def _convert(key, raw):
         if tag == "float":
             return float(raw)
         if tag == "rat":
-            return raw  # kept verbatim for exact rational handling
+            q = Fraction(raw)  # exact; the runners also take float(q)
+            float(q)  # OverflowError past the float range
+            return q
         if tag == "bool":
             low = raw.lower()
             if low in ("1", "true", "yes", "on"):
@@ -117,7 +120,7 @@ def _convert(key, raw):
             return _parse_boxes(raw)
     except ConfigError:
         raise
-    except ValueError:
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ConfigError("bad %s value %r" % (tag, raw))
     raise ConfigError("unhandled key type %r" % tag)
 

@@ -11,24 +11,23 @@ as a function of the dispersion ratio a:
   the C^2 / C^3 ill-posedness regions outside the closure of A_a,
   and the known open gap at a = -1/8.
 
-Boundaries mix strict and non-strict inequalities, so membership is
-evaluated in exact rational arithmetic (fractions.Fraction); decimal
-strings and ints are converted exactly, floats through a bounded
-denominator.
+Each a-case is stated once, as a table of labelled half-planes (A_a,
+A0_a and the C^2 wedges); membership, classify, boundary_segments and
+the atlas layers all read it. Boundaries mix strict and non-strict
+inequalities, so membership is evaluated in exact rational arithmetic
+(fractions.Fraction); decimal strings and ints are converted exactly,
+floats through a bounded denominator.
 """
 
 from fractions import Fraction
+from math import lcm
 
 QUARTER = Fraction(1, 4)
 
 
 def _rat(x):
     """Exact rational from int/Fraction/decimal-string; floats snapped."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (Fraction, int, str)):
         return Fraction(x)
     if isinstance(x, float):
         if x != x or x in (float("inf"), float("-inf")):
@@ -84,52 +83,99 @@ class Verdict:
                                    self.open_region, self.supported))
 
 
-def _check_a(a):
+class HalfPlane:
+    """ck*k + cs*s + c0 >= 0 (> 0 when strict); label names its line.
+
+    Coefficients are kept as integers, scaled by a positive lcm, so
+    side() and contains() do integer work only.
+    """
+
+    def __init__(self, ck, cs, c0, strict=False, label=None):
+        ck, cs, c0 = Fraction(ck), Fraction(cs), Fraction(c0)
+        d = lcm(ck.denominator, cs.denominator, c0.denominator)
+        self.ck, self.cs, self.c0 = int(ck * d), int(cs * d), int(c0 * d)
+        self.strict = strict
+        self.label = label
+
+    def side(self, k, s):
+        """The value at rationals (k, s) times their denominators."""
+        kd, sd = k.denominator, s.denominator
+        return (self.ck * k.numerator * sd + self.cs * s.numerator * kd
+                + self.c0 * kd * sd)
+
+    def value(self, k, s):
+        return Fraction(self.side(k, s), k.denominator * s.denominator)
+
+    def contains(self, k, s, closed=False):
+        v = self.side(k, s)
+        return v > 0 if self.strict and not closed else v >= 0
+
+
+def inside(planes, k, s, closed=False):
+    """Point in every half-plane (in their closures when closed)."""
+    return all(h.contains(k, s, closed) for h in planes)
+
+
+def _table(*rows):
+    return tuple(HalfPlane(*row) for row in rows)
+
+
+# The theorem as data, one entry per a-case: the planes of A_a (with
+# the label of each boundary line), of A0_a, and the C^2 wedges outside
+# the closure of A_a (one empty wedge: the whole exterior). Each row is
+# (ck, cs, c0, strict, label); the order is the atlas clip order.
+_Q = Fraction
+_UPPER = (1, -1, 3, True, "s=k+3")
+_LOWER = (-1, 1, 2, True, "s=k-2")
+_A0_SIDES = ((-1, 1, _Q(3, 2), True), (1, -1, _Q(5, 2), True))
+_A_CASES = {
+    "a<1/4": (
+        _table((1, 0, _Q(3, 4), True, "k=-3/4"),
+               (0, 1, _Q(3, 4), True, "s=-3/4"),
+               (_Q(-1, 2), 1, _Q(3, 4), True, "s=k/2-3/4"), _LOWER, _UPPER),
+        _table((1, 0, _Q(3, 4), True), (_Q(-1, 2), 1, _Q(3, 8), True),
+               *_A0_SIDES),
+        (_table((-1, 1, -3, True)),  # s > k+3
+         _table((_Q(1, 2), -1, _Q(-3, 4), True), (1, -1, -2, True),
+                (0, -1, -1, True)))),  # s < min(k/2-3/4, k-2, -1)
+    "a=1/4": (
+        _table((1, 0, _Q(-3, 4), False, "k=3/4"),
+               (_Q(-1, 2), 1, _Q(-3, 8), False, "s=k/2+3/8"),
+               _LOWER, _UPPER),
+        _table((1, 0, _Q(-3, 4)), (_Q(-1, 2), 1, _Q(-3, 8)), *_A0_SIDES),
+        ((),)),
+    "a>1/4": (
+        _table((1, 0, 0, False, "k=0"), (_Q(-1, 2), 1, 0, False, "s=k/2"),
+               _LOWER, _UPPER),
+        _table((1, 0, 0), (_Q(-1, 2), 1, 0), *_A0_SIDES),
+        ((),)),
+}
+
+
+def region_planes(a):
+    """(A_a planes, A0_a planes, C^2 wedges) of the a-case of a."""
     aq = _rat(a)
     if aq == 0 or aq == 1:
         raise ValueError("a in {0,1} is outside the supported theory")
-    return aq
+    if aq < QUARTER:
+        return _A_CASES["a<1/4"]
+    return _A_CASES["a=1/4" if aq == QUARTER else "a>1/4"]
+
+
+def _point(p):
+    if not isinstance(p, RegularityPoint):
+        p = RegularityPoint(*p)
+    return p.k, p.s
 
 
 def in_A(a, p):
     """Membership in the full LWP region A_a (three a-cases)."""
-    aq = _check_a(a)
-    if not isinstance(p, RegularityPoint):
-        p = RegularityPoint(*p)
-    k, s = p.k, p.s
-    if aq < QUARTER:
-        lower = max(Fraction(-3, 4), k / 2 - Fraction(3, 4), k - 2)
-        return k > Fraction(-3, 4) and lower < s < k + 3
-    if aq == QUARTER:
-        return (k >= Fraction(3, 4) and s >= k / 2 + Fraction(3, 8)
-                and k - 2 < s < k + 3)
-    return k >= 0 and s >= k / 2 and k - 2 < s < k + 3
+    return inside(region_planes(a)[0], *_point(p))
 
 
 def in_A0(a, p):
     """Membership in the direct-contraction subregion A0_a."""
-    aq = _check_a(a)
-    if not isinstance(p, RegularityPoint):
-        p = RegularityPoint(*p)
-    k, s = p.k, p.s
-    if aq < QUARTER:
-        lower = max(k / 2 - Fraction(3, 8), k - Fraction(3, 2))
-        return k > Fraction(-3, 4) and lower < s < k + Fraction(5, 2)
-    if aq == QUARTER:
-        return (k >= Fraction(3, 4) and s >= k / 2 + Fraction(3, 8)
-                and k - Fraction(3, 2) < s < k + Fraction(5, 2))
-    return (k >= 0 and s >= k / 2
-            and k - Fraction(3, 2) < s < k + Fraction(5, 2))
-
-
-def _in_closure_A(aq, k, s):
-    if aq < QUARTER:
-        lower = max(Fraction(-3, 4), k / 2 - Fraction(3, 4), k - 2)
-        return k >= Fraction(-3, 4) and lower <= s <= k + 3
-    if aq == QUARTER:
-        return (k >= Fraction(3, 4) and s >= k / 2 + Fraction(3, 8)
-                and k - 2 <= s <= k + 3)
-    return k >= 0 and s >= k / 2 and k - 2 <= s <= k + 3
+    return inside(region_planes(a)[1], *_point(p))
 
 
 def _in_gap_region(k, s):
@@ -148,23 +194,19 @@ def classify(a, p):
     a not in {-1/8, 0}). Boundary points not in A_a, and the a = -1/8
     exterior band where neither result applies, report open_region.
     """
-    if not isinstance(p, RegularityPoint):
-        p = RegularityPoint(*p)
     aq = _rat(a)
     if aq == 0 or aq == 1:
         return Verdict(supported=False)
-    k, s = p.k, p.s
-    if in_A0(aq, p):
+    A, A0, wedges = region_planes(aq)
+    k, s = _point(p)
+    if inside(A0, k, s):
         return Verdict(lwp="DirectA0")
-    if in_A(aq, p):
+    if inside(A, k, s):
         return Verdict(lwp="IBPSOnly")
-    if _in_closure_A(aq, k, s):
+    if inside(A, k, s, closed=True):
         # boundary of A_a without membership: sharpness is open there
         return Verdict(open_region=True)
-    if aq > QUARTER or aq == QUARTER:
-        return Verdict(illposed="C2")
-    # a < 1/4 exterior
-    if s > k + 3 or s < min(k / 2 - Fraction(3, 4), k - 2, Fraction(-1)):
+    if any(inside(w, k, s) for w in wedges):
         return Verdict(illposed="C2")
     if aq == Fraction(-1, 8):
         if _in_gap_region(k, s):
@@ -194,20 +236,18 @@ def classify_gwp(coeffs, p, original_system=False):
     the H^1 x H^1 norm. original_system=True asserts that coupling; it
     is not checked here.
     """
-    if not isinstance(p, RegularityPoint):
-        p = RegularityPoint(*p)
     a = _rat(coeffs.a)
     if not coeffs.is_real():
         return "Unknown"
     gamma = coeffs.gamma.real
     theta = coeffs.theta.real
-    k, s = p.k, p.s
+    k, s = _point(p)
     if a not in (0, 1, QUARTER):
-        if gamma * theta < 0 and k >= 0 and s >= 0 and in_A(a, p):
+        if gamma * theta < 0 and k >= 0 and s >= 0 and in_A(a, (k, s)):
             return "Yes"
     if original_system and a == QUARTER:
         if (k >= 1 and s >= 1 and gamma > 0 and theta < 0
-                and in_A(QUARTER, p)):
+                and in_A(QUARTER, (k, s))):
             return "Yes"
     return "Unknown"
 
@@ -246,43 +286,41 @@ class BoundarySegment:
                    self.end_included))
 
 
+def _corners(planes):
+    """Vertices of the closed convex polygon the planes cut out."""
+    pts = set()
+    for i, g in enumerate(planes):
+        for h in planes[i + 1:]:
+            det = g.ck * h.cs - h.ck * g.cs
+            if det:
+                p = (Fraction(g.cs * h.c0 - h.cs * g.c0, det),
+                     Fraction(h.ck * g.c0 - g.ck * h.c0, det))
+                if inside(planes, *p, closed=True):
+                    pts.add(p)
+    return pts
+
+
 def boundary_segments(a, k_max=8):
     """Boundary polyline of A_a clipped to k <= k_max.
 
-    Lower-boundary kinks sit at (4,2) for a > 1/4, (19/4, 11/4) for
-    a = 1/4, and (0, -3/4), (5/2, 1/2) for a < 1/4.
+    The edges of the closure of A_a cut at k = k_max, the cut left out:
+    the left edge, s = k+3, then the lower boundary from left to right,
+    each from its smaller to its larger (k, s) endpoint, with A_a
+    membership as inclusion flags. Lower-boundary kinks sit at (4,2)
+    for a > 1/4, (19/4, 11/4) for a = 1/4, and (0, -3/4), (5/2, 1/2)
+    for a < 1/4. A k_max at or left of the left edge is a ValueError.
     """
-    aq = _check_a(a)
     km = _rat(k_max)
-    segs = []
-
-    def seg(p0, p1, label, s0, s1, si):
-        segs.append(BoundarySegment((_rat(p0[0]), _rat(p0[1])),
-                                    (_rat(p1[0]), _rat(p1[1])),
-                                    label, s0, s1, si))
-
-    if aq > QUARTER:
-        # left edge k=0, corner (0,0) closed, (0,3) open
-        seg((0, 0), (0, 3), "k=0", True, False, True)
-        seg((0, 3), (km, km + 3), "s=k+3", False, False, False)
-        seg((0, 0), (4, 2), "s=k/2", True, False, True)
-        seg((4, 2), (km, km - 2), "s=k-2", False, False, False)
-    elif aq == QUARTER:
-        q34 = Fraction(3, 4)
-        seg((q34, q34), (q34, q34 + 3), "k=3/4", True, False, True)
-        seg((q34, q34 + 3), (km, km + 3), "s=k+3", False, False, False)
-        seg((q34, q34), (Fraction(19, 4), Fraction(11, 4)),
-            "s=k/2+3/8", True, False, True)
-        seg((Fraction(19, 4), Fraction(11, 4)), (km, km - 2),
-            "s=k-2", False, False, False)
-    else:
-        q = Fraction(-3, 4)
-        # fully open region: every boundary point is excluded
-        seg((q, q), (q, q + 3), "k=-3/4", False, False, False)
-        seg((q, q + 3), (km, km + 3), "s=k+3", False, False, False)
-        seg((q, q), (0, q), "s=-3/4", False, False, False)
-        seg((0, q), (Fraction(5, 2), Fraction(1, 2)),
-            "s=k/2-3/4", False, False, False)
-        seg((Fraction(5, 2), Fraction(1, 2)), (km, km - 2),
-            "s=k-2", False, False, False)
-    return segs
+    planes = region_planes(a)[0]
+    corners = _corners(planes + (HalfPlane(-1, 0, km),))
+    if not any(k < km for k, _ in corners):
+        raise ValueError("k_max=%s leaves no region at a=%s" % (km, a))
+    edges = []
+    for h in planes:
+        on = sorted(p for p in corners if h.side(*p) == 0)
+        if len(on) > 1:
+            # inside an edge only its own plane is not strictly satisfied
+            edges.append((h.cs > 0, on[0], on[-1], h.label, not h.strict))
+    return [BoundarySegment(p0, p1, label, inside(planes, *p0),
+                            inside(planes, *p1), interior)
+            for _, p0, p1, label, interior in sorted(edges)]

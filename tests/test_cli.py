@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ def test_parse_config_basic():
     cfg = parse_config("command=classify\na=0.5\nk=0\ns=0\n")
     assert cfg.command == "classify"
     assert cfg.get("a") == 0.5
-    assert cfg.get("k") == "0"      # kept verbatim for exact handling
+    assert cfg.get("k") == Fraction(0)  # converted exactly
 
 
 def test_parse_config_sections_comments():
@@ -239,3 +240,41 @@ def test_seed_is_unknown_key(tmp_path, command):
         parse_config("command=%s\nseed=3\n" % command)
     assert cli.main([command, "--seed", "3",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["classify", "fre-scan", "sharpness"])
+def test_rat_keys_are_exact_fractions(command):
+    cfg = parse_config("command=%s\nk=1/2\ns=0.1\n" % command)
+    assert cfg.get("k") == Fraction(1, 2)
+    assert cfg.get("s") == Fraction(1, 10)
+    assert float(cfg.get("s")) == float("0.1")
+
+
+@pytest.mark.parametrize("command", ["classify", "fre-scan", "sharpness"])
+@pytest.mark.parametrize("value", ["1/0", "nan", "inf", "1e400", "half"])
+def test_bad_rat_value_is_config_error(tmp_path, capsys, command, value):
+    code = cli.main([command, "--a", "2", "--k", value, "--s", "0",
+                     "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad rat value")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sharpness_accepts_rational_index(tmp_path):
+    outs = []
+    for s in ("1/2", "0.5"):
+        out = tmp_path / s.replace("/", "_")
+        assert cli.main(["sharpness", "--lemma", "L61", "--a", "2",
+                         "--k", "0", "--s", s, "--N_ladder", "64,128,256",
+                         "--out", str(out)]) == EXIT_OK
+        outs.append((out / "sharpness_L61_s_le_k3.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("k_max", ["-1", "0"])
+def test_atlas_without_region_is_config_error(tmp_path, k_max):
+    assert cli.main(["atlas", "--a", "2", "--k_max", k_max,
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []

@@ -194,3 +194,34 @@ def test_boundary_segments_consistent_with_membership():
             for pt, inc in ((seg.start, seg.start_included),
                             (seg.end, seg.end_included)):
                 assert in_A(a, pt) == inc, (a, seg, pt)
+
+
+@pytest.mark.parametrize("a", [F(2), F(1, 4), F(-1)])
+@pytest.mark.parametrize("k_max", [3, 2, 1])
+def test_boundary_segments_respect_k_max(a, k_max):
+    # k_max left of the lower kink: no vertex past the cut
+    segs = boundary_segments(a, k_max=k_max)
+    assert segs
+    for seg in segs:
+        assert seg.start < seg.end
+        assert seg.start[0] <= k_max and seg.end[0] <= k_max
+        mid = ((seg.start[0] + seg.end[0]) / 2,
+               (seg.start[1] + seg.end[1]) / 2)
+        assert seg.interior_included == in_A(a, mid)
+        assert seg.start_included == in_A(a, seg.start)
+        assert seg.end_included == in_A(a, seg.end)
+
+
+def test_boundary_segments_cut_left_of_kink():
+    segs = boundary_segments(2, k_max=3)
+    assert [s.line_label for s in segs] == ["k=0", "s=k+3", "s=k/2"]
+    assert segs[-1].end == (F(3), F(3, 2)) and segs[-1].end_included
+
+
+@pytest.mark.parametrize("a,left", [(F(2), 0), (F(1, 4), F(3, 4)),
+                                    (F(-1), F(-3, 4))])
+def test_boundary_segments_need_a_region(a, left):
+    for k_max in (left, left - 1):
+        with pytest.raises(ValueError):
+            boundary_segments(a, k_max=k_max)
+    assert boundary_segments(a, k_max=left + F(1, 8))

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hskdv import picard
+from hskdv import picard, regions
 from hskdv.cli import to_json
 from hskdv.phases import eval_phase
-from hskdv.sharpness import (ExponentFit, HypothesisError, build,
-                             canonical_tag, check_phase_regime,
+from hskdv.sharpness import (LEMMA_TAGS, ExponentFit, HypothesisError,
+                             build, canonical_tag, check_phase_regime,
                              evaluate_rung, ladder_report, predicted_slope,
                              run_ladder, verdict)
 
@@ -18,6 +18,31 @@ def test_canonical_tag():
     assert canonical_tag("L68_cubic_34") == "L68_cubic_34"
     with pytest.raises(ValueError):
         canonical_tag("L60")
+
+
+# the family certifying each boundary line of A_a, by the line labels of
+# regions.region_planes; no family in the lab certifies k = -3/4, so the
+# C^3 verdicts left of it (classify(-1, (-1, 0))) rest on the paper alone
+LINE_FAMILY = {
+    "s=k+3": "L61_s_le_k3", "s=k-2": "L62_s_ge_km2",
+    "s=k/2-3/4": "L63_s_ge_k2_34", "s=k/2+3/8": "L64_quarter_s",
+    "k=3/4": "L65_quarter_k", "s=k/2": "L66_agt_s", "k=0": "L67_agt_k",
+    "s=-3/4": "L68_cubic_34",
+}
+UNCERTIFIED = {"k=-3/4"}
+
+
+def test_every_boundary_line_names_its_family():
+    labels = set()
+    for a in (2.0, 0.25, -1.0):
+        for h in regions.region_planes(a)[0]:
+            labels.add(h.label)
+            assert (h.label in LINE_FAMILY) != (h.label in UNCERTIFIED)
+            if h.label in LINE_FAMILY:
+                # L62's rho bracket (s+1/2, k-3/2) is empty at (0, 0)
+                build(LINE_FAMILY[h.label], 64, k=0.0, s=-2.5, a=a)
+    assert labels == set(LINE_FAMILY) | UNCERTIFIED
+    assert sorted(LINE_FAMILY.values()) == sorted(LEMMA_TAGS)
 
 
 def test_hypothesis_guards():
