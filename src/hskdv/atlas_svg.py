@@ -108,8 +108,11 @@ def _xy(k, s):
     return x, y
 
 
-def render_svg(a, k_max=8):
-    """Full SVG document for one atlas figure."""
+def render_svg(a, k_max=8, segments=None):
+    """Full SVG document for one atlas figure.
+
+    segments: boundary_segments(a, k_max), when the caller has them.
+    """
     aq = _rat(a)
     width = 2 * MARGIN + float(VIEW_K[1] - VIEW_K[0]) * PX_PER_UNIT
     height = 2 * MARGIN + float(VIEW_S[1] - VIEW_S[0]) * PX_PER_UNIT
@@ -136,7 +139,8 @@ def render_svg(a, k_max=8):
                  'y2="%.4f" stroke="%s" stroke-width="3"/>'
                  % (x0, y0, x1, y1, COLORS["yellow"]))
     # boundary polyline with inclusion markers
-    segs = boundary_segments(aq, k_max=k_max)
+    segs = (boundary_segments(aq, k_max=k_max) if segments is None
+            else segments)
     for seg in segs:
         x0, y0 = _xy(*seg.start)
         x1, y1 = _xy(*seg.end)

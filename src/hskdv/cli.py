@@ -3,7 +3,8 @@
 Config files are line-oriented ``key = value`` with optional
 ``[section]`` headers (sections only group lines; keys are global).
 Command-line flags mirror config keys (``--a 2`` is ``a=2``) and
-override the file. Unknown keys are hard errors with a line number.
+override the file. Unknown keys are hard errors with a line number,
+and every number (float and list keys, box bounds) must be finite.
 
 Exit codes: 0 success, 2 config error, 3 numerical-validity failure,
 4 acceptance-check failure. A parameter that a module rejects with
@@ -11,6 +12,7 @@ ValueError (say an odd mode count n or a negative dt) is a config
 error too: one ``config error:`` line, no traceback, exit 2.
 """
 
+import math
 import os
 import sys
 from fractions import Fraction
@@ -78,6 +80,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite(text):
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(text)
+    return x
+
+
 def _parse_boxes(text):
     """'lo:hi' or 'lo:hi:rho' entries separated by ';'."""
     boxes = []
@@ -88,8 +97,8 @@ def _parse_boxes(text):
         bits = part.split(":")
         if len(bits) not in (2, 3):
             raise ConfigError("bad box %r, want lo:hi[:rho]" % part)
-        rho = float(bits[2]) if len(bits) == 3 else 0.0
-        boxes.append(picard.FrequencyBox(float(bits[0]), float(bits[1]),
+        rho = _finite(bits[2]) if len(bits) == 3 else 0.0
+        boxes.append(picard.FrequencyBox(_finite(bits[0]), _finite(bits[1]),
                                          rho))
     return picard.BoxData(boxes)
 
@@ -102,7 +111,7 @@ def _convert(key, raw):
         if tag == "int":
             return int(raw)
         if tag == "float":
-            return float(raw)
+            return _finite(raw)
         if tag == "rat":
             q = Fraction(raw)  # exact; the runners also take float(q)
             float(q)  # OverflowError past the float range
@@ -115,7 +124,7 @@ def _convert(key, raw):
                 return False
             raise ValueError(raw)
         if tag == "floatlist":
-            return [float(x) for x in raw.replace(",", " ").split()]
+            return [_finite(x) for x in raw.replace(",", " ").split()]
         if tag == "boxes":
             return _parse_boxes(raw)
     except ConfigError:
@@ -280,11 +289,11 @@ def _run_classify(cfg, art):
 
 def _run_atlas(cfg, art):
     a = cfg.require("a")
-    svg = atlas_svg.render_svg(a, k_max=cfg.get("k_max", 8))
-    art.write_text("atlas_a%g.svg" % a, svg)
-    segs = [s.as_dict() for s in
-            regions.boundary_segments(a, k_max=cfg.get("k_max", 8))]
-    art.write_json("atlas_a%g_segments.json" % a, segs)
+    k_max = cfg.get("k_max", 8)
+    segs = regions.boundary_segments(a, k_max=k_max)
+    art.write_text("atlas_a%g.svg" % a, atlas_svg.render_svg(a, k_max, segs))
+    art.write_json("atlas_a%g_segments.json" % a,
+                   [s.as_dict() for s in segs])
     return EXIT_OK
 
 

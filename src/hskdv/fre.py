@@ -175,25 +175,35 @@ def _weight_integrand(spec, a, xi, xi1, xi2):
 _GL64 = np.polynomial.legendre.leggauss(64)
 
 
-def _level_set_intervals(coeffs, alpha, M, clip):
-    """Intervals of {free : |poly(free) - alpha| < M}, clipped.
-
-    coeffs is a sequence of four floats, highest power first.
-    """
+def _level_set_roots(coeffs, alpha, M):
+    """Sorted real roots of poly - (alpha +- M); coeffs highest first."""
     c3, c2, c1, c0 = coeffs
-    pts = (_real_cubic_roots((c3, c2, c1, c0 - (alpha + M)))
-           + _real_cubic_roots((c3, c2, c1, c0 - (alpha - M))))
-    pts = sorted(p for p in pts if -clip < p < clip)
-    breaks = [-clip] + pts + [clip]
+    return sorted(_real_cubic_roots((c3, c2, c1, c0 - (alpha + M)))
+                  + _real_cubic_roots((c3, c2, c1, c0 - (alpha - M))))
+
+
+def _level_set_intervals(coeffs, alpha, M, roots, clip):
+    """Intervals of {free : |poly(free) - alpha| < M} in (-clip, clip),
+    given the pair's _level_set_roots."""
+    breaks = [-clip] + [p for p in roots if -clip < p < clip] + [clip]
     out = []
     for lo, hi in zip(breaks, breaks[1:]):
         if hi - lo < 1e-300:
             continue
-        mid = 0.5 * (lo + hi)
-        val = _horner(coeffs, mid)
-        if abs(val - alpha) < M:
+        if abs(_horner(coeffs, 0.5 * (lo + hi)) - alpha) < M:
             out.append((lo, hi))
     return out
+
+
+def _fixed_grid(lam):
+    """Signed geometric grid of fixed frequencies up to lam; a fixed ratio
+    so enlarging lam only appends points (keeps the sup monotone)."""
+    mags = [0.1]
+    while mags[-1] < lam:
+        mags.append(mags[-1] * 1.15)
+    mags[-1] = min(mags[-1], lam)
+    mags = np.asarray(mags)
+    return np.concatenate([-mags[::-1], mags])
 
 
 def fre_sup(spec, a, alpha, M, lam):
@@ -206,51 +216,65 @@ def fre_sup(spec, a, alpha, M, lam):
 
     alpha and M are scalars (a float is returned) or equal-length 1-D
     sequences of (alpha, M) pairs (an array of per-pair sups is
-    returned, each equal to the scalar call). The phase coefficients
-    are fitted once per fixed frequency and shared by every pair, and
-    one integrand evaluation covers the intervals of all pairs at that
-    frequency. The root finder stays scalar, one cubic at a time: when
-    the fitted leading coefficient is rounding noise the cubic branch
-    cancels catastrophically, and the one-ulp differences of numpy's
-    array pow/acos/cos would flip its branch decisions.
+    returned, each equal to the scalar call). A 1-D sequence of
+    cutoffs lam adds a leading axis whose rows each equal (==) the
+    single-cutoff call: each distinct fixed frequency of the grids'
+    union is fitted and each pair's level set root-found once, then
+    every cutoff holding it clips those roots at 10*lam and integrates
+    (or reuses the previous cutoff's totals when its intervals are
+    equal). Rows are bit-identical because each grid comes from the
+    same float recurrence (a shared frequency is the same double), the
+    roots are a pure function of the coefficients and np.maximum is
+    exact. The root finder stays scalar: when the fitted leading
+    coefficient is rounding noise the cubic branch cancels
+    catastrophically, and numpy's one-ulp array pow/acos/cos
+    differences would flip its branch decisions.
     """
     scalar = np.ndim(alpha) == 0 and np.ndim(M) == 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     Ms = np.atleast_1d(np.asarray(M, dtype=float))
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
     if alphas.ndim != 1 or alphas.shape != Ms.shape:
         raise ValueError("alpha and M must be scalars or 1-D sequences "
                          "of equal length")
-    if lam <= 0 or np.any(Ms <= 0):
-        raise ValueError("lam and M must be positive")
+    if not (lams.ndim == 1 and lams.size and np.all(Ms > 0)
+            and np.all(np.isfinite(lams) & (lams > 0))):
+        raise ValueError("lam (scalar or 1-D) must be finite and positive, "
+                         "and M positive")
     pairs = list(zip(alphas.tolist(), Ms.tolist()))
-    # geometric grid with a fixed ratio so enlarging lam only appends
-    # points; this keeps the sup monotone in lam
-    mags = [0.1]
-    while mags[-1] < lam:
-        mags.append(mags[-1] * 1.15)
-    mags[-1] = min(mags[-1], lam)
-    mags = np.asarray(mags)
-    grid = np.concatenate([-mags[::-1], mags])
-    clip = 10.0 * lam
-    best = np.zeros(len(pairs))
+    cutoffs = lams.tolist()
+    holders = {}  # fixed frequency -> indices of the cutoffs holding it
+    for j, lj in enumerate(cutoffs):
+        for w in _fixed_grid(lj).tolist():
+            holders.setdefault(w, []).append(j)
+    best = np.zeros((len(cutoffs), len(pairs)))
     gx, gw = _GL64
-    for w in grid:
+    for w, js in holders.items():
         coeffs = _phase_cubic_coeffs(spec, a, w).tolist()
-        ivs = [(i, lo, hi) for i, (al, m) in enumerate(pairs)
-               for lo, hi in _level_set_intervals(coeffs, al, m, clip)]
-        if not ivs:
-            continue
-        owner, lo, hi = np.array(ivs).T
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes = mid[:, None] + half[:, None] * gx
-        xi, xi1, xi2 = _freqs_from(spec, w, nodes)
-        part = half * np.sum(gw * _weight_integrand(spec, a, xi, xi1, xi2),
-                             axis=1)
-        # bincount sums each pair's parts in interval order from 0.0: the
-        # same additions as integrating that pair alone
-        best = np.maximum(best, np.bincount(owner.astype(int), weights=part,
-                                            minlength=len(pairs)))
-    return float(best[0]) if scalar else best
+        roots = [_level_set_roots(coeffs, al, m) for al, m in pairs]
+        prev = None
+        for j in js:
+            clip = 10.0 * cutoffs[j]
+            ivs = [(i, lo, hi) for i, (al, m) in enumerate(pairs)
+                   for lo, hi in _level_set_intervals(coeffs, al, m,
+                                                      roots[i], clip)]
+            if not ivs:
+                continue
+            if ivs != prev:
+                owner, lo, hi = np.array(ivs).T
+                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                nodes = mid[:, None] + half[:, None] * gx
+                xi, xi1, xi2 = _freqs_from(spec, w, nodes)
+                part = half * np.sum(
+                    gw * _weight_integrand(spec, a, xi, xi1, xi2), axis=1)
+                # bincount sums each pair's parts in interval order from
+                # 0.0: the same additions as integrating that pair alone
+                totals = np.bincount(owner.astype(int), weights=part,
+                                     minlength=len(pairs))
+                prev = ivs
+            best[j] = np.maximum(best[j], totals)
+    best = best[:, 0] if scalar else best
+    return best if np.ndim(lam) else (float(best[0]) if scalar else best[0])
 
 
 class ScanReport:
@@ -283,24 +307,19 @@ def ratio_scan(spec, a, lams=(1e2, 1e3, 1e4),
     (alpha, M) grid is recorded; the slope of log(ratio) vs log(cutoff)
     is the report's growth_slope. Near-zero slope certifies a bounded
     FRE (inside the validity region); a decisively positive slope
-    reproduces the failure outside it. Each cutoff takes one fre_sup
-    call over all (alpha, M) pairs, so the phase coefficients of a
-    fixed frequency are fitted once per cutoff, not once per pair.
+    reproduces the failure outside it. The (at least 3 distinct)
+    cutoffs share one fre_sup call over all (alpha, M) pairs, so each
+    distinct fixed frequency is fitted and root-found once.
     """
     lams = sorted(float(x) for x in lams)
-    if len(lams) < 3:
-        raise ValueError("need at least 3 ladder points for a slope fit")
+    if len(set(lams)) < 3:
+        raise ValueError("need at least 3 distinct cutoffs for a slope fit")
     alphas = [al for al in alpha_grid for _ in m_grid]
     Ms = [M for _ in alpha_grid for M in m_grid]
     norms = [float(_bracket(al)) ** ALPHA_EXPONENT * M
              for al, M in zip(alphas, Ms)]
-    sups = []
-    for lam in lams:
-        worst = 0.0
-        for val, norm in zip(fre_sup(spec, a, alphas, Ms, lam).tolist(),
-                             norms):
-            worst = max(worst, val / norm)
-        sups.append(worst)
+    sups = [max(0.0, *(val / norm for val, norm in zip(row, norms)))
+            for row in fre_sup(spec, a, alphas, Ms, lams).tolist()]
     logs = np.log(np.maximum(sups, 1e-300))
     slope = float(np.polyfit(np.log(lams), logs, 1)[0])
     return ScanReport(sups[-1], sups[-1], slope, lams, sups)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hskdv import atlas_svg, cli, regions
 from hskdv.atlas_svg import (build_layers, color_at, diagonal_threshold,
                              render_svg)
 from hskdv.cli import to_json
@@ -100,6 +101,30 @@ def test_atlas_bytes_pinned(a):
     segs = json.loads(to_json([s.as_dict() for s in boundary_segments(a)]))
     text = json.dumps(segs, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == seg_digest
+
+
+def _seg_digest(segs):
+    text = json.dumps(segs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("a", sorted(ATLAS_PINS))
+def test_atlas_command_derives_segments_once(a, tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, real=regions.boundary_segments, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(regions, "boundary_segments", counted)
+    monkeypatch.setattr(atlas_svg, "boundary_segments", counted)
+    assert cli.main(["atlas", "--a", repr(a), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    svg_sha, seg_digest = ATLAS_PINS[a]
+    svg = (tmp_path / ("atlas_a%g.svg" % a)).read_bytes()
+    assert hashlib.sha256(svg).hexdigest() == svg_sha
+    segs = (tmp_path / ("atlas_a%g_segments.json" % a)).read_text()
+    assert _seg_digest(json.loads(segs)) == seg_digest
 
 
 def test_region_grid_pinned():

@@ -278,3 +278,37 @@ def test_atlas_without_region_is_config_error(tmp_path, k_max):
     assert cli.main(["atlas", "--a", "2", "--k_max", k_max,
                      "--out", str(tmp_path)]) == EXIT_CONFIG
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("lams", ["100,1000,nan", "100,100,1000",
+                                  "0,100,1000", "100,1000,inf"])
+def test_fre_scan_bad_cutoffs_are_config_errors(tmp_path, capfd, lams):
+    code = cli.main(["fre-scan", "--form", "dxv2", "--a", "2", "--k", "1",
+                     "--s", "0.5", "--lams", lams, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    # capfd also sees what LAPACK prints on a failed fit
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["picard", "--iterate", "second_u", "--a", "2", "--t", "nan",
+     "--window_lo", "1", "--window_hi", "2", "--v_boxes", "1:2"],
+    ["picard", "--iterate", "second_u", "--a", "2", "--t", "1",
+     "--window_lo", "1", "--window_hi", "2", "--v_boxes", "1:inf"],
+    ["picard", "--iterate", "second_u", "--a", "2", "--t", "1",
+     "--window_lo", "1", "--window_hi", "2", "--v_boxes", "1:2:nan"],
+    ["sharpness", "--lemma", "L61", "--a", "nan", "--N_ladder",
+     "64,128,256"],
+    ["sharpness", "--lemma", "L61", "--a", "2", "--N_ladder",
+     "64,128,inf"],
+    ["simulate", "--a", "0.5", "--dt", "-inf"],
+])
+def test_non_finite_float_is_config_error(tmp_path, capsys, argv):
+    code = cli.main(argv + ["--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []

@@ -302,3 +302,93 @@ def test_ratio_scan_dichotomy():
 def test_ratio_scan_needs_three_points():
     with pytest.raises(ValueError):
         ratio_scan(make_fre_spec("dxv2", 1.0, 0.5), 0.5, lams=(10.0, 100.0))
+
+
+# the 8 vetted fre-scan tuples (dxv2, k = 1, default lams), pinned bit for
+# bit: (s, a) -> (sup_values, growth_slope)
+VETTED_SCANS = {
+    (0.5, 0.5): ([13.841190138824615, 13.856254590561319,
+                  13.856882912607393], 0.0002460563150436756),
+    (0.5, 2.0): ([2.6169144764601953, 2.618598021329867,
+                  2.619146762208726], 0.0001851524260630814),
+    (0.5, 3.0): ([1.0977137805904198, 1.0977137805904198,
+                  1.0977137805904198], 8.052586602601913e-18),
+    (0.5, 0.75): ([19.481324222635802, 19.594761962979966,
+                   19.597274002694146], 0.0012885952853424504),
+    (0.25, 0.5): ([565.4030058049162, 5656.82618932767,
+                   56570.4703408292], 1.0001158383117632),
+    (0.25, 2.0): ([151.14425715688083, 1511.8539419167523,
+                   15119.052181803472], 1.000066457743536),
+    (0.25, 3.0): ([85.27762361319603, 852.8026658275801,
+                   8531.352196473272], 1.000091390770366),
+    (0.25, 0.75): ([564.0571826254461, 5656.690235200822,
+                    56571.44133732992], 1.0006370550364323),
+}
+
+
+@pytest.mark.parametrize("s, a", sorted(VETTED_SCANS))
+def test_vetted_scans_pinned(s, a):
+    sups, slope = VETTED_SCANS[(s, a)]
+    got = ratio_scan(make_fre_spec("dxv2", 1.0, s), a)
+    assert got.sup_values == sups
+    assert got.growth_slope == slope
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.5, 3.0])
+@pytest.mark.parametrize("kind", ["dxv2", "uvx"])
+def test_fre_sup_cutoff_rows_match_single_calls(kind, a):
+    # a = -1 at lam = 100 holds the misfiring fixed frequency of dxv2;
+    # the cutoffs come unsorted and the rows keep their order
+    spec = make_fre_spec(kind, 1.0, 0.5)
+    lams = [1000.0, 10.0, 100.0]
+    alphas, Ms = [0.0, 1.0, -10.0], [1.0, 4.0, 0.5]
+    got = fre_sup(spec, a, alphas, Ms, lams)
+    assert isinstance(got, np.ndarray) and got.shape == (3, 3)
+    for row, lam in zip(got.tolist(), lams):
+        assert row == fre_sup(spec, a, alphas, Ms, lam).tolist()
+    got = fre_sup(spec, a, 1.0, 4.0, lams)
+    assert isinstance(got, np.ndarray) and got.shape == (3,)
+    assert got.tolist() == [fre_sup(spec, a, 1.0, 4.0, lam) for lam in lams]
+
+
+def test_ratio_scan_fits_each_fixed_frequency_once(monkeypatch):
+    fitted = []
+
+    def fit(spec, a, w, real=fre._phase_cubic_coeffs):
+        fitted.append(w)
+        return real(spec, a, w)
+
+    monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
+    lams = (1e2, 1e3, 1e4)
+    ratio_scan(make_fre_spec("dxv2", 1.0, 0.5), 2.0, lams=lams)
+    union = set().union(*(_fixed_grid(lam).tolist() for lam in lams))
+    assert sum(len(_fixed_grid(lam)) for lam in lams) == 404
+    assert len(union) == 172
+    assert sorted(fitted) == sorted(union)
+
+
+@pytest.mark.parametrize("lam", [float("nan"), float("inf"),
+                                 [10.0, float("nan")], [10.0, 0.0], [],
+                                 [[10.0]]])
+def test_fre_sup_rejects_bad_cutoffs_before_fitting(lam, monkeypatch):
+    def fit(*args):
+        raise AssertionError("fitted before the cutoffs were checked")
+
+    monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
+    spec = make_fre_spec("dxv2", 1.0, 0.5)
+    with pytest.raises(ValueError):
+        fre_sup(spec, 0.5, 0.0, 1.0, lam)
+    with pytest.raises(ValueError):
+        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], lam)
+
+
+@pytest.mark.parametrize("lams", [(100.0, 100.0, 1000.0),
+                                  (100.0, 1000.0, float("nan")),
+                                  (0.0, 100.0, 1000.0)])
+def test_ratio_scan_rejects_bad_ladders_before_fitting(lams, monkeypatch):
+    def fit(*args):
+        raise AssertionError("fitted before the ladder was checked")
+
+    monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
+    with pytest.raises(ValueError):
+        ratio_scan(make_fre_spec("dxv2", 1.0, 0.5), 2.0, lams=lams)
