@@ -43,76 +43,85 @@ class RootFindingError(RuntimeError):
 
 
 def _horner(coeffs, x):
-    """np.polyval(coeffs, x) for scalar x: same operations, plain floats."""
+    """np.polyval(coeffs, x), same operations, on floats or arrays."""
     y = 0.0
     for c in coeffs:
         y = y * x + c
     return y
 
 
-def _real_cubic_roots(c):
-    """Real roots of c[0] x^3 + c[1] x^2 + c[2] x + c[3].
+def _libm(f, nin):
+    """f elementwise through the builtin: libm's result, not numpy's SIMD."""
+    u = np.frompyfunc(f, nin, 1)
+    return lambda *args: u(*args).astype(float)
+
+
+_pow, _acos, _cos = _libm(pow, 2), _libm(math.acos, 1), _libm(math.cos, 1)
+
+
+@np.errstate(all="ignore")
+def _cubic_roots(c):
+    """Real roots of the rows c[i, 0] x^3 + c[i, 1] x^2 + c[i, 2] x + c[i, 3].
 
     Analytic solution of the depressed cubic (trigonometric form for
-    three real roots, Cardano otherwise) followed by a Newton polish.
-    Degenerate leading coefficients fall through to the quadratic and
-    linear cases. Returns a (possibly empty) sorted list.
+    three real roots, Cardano otherwise) followed by a Newton polish;
+    degenerate leading coefficients fall through to the quadratic and
+    linear cases. Returns an (n, 3) array, NaN past a row's roots. Each
+    row takes the branches and float operations of the scalar algorithm
+    in Python floats (libm powers, acos and cos; first-wins max/min).
     """
-    c3, c2, c1, c0 = (float(x) for x in c)
-    scale = max(abs(c3), abs(c2), abs(c1), abs(c0))
-    if scale == 0.0:
-        return []
-    tol = 1e-14 * scale
-    if abs(c3) <= tol:
-        if abs(c2) <= tol:
-            if abs(c1) <= tol:
-                return []
-            return [-c0 / c1]
-        disc = c1 * c1 - 4.0 * c2 * c0
-        if disc < 0:
-            return []
-        r = math.sqrt(disc)
-        return sorted([(-c1 - r) / (2 * c2), (-c1 + r) / (2 * c2)])
+    c = np.asarray(c, dtype=float).reshape(-1, 4)
+    mag = np.abs(c)
+    scale = mag[:, 0]
+    for col in mag.T[1:]:
+        scale = np.where(col > scale, col, scale)
+    small = mag <= (1e-14 * scale)[:, None]
+    roots = np.full((len(c), 3), np.nan)
+    i = np.flatnonzero(small[:, 0] & small[:, 1] & ~small[:, 2])
+    roots[i, 0] = -c[i, 3] / c[i, 2]
+    i = np.flatnonzero(small[:, 0] & ~small[:, 1])
+    c2, c1, c0 = c[i, 1:].T
+    disc = c1 * c1 - 4.0 * c2 * c0
+    r = np.where(disc < 0, np.nan, np.sqrt(disc))  # NaN: no real roots
+    roots[i, :2] = np.column_stack([-c1 - r, -c1 + r]) / (2 * c2)[:, None]
 
+    i = np.flatnonzero(~small[:, 0])
+    c3, c2, c1, c0 = (col[:, None] for col in c[i].T)
     b, cc, d = c2 / c3, c1 / c3, c0 / c3
     # depressed form y^3 + p y + q with x = y - b/3
     p = cc - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * cc / 3.0 + d
+    q = 2.0 * _pow(b, 3) / 27.0 - b * cc / 3.0 + d
     shift = -b / 3.0
-    roots = []
-    disc = -4.0 * p ** 3 - 27.0 * q ** 2
-    if disc >= 0 and p < 0:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        phi = math.acos(arg)
-        for kk in range(3):
-            roots.append(m * math.cos((phi - 2.0 * math.pi * kk) / 3.0)
-                         + shift)
-    else:
-        half_q = -q / 2.0
-        inner = half_q * half_q + (p / 3.0) ** 3
-        if inner < 0:
-            inner = 0.0
-        sq = math.sqrt(inner)
-        y = np.cbrt(half_q + sq) + np.cbrt(half_q - sq)
-        roots.append(float(y) + shift)
+    disc = -4.0 * _pow(p, 3) - 27.0 * _pow(q, 2)
+    trig = ((disc >= 0) & (p < 0))[:, 0]
+    x = np.full((len(i), 3), np.nan)
+    m = 2.0 * np.sqrt(-p[trig] / 3.0)
+    arg = 3.0 * q[trig] / (p[trig] * m)
+    arg = np.where(arg > -1.0, arg, -1.0)
+    phi = _acos(np.where(arg < 1.0, arg, 1.0))
+    x[trig] = (m * _cos((phi - 2.0 * math.pi * np.arange(3)) / 3.0)
+               + shift[trig])
+    half_q = -q[~trig] / 2.0
+    inner = half_q * half_q + _pow(p[~trig] / 3.0, 3)
+    sq = np.sqrt(np.where(inner < 0, 0.0, inner))
+    x[~trig, :1] = np.cbrt(half_q + sq) + np.cbrt(half_q - sq) + shift[~trig]
 
-    poly = (c3, c2, c1, c0)
-    dpoly = (3 * c3, 2 * c2, c1)
-    polished = []
-    for r in roots:
-        x = r
-        for _ in range(3):
-            fx = _horner(poly, x)
-            dfx = _horner(dpoly, x)
-            if dfx != 0:
-                x -= fx / dfx
-        if not math.isfinite(x):
-            raise RootFindingError("Newton polish diverged for cubic %r"
-                                   % (list(poly),))
-        polished.append(float(x))
-    return sorted(polished)
+    for _ in range(3):  # Newton polish
+        fx = _horner((c3, c2, c1, c0), x)
+        dfx = _horner((3 * c3, 2 * c2, c1), x)
+        x = np.where(dfx != 0, x - fx / dfx, x)
+    bad = ~np.isfinite(x) & np.column_stack([np.ones_like(trig), trig, trig])
+    if bad.any():
+        raise RootFindingError("Newton polish diverged for cubic %r"
+                               % (c[i[bad.any(axis=1)][0]].tolist(),))
+    roots[i] = x
+    return roots
+
+
+def _real_cubic_roots(c):
+    """Sorted real roots of c[0] x^3 + ... + c[3]: one row of _cubic_roots."""
+    r = _cubic_roots(c)[0]
+    return sorted(r[~np.isnan(r)].tolist())
 
 
 class FreSpec:
@@ -173,37 +182,23 @@ def _weight_integrand(spec, a, xi, xi1, xi2):
 
 
 _GL64 = np.polynomial.legendre.leggauss(64)
+_CHUNK = 128  # level-set intervals per integrand call (bounds the nodes)
 
 
-def _level_set_roots(coeffs, alpha, M):
-    """Sorted real roots of poly - (alpha +- M); coeffs highest first."""
-    c3, c2, c1, c0 = coeffs
-    return sorted(_real_cubic_roots((c3, c2, c1, c0 - (alpha + M)))
-                  + _real_cubic_roots((c3, c2, c1, c0 - (alpha - M))))
-
-
-def _level_set_intervals(coeffs, alpha, M, roots, clip):
-    """Intervals of {free : |poly(free) - alpha| < M} in (-clip, clip),
-    given the pair's _level_set_roots."""
-    breaks = [-clip] + [p for p in roots if -clip < p < clip] + [clip]
-    out = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        if hi - lo < 1e-300:
-            continue
-        if abs(_horner(coeffs, 0.5 * (lo + hi)) - alpha) < M:
-            out.append((lo, hi))
-    return out
-
-
-def _fixed_grid(lam):
-    """Signed geometric grid of fixed frequencies up to lam; a fixed ratio
-    so enlarging lam only appends points (keeps the sup monotone)."""
+def _fixed_grid(lams):
+    """Union w of the cutoffs' signed geometric grids of fixed frequencies
+    and held[j, k] = (w[k] is in lams[j]'s grid). A grid holds the values
+    of one float recurrence below its cutoff and the cutoff itself, so
+    enlarging the cutoff only appends points (keeps the sup monotone)."""
     mags = [0.1]
-    while mags[-1] < lam:
+    while mags[-1] < lams.max():
         mags.append(mags[-1] * 1.15)
-    mags[-1] = min(mags[-1], lam)
-    mags = np.asarray(mags)
-    return np.concatenate([-mags[::-1], mags])
+    u = np.sort(np.r_[mags[:-1], lams])  # mags[-1] >= lams.max() > mags[:-1]
+    u = u[np.r_[True, np.diff(u) > 0]]
+    held = (((u < lams[:, None]) & np.any(u == np.c_[mags], axis=0))
+            | (u == lams[:, None]))
+    return (np.concatenate([-u[::-1], u]),
+            np.concatenate([held[:, ::-1], held], axis=1))
 
 
 def fre_sup(spec, a, alpha, M, lam):
@@ -218,17 +213,17 @@ def fre_sup(spec, a, alpha, M, lam):
     sequences of (alpha, M) pairs (an array of per-pair sups is
     returned, each equal to the scalar call). A 1-D sequence of
     cutoffs lam adds a leading axis whose rows each equal (==) the
-    single-cutoff call: each distinct fixed frequency of the grids'
-    union is fitted and each pair's level set root-found once, then
-    every cutoff holding it clips those roots at 10*lam and integrates
-    (or reuses the previous cutoff's totals when its intervals are
-    equal). Rows are bit-identical because each grid comes from the
-    same float recurrence (a shared frequency is the same double), the
-    roots are a pure function of the coefficients and np.maximum is
-    exact. The root finder stays scalar: when the fitted leading
-    coefficient is rounding noise the cubic branch cancels
-    catastrophically, and numpy's one-ulp array pow/acos/cos
-    differences would flip its branch decisions.
+    single-cutoff call. Each distinct fixed frequency w of the grids'
+    union is fitted once; one array pass then root-finds every pair's
+    two level-set cubics, tests the segments between the roots for
+    every (cutoff, w, pair) and integrates each distinct (w, lo, hi)
+    once. That is bit-identical to a loop over cutoffs, w and pairs with
+    the scalar root finder: a shared w is the same double in every grid;
+    the batched finder repeats the scalar branches and float operations
+    row by row; roots outside (-10 lam, 10 lam), or missing, clamped to
+    -+10 lam only add zero-length segments, which the length test drops;
+    an integral depends on (w, lo, hi) alone; bincount adds each pair's
+    parts in interval order from 0.0; and the max is exact.
     """
     scalar = np.ndim(alpha) == 0 and np.ndim(M) == 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -237,42 +232,47 @@ def fre_sup(spec, a, alpha, M, lam):
     if alphas.ndim != 1 or alphas.shape != Ms.shape:
         raise ValueError("alpha and M must be scalars or 1-D sequences "
                          "of equal length")
-    if not (lams.ndim == 1 and lams.size and np.all(Ms > 0)
-            and np.all(np.isfinite(lams) & (lams > 0))):
+    if not (lams.ndim == 1 and lams.size and np.all(np.r_[lams, Ms] > 0)
+            and np.all(np.isfinite(np.r_[lams, alphas, Ms, a]))):
         raise ValueError("lam (scalar or 1-D) must be finite and positive, "
-                         "and M positive")
-    pairs = list(zip(alphas.tolist(), Ms.tolist()))
-    cutoffs = lams.tolist()
-    holders = {}  # fixed frequency -> indices of the cutoffs holding it
-    for j, lj in enumerate(cutoffs):
-        for w in _fixed_grid(lj).tolist():
-            holders.setdefault(w, []).append(j)
-    best = np.zeros((len(cutoffs), len(pairs)))
+                         "M finite and positive, alpha and a finite")
+    ws, held = _fixed_grid(lams)
+    coeffs = np.array([_phase_cubic_coeffs(spec, a, w) for w in ws.tolist()])
+    nj, nw, npair = len(lams), len(ws), len(alphas)
+    # the roots of poly - (alpha + M) and poly - (alpha - M) per (w, pair),
+    # sorted (NaN, no root, last) between -inf and inf
+    cubics = np.tile(coeffs[:, None, :], (1, 2 * npair, 1))
+    cubics[..., 3] -= np.column_stack([alphas + Ms, alphas - Ms]).ravel()
+    roots = np.pad(np.sort(_cubic_roots(cubics.reshape(-1, 4))
+                           .reshape(nw, npair, 6)), [(0, 0), (0, 0), (1, 1)],
+                   constant_values=(-np.inf, np.inf))
+    # per (cutoff holding w, pair): the segments between the roots clamped
+    # to [-10 lam, 10 lam], NaN to 10 lam, which keeps them sorted
+    hj, hw = np.nonzero(held)
+    clip = 10.0 * lams[hj, None, None]
+    breaks = np.fmax(np.fmin(roots[hw], clip), -clip)
+    lo, hi = breaks[..., :-1], breaks[..., 1:]
+    val = _horner(coeffs[hw].T[..., None, None], 0.5 * (lo + hi))
+    keep = ~(hi - lo < 1e-300) & (np.abs(val - alphas[:, None]) < Ms[:, None])
+    k, pair, _ = np.nonzero(keep)
+    key = np.stack([hi[keep], lo[keep], ws[hw[k]]])  # last key sorts first
+    order = np.lexsort(key)
+    first = np.r_[True, np.any(np.diff(key[:, order]) != 0, axis=0)]
+    inv = (np.cumsum(first) - 1)[np.argsort(order)]
+    ivs = key[::-1, order[first]].T  # the distinct (w, lo, hi) rows
+    part = np.empty(len(ivs))
     gx, gw = _GL64
-    for w, js in holders.items():
-        coeffs = _phase_cubic_coeffs(spec, a, w).tolist()
-        roots = [_level_set_roots(coeffs, al, m) for al, m in pairs]
-        prev = None
-        for j in js:
-            clip = 10.0 * cutoffs[j]
-            ivs = [(i, lo, hi) for i, (al, m) in enumerate(pairs)
-                   for lo, hi in _level_set_intervals(coeffs, al, m,
-                                                      roots[i], clip)]
-            if not ivs:
-                continue
-            if ivs != prev:
-                owner, lo, hi = np.array(ivs).T
-                mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                nodes = mid[:, None] + half[:, None] * gx
-                xi, xi1, xi2 = _freqs_from(spec, w, nodes)
-                part = half * np.sum(
-                    gw * _weight_integrand(spec, a, xi, xi1, xi2), axis=1)
-                # bincount sums each pair's parts in interval order from
-                # 0.0: the same additions as integrating that pair alone
-                totals = np.bincount(owner.astype(int), weights=part,
-                                     minlength=len(pairs))
-                prev = ivs
-            best[j] = np.maximum(best[j], totals)
+    for s in range(0, len(ivs), _CHUNK):
+        w, lo, hi = ivs[s:s + _CHUNK].T[..., None]
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        xi, xi1, xi2 = _freqs_from(spec, w, mid + half * gx)
+        part[s:s + _CHUNK] = half[:, 0] * np.sum(
+            gw * _weight_integrand(spec, a, xi, xi1, xi2), axis=1)
+    # bincount sums each (cutoff, w, pair)'s parts in interval order
+    # from 0.0: the same additions as integrating that pair alone
+    best = np.bincount((hj[k] * nw + hw[k]) * npair + pair,
+                       weights=part[inv], minlength=nj * nw * npair)
+    best = best.reshape(nj, nw, npair).max(axis=1)
     best = best[:, 0] if scalar else best
     return best if np.ndim(lam) else (float(best[0]) if scalar else best[0])
 

@@ -55,8 +55,8 @@ class Grid:
         n = int(n)
         if n < 8 or n % 2 != 0:
             raise ValueError("mode count n must be even and >= 8")
-        if L <= 0:
-            raise ValueError("period L must be positive")
+        if not (L > 0 and np.isfinite(L)):
+            raise ValueError("period L must be positive and finite")
         self.L = float(L)
         self.n = n
         self.x = np.arange(n) * (self.L / n)
@@ -510,8 +510,9 @@ def load_snapshot(path, params=None):
     """Read a save_snapshot file; params default to Coefficients(0.5).
 
     Raises ValueError for a file shorter than the 24-byte header, a mode
-    count n that is not a positive even integer, or a length other than
-    24 + 32 n bytes.
+    count n that is not a positive even integer, a length other than
+    24 + 32 n bytes, a non-finite time t or (from Grid) a period L that
+    is not positive and finite.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -522,6 +523,9 @@ def load_snapshot(path, params=None):
     if not (n > 0 and n.is_integer() and n % 2 == 0):
         raise ValueError("snapshot %s: mode count %r is not a positive "
                          "even integer" % (path, float(n)))
+    if not np.isfinite(t):
+        raise ValueError("snapshot %s: time %r is not finite"
+                         % (path, float(t)))
     n = int(n)
     if len(raw) != 24 + 32 * n:
         raise ValueError("snapshot %s has %d bytes; n=%d needs 24 + 32n = %d"

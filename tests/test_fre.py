@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,8 +180,9 @@ def _reference_ratio_scan(spec, a, lams):
 @pytest.mark.parametrize("a", [0.5, 3.0, -1.0, 0.25])
 @pytest.mark.parametrize("kind", ["dxv2", "uvx"])
 def test_ratio_scan_matches_per_pair_reference(kind, a, monkeypatch):
-    # both scans call the same pure root finder; memoizing it on the exact
-    # coefficients only skips repeated calls on equal inputs
+    # the reference calls the one-row wrapper of the batched root finder
+    # that fre_sup calls on all rows at once; memoizing the wrapper on the
+    # exact coefficients only skips repeated calls on equal inputs
     memo = {}
 
     def roots(c, find=fre._real_cubic_roots):
@@ -272,6 +275,77 @@ def test_root_finder_matches_polyval_reference(kind):
                 for c in ((c3, c2, c1, c0 - (alpha + M)),
                           (c3, c2, c1, c0 - (alpha - M))):
                     assert _real_cubic_roots(c) == _reference_cubic_roots(c)
+
+
+# crafted cubics for each branch of the root finder: (name, coefficients,
+# number of real roots)
+TOL_EDGE = np.nextafter(1e-14, 1.0)  # just above tol = 1e-14 * scale
+BRANCH_CUBICS = [
+    ("zero", (0.0, 0.0, 0.0, 0.0), 0),
+    ("constant", (0.0, 0.0, 0.0, 5.0), 0),
+    ("linear", (0.0, 0.0, 2.0, -4.0), 1),
+    ("linear_noise", (1e-20, -1e-20, 3.0, 1.0), 1),
+    ("quadratic_disc_negative", (0.0, 1.0, 0.0, 4.0), 0),
+    ("quadratic_disc_zero", (0.0, 1.0, -2.0, 1.0), 2),
+    ("quadratic_disc_positive", (0.0, 1.0, 0.0, -4.0), 2),
+    ("c3_at_tol", (1e-14, 1.0, -1.0, -1.0), 2),
+    ("c3_above_tol", (TOL_EDGE, 1.0, -1.0, -1.0), 3),
+    ("c3_at_tol_negative", (-1e-14, -1.0, 1.0, 1.0), 2),
+    ("c3_above_tol_negative", (-TOL_EDGE, -1.0, 1.0, 1.0), 3),
+    ("trig_three_roots", (1.0, -6.0, 11.0, -6.0), 3),
+    ("trig_symmetric", (1.0, 0.0, -3.0, 1.0), 3),
+    ("cardano", (1.0, 0.0, 0.0, -8.0), 1),
+    ("cardano_complex_pair", (2.0, 1.0, 1.0, 1.0), 1),
+]
+
+
+def test_batched_finder_branches_match_reference():
+    c = np.array([row for _, row, _ in BRANCH_CUBICS])
+    got = fre._cubic_roots(c)
+    assert got.shape == (len(c), 3)
+    for (name, row, count), r in zip(BRANCH_CUBICS, got):
+        want = _reference_cubic_roots(row)
+        assert len(want) == count, name
+        assert sorted(r[~np.isnan(r)].tolist()) == want, name
+        assert _real_cubic_roots(row) == want, name
+
+
+def test_batched_finder_matches_reference_on_random_cubics():
+    # the Newton polish hides most last-bit differences of numpy's SIMD
+    # acos and pow; on these draws numpy's acos, b**3 or (p/3)**3 would
+    # change some rows
+    rng = np.random.default_rng(5)
+    c = rng.normal(size=(4000, 4)) * 10.0 ** rng.integers(-3, 3, (4000, 4))
+    for row, r in zip(c, fre._cubic_roots(c)):
+        assert sorted(r[~np.isnan(r)].tolist()) == _reference_cubic_roots(row)
+
+
+@pytest.mark.parametrize("kind", ["dxv2", "uvx"])
+def test_batched_finder_at_the_noise_fit(kind):
+    # the fixed frequency whose fitted dxv2 cubic has c3 = -1.3e-14
+    # against tol = 8e-15 (Cardano on rounding noise); every level-set
+    # cubic of every default pair, in one batch
+    w = -0.26600198804687486
+    coeffs = fre._phase_cubic_coeffs(make_fre_spec(kind, 1.0, 0.5), -1.0, w)
+    if kind == "dxv2":
+        assert 1e-14 * np.abs(coeffs).max() < abs(coeffs[0]) < 2e-14
+    rows = [np.r_[coeffs[:3], coeffs[3] - shift]
+            for alpha in fre.DEFAULT_ALPHA_GRID for M in fre.DEFAULT_M_GRID
+            for shift in (alpha + M, alpha - M)]
+    for row, r in zip(rows, fre._cubic_roots(np.array(rows))):
+        assert sorted(r[~np.isnan(r)].tolist()) == _reference_cubic_roots(row)
+
+
+def test_batched_finder_names_the_diverging_cubic():
+    bad = (1e308, 1e308, 0.0, 0.0)  # 3 c3 overflows in the derivative
+    with pytest.raises(fre.RootFindingError), np.errstate(all="ignore"):
+        _reference_cubic_roots(bad)
+    msg = "Newton polish diverged for cubic [1e+308, 1e+308, 0.0, 0.0]"
+    with pytest.raises(fre.RootFindingError, match=re.escape(msg)):
+        _real_cubic_roots(bad)
+    with pytest.raises(fre.RootFindingError, match=re.escape(msg)):
+        fre._cubic_roots(np.array([(1.0, -6.0, 11.0, -6.0), bad,
+                                   (1e308, -1e308, 1e308, -1e308)]))
 
 
 def test_fre_sup_pairs_match_scalar_calls():
@@ -380,6 +454,35 @@ def test_fre_sup_rejects_bad_cutoffs_before_fitting(lam, monkeypatch):
         fre_sup(spec, 0.5, 0.0, 1.0, lam)
     with pytest.raises(ValueError):
         fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], lam)
+
+
+@pytest.mark.parametrize("a, alpha, M", [
+    (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0),
+    (0.5, float("nan"), 1.0), (0.5, -float("inf"), 1.0),
+    (0.5, 0.0, float("nan")), (0.5, 0.0, float("inf"))])
+def test_fre_sup_rejects_non_finite_inputs_before_fitting(a, alpha, M,
+                                                          monkeypatch):
+    def fit(*args):
+        raise AssertionError("fitted before the inputs were checked")
+
+    monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
+    spec = make_fre_spec("dxv2", 1.0, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        fre_sup(spec, a, alpha, M, 100.0)
+    with pytest.raises(ValueError, match="finite"):
+        fre_sup(spec, a, [1.0, alpha], [1.0, M], [10.0, 100.0])
+
+
+def test_ratio_scan_memory_peak():
+    spec = make_fre_spec("dxv2", 1.0, 0.5)
+    ratio_scan(spec, 2.0)  # first-call allocations (rules, caches)
+    tracemalloc.start()
+    try:
+        ratio_scan(spec, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 @pytest.mark.parametrize("lams", [(100.0, 100.0, 1000.0),

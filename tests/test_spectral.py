@@ -288,6 +288,11 @@ def _header_with_n(n):
     return lambda raw: raw[:8] + np.array([n], "<f8").tobytes() + raw[16:]
 
 
+def _header_with(L, t):
+    return lambda raw: np.array([L], "<f8").tobytes() + raw[8:16] + \
+        np.array([t], "<f8").tobytes() + raw[24:]
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda raw: raw[:-1], "needs 24"),
     (lambda raw: raw + b"\0", "needs 24"),
@@ -295,8 +300,12 @@ def _header_with_n(n):
     (_header_with_n(31.0), "not a positive even integer"),
     (_header_with_n(np.nan), "not a positive even integer"),
     (_header_with_n(-32.0), "not a positive even integer"),
+    (_header_with(2.0 * np.pi, np.nan), "time nan is not finite"),
+    (_header_with(2.0 * np.pi, -np.inf), "time -inf is not finite"),
+    (_header_with(np.nan, 0.0), "period L must be positive and finite"),
+    (_header_with(np.inf, 0.0), "period L must be positive and finite"),
 ], ids=["truncated", "trailing_byte", "short_header", "odd_n", "nan_n",
-        "negative_n"])
+        "negative_n", "nan_t", "inf_t", "nan_L", "inf_L"])
 def test_snapshot_rejects_damaged_file(tmp_path, edit, message):
     path = os.path.join(tmp_path, "s.snap")
     save_snapshot(path, _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5)))
@@ -306,6 +315,13 @@ def test_snapshot_rejects_damaged_file(tmp_path, edit, message):
         fh.write(edit(raw))
     with pytest.raises(ValueError, match=message):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("L", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_grid_rejects_bad_period(L, recwarn):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Grid(L, 16)
+    assert not recwarn.list
 
 
 def test_trajectory_csv_header(tmp_path):

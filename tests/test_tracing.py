@@ -58,3 +58,23 @@ def test_tracer_counts_solver_steps_and_ffts(hermitian):
     assert counts["spectral.stored_states"] == len(stored) == 5
     pct = tracing.step_percentiles([tracing.Layers(tr.spans)])
     assert pct["spectral.step.n256.p50_ms"] > 0.0
+
+
+def test_tracer_keeps_a_scan_under_one_fre_sup_span():
+    tracing = _tracing()
+    originals = (fre.fre_sup, fre.ratio_scan, phases.eval_phase,
+                 fre.eval_phase)
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr, MODULES)
+        fre.ratio_scan(fre.make_fre_spec("dxv2", 1.0, 0.5), 2.0)
+    finally:
+        tr.restore()
+    assert (fre.fre_sup, fre.ratio_scan, phases.eval_phase,
+            fre.eval_phase) == originals
+    counts = tracing.pass_counts(tracing.Layers(tr.spans), tr.counts, 0)
+    # one fit, so one phase evaluation, per distinct fixed frequency
+    assert counts["fre.fre_sup.calls"] == 1
+    assert counts["phases.eval_phase.calls"] == 172
+    times = tracing.pass_times(tracing.Layers(tr.spans))
+    assert times["fre.fre_sup.self_s"] > 0.0
