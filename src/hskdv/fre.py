@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .phases import eval_phase
+from .picard import GL_RULE
 
 ALPHA_EXPONENT = 0.99  # numerical stand-in for the <alpha>^(1-) weight
 
@@ -165,13 +166,14 @@ def _freqs_from(spec, w, free):
     return xi, xi1, xi - xi1
 
 
-def _phase_cubic_coeffs(spec, a, w):
-    """Coefficients of the phase as a polynomial in the free variable."""
-    span = max(1.0, abs(w))
-    nodes = np.array([-2.0, -0.5, 0.5, 2.0]) * span
-    xi, xi1, xi2 = _freqs_from(spec, w, nodes)
+def _phase_cubic_coeffs(spec, a, ws):
+    """(W, 4) coefficients of the phase as a cubic in the free variable per
+    fixed frequency in ws: one phase evaluation, then np.polyfit per row."""
+    ws = np.asarray(ws, dtype=float)
+    nodes = np.maximum(1.0, np.abs(ws))[:, None] * [-2.0, -0.5, 0.5, 2.0]
+    xi, xi1, xi2 = _freqs_from(spec, ws[:, None], nodes)
     vals = eval_phase(spec.phase, a, (xi1, xi2))
-    return np.polyfit(nodes, vals, 3)
+    return np.array([np.polyfit(x, v, 3) for x, v in zip(nodes, vals)])
 
 
 def _weight_integrand(spec, a, xi, xi1, xi2):
@@ -181,7 +183,6 @@ def _weight_integrand(spec, a, xi, xi1, xi2):
             / (_bracket(xi1) ** (2 * s1) * _bracket(xi2) ** (2 * s2)))
 
 
-_GL64 = np.polynomial.legendre.leggauss(64)
 _CHUNK = 128  # level-set intervals per integrand call (bounds the nodes)
 
 
@@ -237,7 +238,7 @@ def fre_sup(spec, a, alpha, M, lam):
         raise ValueError("lam (scalar or 1-D) must be finite and positive, "
                          "M finite and positive, alpha and a finite")
     ws, held = _fixed_grid(lams)
-    coeffs = np.array([_phase_cubic_coeffs(spec, a, w) for w in ws.tolist()])
+    coeffs = _phase_cubic_coeffs(spec, a, ws)
     nj, nw, npair = len(lams), len(ws), len(alphas)
     # the roots of poly - (alpha + M) and poly - (alpha - M) per (w, pair),
     # sorted (NaN, no root, last) between -inf and inf
@@ -261,7 +262,7 @@ def fre_sup(spec, a, alpha, M, lam):
     inv = (np.cumsum(first) - 1)[np.argsort(order)]
     ivs = key[::-1, order[first]].T  # the distinct (w, lo, hi) rows
     part = np.empty(len(ivs))
-    gx, gw = _GL64
+    gx, gw = GL_RULE
     for s in range(0, len(ivs), _CHUNK):
         w, lo, hi = ivs[s:s + _CHUNK].T[..., None]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)

@@ -10,9 +10,13 @@ with phi the relevant total phase, and the third iterate carries a
 nested version of the kernel. Data live on the continuum (box widths
 go down to N^-2), so everything here uses per-box Gauss-Legendre
 quadrature, never a periodic grid. Both iterates share one core,
-_box_pairs: for a vector of output frequencies it yields, per box
-pair, the nodes of the convolution set, mapped affinely from the one
-leggauss rule that each iterate call builds.
+_box_pairs: for an array of output frequencies it yields, per box
+pair, the nodes of the convolution set, mapped affinely from one
+Gauss-Legendre rule. The default 64-node rule GL_RULE is built once at
+import (fre integrates with it too); any other node count costs one
+leggauss call per iterate call. The third iterate runs its outer xi2
+nodes in blocks of array code, with the box-pair core applied to the
+(node, sample) grid of xi1 = xi - xi2.
 """
 
 import numpy as np
@@ -21,9 +25,24 @@ from .phases import PhaseFloorError, eval_phase
 
 GL_NODES_DEFAULT = 64
 N_OUT = 256               # output samples of every iterate
+_BLOCK_POINTS = 1 << 16   # (xi2 node, sample, xi11 node) points per block
 
 # below this |t*phi| the kernel switches to its 4-term power series
 SERIES_SWITCH = 1e-4
+
+
+def _leggauss(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+GL_RULE = _leggauss(GL_NODES_DEFAULT)
+
+
+def _rule(gl_nodes):
+    """Gauss-Legendre nodes and weights on [-1, 1]."""
+    return GL_RULE if gl_nodes == GL_NODES_DEFAULT else _leggauss(gl_nodes)
 
 
 class FrequencyBox:
@@ -117,22 +136,23 @@ def _map_rule(rule, lo, hi):
 def _box_pairs(xi, boxes1, boxes2, rule):
     """Quadrature of {xi1 in b1, xi - xi1 in b2} over every box pair.
 
-    xi is a vector of output frequencies. For each pair (b1, b2) with a
-    nonempty set at some xi, yields (rows, xr, x1, x2, w, amp): the
-    indices of those xi, the column xi[rows], the (rows x nodes) nodes
-    x1 and x2 = xr - x1, the weights and the amplitude product.
+    xi is an array of output frequencies. For each pair (b1, b2) with a
+    nonempty set at some xi, yields (idx, xr, x1, x2, w, amp): the index
+    arrays of those xi in row-major order, the column xi[idx], the
+    (rows x nodes) nodes x1 and x2 = xr - x1, the weights and the
+    amplitude product.
     """
     for b1 in boxes1:
         for b2 in boxes2:
             lo = np.maximum(b1.lo, xi - b2.hi)
             hi = np.minimum(b1.hi, xi - b2.lo)
-            rows = np.flatnonzero(lo < hi)
-            if rows.size == 0:
+            idx = np.nonzero(lo < hi)
+            if idx[0].size == 0:
                 continue
-            x1, w = _map_rule(rule, lo[rows], hi[rows])
-            xr = xi[rows, None]
+            x1, w = _map_rule(rule, lo[idx], hi[idx])
+            xr = xi[idx][:, None]
             x2 = xr - x1
-            yield rows, xr, x1, x2, w, b1.amplitude(x1) * b2.amplitude(x2)
+            yield idx, xr, x1, x2, w, b1.amplitude(x1) * b2.amplitude(x2)
 
 
 def _second_iterate(data1, data2, a, t, out_window, phase_tag, symbol,
@@ -143,9 +163,8 @@ def _second_iterate(data1, data2, a, t, out_window, phase_tag, symbol,
     acc = np.zeros(N_OUT, dtype=complex)
     if t == 0 or data1.is_empty() or data2.is_empty():
         return PicardOutput(xi_s, acc, t)
-    rule = np.polynomial.legendre.leggauss(gl_nodes)
     for rows, xr, x1, x2, w, amp in _box_pairs(
-            xi_s, data1.boxes, data2.boxes, rule):
+            xi_s, data1.boxes, data2.boxes, _rule(gl_nodes)):
         ker = duhamel_kernel(eval_phase(phase_tag, a, (x1, x2)), t)
         acc[rows] += np.sum(w * symbol(xr, x1, x2) * ker * amp, axis=1)
     values = 1j * np.exp(1j * carrier_a * t * xi_s ** 3) * acc
@@ -193,9 +212,13 @@ def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
     the second like 1/(|Phi1u1||Phiv|); both phases must stay away from
     zero on the support (checked, PhaseFloorError otherwise).
 
-    The outer xi2 integral runs over each box and its nodes; at each
-    node the inner xi1 -> (xi11, xi12) integral is the box-pair core of
-    the second iterate, applied to xi1 = xi - xi2 for all samples.
+    The outer xi2 integral runs over each box and its nodes, in blocks
+    of nodes; for a block the inner xi1 -> (xi11, xi12) integral is the
+    box-pair core of the second iterate, applied to the (node, sample)
+    grid xi1 = xi - xi2. The accumulators take each (node, box pair,
+    sample) term in the order of a loop over nodes, then box pairs,
+    then samples, and a PhaseFloorError names the first point of that
+    loop whose check fails (the inner check before the outer one).
     """
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -204,39 +227,62 @@ def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
     acc2 = np.zeros(N_OUT, dtype=complex)
     if t != 0 and not v0.is_empty():
         boxes = v0.boxes
-        rule = np.polynomial.legendre.leggauss(gl_nodes)
-        for b2 in boxes:
-            for xi2, w2 in zip(*_map_rule(rule, b2.lo, b2.hi)):
-                xi1 = xi_s - xi2
-                phi_v = eval_phase("Phiv", a, (xi1, xi2))
-                ker_v = duhamel_kernel(phi_v, t)
-                for rows, y1, x11, x12, w11, amp in _box_pairs(
-                        xi1, boxes, boxes, rule):
-                    phi_u1 = eval_phase("Phi1u", a, (x11, x12))
-                    bad = np.abs(phi_u1) < min_phase
-                    if np.any(bad):
-                        r, k = np.argwhere(bad)[0]
-                        raise PhaseFloorError(
-                            "inner phase below floor at "
-                            "(xi, xi1, xi11)=(%g, %g, %g)"
-                            % (xi_s[rows[r]], xi1[rows[r]], x11[r, k]))
-                    bad = np.abs(phi_v[rows]) < min_phase
-                    if np.any(bad):
-                        r = rows[np.argmax(bad)]
-                        raise PhaseFloorError(
-                            "outer phase below floor at (xi, xi1)="
-                            "(%g, %g)" % (xi_s[r], xi1[r]))
-                    theta = phi_v[rows, None] + phi_u1
-                    g1 = duhamel_kernel(theta, t) / (1j * phi_u1)
-                    g2 = -ker_v[rows, None] / (1j * phi_u1)
-                    common = w2 * y1 * xi2 * (amp * b2.amplitude(xi2))
-                    acc1[rows] += np.sum(w11 * common * g1, axis=1)
-                    acc2[rows] += np.sum(w11 * common * g2, axis=1)
+        rule = _rule(gl_nodes)
+        mapped = [_map_rule(rule, b.lo, b.hi) for b in boxes]
+        xi2s = np.concatenate([x for x, _ in mapped])[:, None]
+        w2s = np.concatenate([w for _, w in mapped])[:, None]
+        # each box's amplitude at one scalar node at a time, as in the
+        # per-node loop (scalar powers round differently from arrays)
+        amp2s = np.array([b.amplitude(x) for b, (xs, _) in zip(boxes, mapped)
+                          for x in xs])[:, None]
+        block = max(1, _BLOCK_POINTS // (N_OUT * len(rule[0])))
+        for q in range(0, len(xi2s), block):
+            xi2, w2, amp2 = (v[q:q + block] for v in (xi2s, w2s, amp2s))
+            xi1 = xi_s - xi2
+            phi_v = eval_phase("Phiv", a, (xi1, xi2))
+            ker_v = duhamel_kernel(phi_v, t)
+            hits, terms = [], []
+            for pair, (idx, y1, x11, x12, w11, amp) in enumerate(_box_pairs(
+                    xi1, boxes, boxes, rule)):
+                node, row = idx
+                phi_u1 = eval_phase("Phi1u", a, (x11, x12))
+                inner = np.abs(phi_u1) < min_phase
+                outer = np.abs(phi_v[idx]) < min_phase
+                if np.any(outer) or np.any(inner):
+                    hits.append(_floor_hit(xi_s, pair, node, row, y1, x11,
+                                           inner, outer))
+                if hits:
+                    continue
+                den = 1j * phi_u1
+                g1 = duhamel_kernel(phi_v[idx][:, None] + phi_u1, t) / den
+                g2 = -ker_v[idx][:, None] / den
+                common = w2[node] * y1 * xi2[node] * (amp * amp2[node])
+                terms.append((node, row, np.sum(w11 * common * g1, axis=1),
+                              np.sum(w11 * common * g2, axis=1)))
+            if hits:
+                raise PhaseFloorError(min(hits)[2])
+            if terms:
+                n, r, s1, s2 = (np.concatenate(c) for c in zip(*terms))
+                order = np.argsort(n, kind="stable")  # node, pair, sample
+                np.add.at(acc1, r[order], s1[order])
+                np.add.at(acc2, r[order], s2[order])
     carrier = -np.exp(1j * t * xi_s ** 3)
     part1 = PicardOutput(xi_s, carrier * acc1, t)
     part2 = PicardOutput(xi_s, carrier * acc2, t)
     out = PicardOutput(xi_s, part1.values + part2.values, t)
     return (out, part1, part2) if return_parts else out
+
+
+def _floor_hit(xi_s, pair, node, row, y1, x11, inner, outer):
+    """(node, pair, message) of one box pair's first failing node."""
+    first = node == node[np.argmax(inner.any(axis=1) | outer)]
+    if np.any(inner[first]):
+        j, k = np.argwhere(inner & first[:, None])[0]
+        return (node[j], pair, "inner phase below floor at (xi, xi1, xi11)"
+                "=(%g, %g, %g)" % (xi_s[row[j]], y1[j, 0], x11[j, k]))
+    j = np.argmax(outer & first)
+    return (node[j], pair, "outer phase below floor at (xi, xi1)=(%g, %g)"
+            % (xi_s[row[j]], y1[j, 0]))
 
 
 def hs_norm_window(out, s, window):

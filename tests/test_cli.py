@@ -111,6 +111,22 @@ def test_classify_full_verdict(tmp_path):
     assert out["gwp"] == "Yes"
 
 
+@pytest.mark.parametrize("beta, gwp", [(None, "Unknown"), ("1", "Unknown"),
+                                       ("-0.25", "Yes")])
+def test_classify_quarter_gwp_needs_the_original_coupling(tmp_path, beta,
+                                                          gwp):
+    # the a = 1/4 verdict rests on E_H, conserved only when beta = a theta;
+    # the default beta is 1
+    argv = ["classify", "--a", "0.25", "--k", "1", "--s", "1", "--gamma",
+            "1", "--theta", "-1", "--original_system", "true",
+            "--out", str(tmp_path)]
+    if beta is not None:
+        argv += ["--beta", beta]
+    assert cli.main(argv) == EXIT_OK
+    out = json.loads((tmp_path / "classify.json").read_text())
+    assert out["gwp"] == gwp
+
+
 def test_atlas_artifacts(tmp_path):
     code = cli.main(["atlas", "--a", "0.5", "--out", str(tmp_path)])
     assert code == EXIT_OK

@@ -119,13 +119,8 @@ def test_fre_sup_input_validation():
         fre_sup(spec, 0.5, [0.0, 1.0], 1.0, 10.0)
 
 
-def _reference_level_set_intervals(coeffs, alpha, M, clip):
-    upper = coeffs.copy()
-    upper[3] -= alpha + M
-    lower = coeffs.copy()
-    lower[3] -= alpha - M
-    pts = fre._real_cubic_roots(upper) + fre._real_cubic_roots(lower)
-    pts = sorted(p for p in pts if -clip < p < clip)
+def _reference_level_set_intervals(coeffs, roots, alpha, M, clip):
+    pts = sorted(p for p in roots if -clip < p < clip)
     lo = np.array([-clip] + pts)
     hi = np.array(pts + [clip])
     keep = ~(hi - lo < 1e-300)
@@ -144,32 +139,37 @@ def _fixed_grid(lam):
 def _reference_ratio_scan(spec, a, lams):
     """Reference scan: one fre_sup per (lam, alpha, M), each a loop over the
     fixed frequency w with np.polyval level-set tests and one integrand call
-    per interval. The np.polyfit phase fit depends on w only, so it is done
-    once per w here. Returns (sups, slope).
+    per interval. The np.polyfit phase fit is made for one w per call, so a
+    batched fit row must equal it; the roots of every level-set cubic of
+    the scan come from one batched _cubic_roots call. Returns (sups, slope).
     """
-    gx, gw = fre._GL64
+    gx, gw = fre.GL_RULE
+    pairs = [(alpha, M) for alpha in fre.DEFAULT_ALPHA_GRID
+             for M in fre.DEFAULT_M_GRID]
+    fits = [[(w, fre._phase_cubic_coeffs(spec, a, [w])[0])
+             for w in _fixed_grid(lam)] for lam in lams]
+    cubics = [np.r_[coeffs[:3], coeffs[3] - shift]
+              for fit in fits for alpha, M in pairs for _, coeffs in fit
+              for shift in (alpha + M, alpha - M)]
+    roots = iter([r[~np.isnan(r)].tolist()
+                  for r in fre._cubic_roots(np.array(cubics))])
     sups = []
-    for lam in lams:
-        fits = [(w, fre._phase_cubic_coeffs(spec, a, w))
-                 for w in _fixed_grid(lam)]
+    for lam, fit in zip(lams, fits):
         worst = 0.0
-        for alpha in fre.DEFAULT_ALPHA_GRID:
-            for M in fre.DEFAULT_M_GRID:
-                best = 0.0
-                for w, coeffs in fits:
-                    total = 0.0
-                    for lo, hi in _reference_level_set_intervals(
-                            coeffs, alpha, M, 10.0 * lam):
-                        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                        xi, xi1, xi2 = fre._freqs_from(spec, w,
-                                                       mid + half * gx)
-                        total += half * float(np.sum(
-                            gw * fre._weight_integrand(spec, a, xi, xi1,
-                                                       xi2)))
-                    best = max(best, total)
-                norm = (float(fre._bracket(alpha)) ** fre.ALPHA_EXPONENT
-                        * M)
-                worst = max(worst, best / norm)
+        for alpha, M in pairs:
+            best = 0.0
+            for w, coeffs in fit:
+                total = 0.0
+                for lo, hi in _reference_level_set_intervals(
+                        coeffs, next(roots) + next(roots), alpha, M,
+                        10.0 * lam):
+                    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+                    xi, xi1, xi2 = fre._freqs_from(spec, w, mid + half * gx)
+                    total += half * float(np.sum(
+                        gw * fre._weight_integrand(spec, a, xi, xi1, xi2)))
+                best = max(best, total)
+            norm = float(fre._bracket(alpha)) ** fre.ALPHA_EXPONENT * M
+            worst = max(worst, best / norm)
         sups.append(worst)
     slope = float(np.polyfit(np.log(lams), np.log(sups), 1)[0])
     return sups, slope
@@ -179,19 +179,7 @@ def _reference_ratio_scan(spec, a, lams):
 # takes the Cardano branch on rounding noise: branch decisions must match
 @pytest.mark.parametrize("a", [0.5, 3.0, -1.0, 0.25])
 @pytest.mark.parametrize("kind", ["dxv2", "uvx"])
-def test_ratio_scan_matches_per_pair_reference(kind, a, monkeypatch):
-    # the reference calls the one-row wrapper of the batched root finder
-    # that fre_sup calls on all rows at once; memoizing the wrapper on the
-    # exact coefficients only skips repeated calls on equal inputs
-    memo = {}
-
-    def roots(c, find=fre._real_cubic_roots):
-        key = tuple(float(x) for x in c)
-        if key not in memo:
-            memo[key] = find(c)
-        return list(memo[key])
-
-    monkeypatch.setattr(fre, "_real_cubic_roots", roots)
+def test_ratio_scan_matches_per_pair_reference(kind, a):
     spec = make_fre_spec(kind, 1.0, 0.5)
     lams = (10.0, 100.0, 1000.0)
     sups, slope = _reference_ratio_scan(spec, a, lams)
@@ -268,13 +256,13 @@ def test_root_finder_matches_polyval_reference(kind):
     # every level-set cubic of a scan at a = -1, lam = 100, which holds a
     # misfiring fixed frequency for dxv2
     spec = make_fre_spec(kind, 1.0, 0.5)
-    for w in _fixed_grid(100.0):
-        c3, c2, c1, c0 = fre._phase_cubic_coeffs(spec, -1.0, w).tolist()
-        for alpha in fre.DEFAULT_ALPHA_GRID:
-            for M in fre.DEFAULT_M_GRID:
-                for c in ((c3, c2, c1, c0 - (alpha + M)),
-                          (c3, c2, c1, c0 - (alpha - M))):
-                    assert _real_cubic_roots(c) == _reference_cubic_roots(c)
+    rows = [np.r_[coeffs[:3], coeffs[3] - shift]
+            for coeffs in fre._phase_cubic_coeffs(spec, -1.0,
+                                                  _fixed_grid(100.0))
+            for alpha in fre.DEFAULT_ALPHA_GRID for M in fre.DEFAULT_M_GRID
+            for shift in (alpha + M, alpha - M)]
+    for row, r in zip(rows, fre._cubic_roots(np.array(rows))):
+        assert sorted(r[~np.isnan(r)].tolist()) == _reference_cubic_roots(row)
 
 
 # crafted cubics for each branch of the root finder: (name, coefficients,
@@ -326,7 +314,8 @@ def test_batched_finder_at_the_noise_fit(kind):
     # against tol = 8e-15 (Cardano on rounding noise); every level-set
     # cubic of every default pair, in one batch
     w = -0.26600198804687486
-    coeffs = fre._phase_cubic_coeffs(make_fre_spec(kind, 1.0, 0.5), -1.0, w)
+    coeffs = fre._phase_cubic_coeffs(make_fre_spec(kind, 1.0, 0.5), -1.0,
+                                     [w])[0]
     if kind == "dxv2":
         assert 1e-14 * np.abs(coeffs).max() < abs(coeffs[0]) < 2e-14
     rows = [np.r_[coeffs[:3], coeffs[3] - shift]
@@ -428,9 +417,9 @@ def test_fre_sup_cutoff_rows_match_single_calls(kind, a):
 def test_ratio_scan_fits_each_fixed_frequency_once(monkeypatch):
     fitted = []
 
-    def fit(spec, a, w, real=fre._phase_cubic_coeffs):
-        fitted.append(w)
-        return real(spec, a, w)
+    def fit(spec, a, ws, real=fre._phase_cubic_coeffs):
+        fitted.append(ws.tolist())
+        return real(spec, a, ws)
 
     monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
     lams = (1e2, 1e3, 1e4)
@@ -438,7 +427,22 @@ def test_ratio_scan_fits_each_fixed_frequency_once(monkeypatch):
     union = set().union(*(_fixed_grid(lam).tolist() for lam in lams))
     assert sum(len(_fixed_grid(lam)) for lam in lams) == 404
     assert len(union) == 172
-    assert sorted(fitted) == sorted(union)
+    # one fit call for the scan, whose rows are the distinct w
+    assert len(fitted) == 1
+    assert sorted(fitted[0]) == sorted(union)
+
+
+def test_phase_fit_rows_match_single_frequency_fits():
+    # each row of a batched fit is the fit of its frequency alone
+    ws = np.r_[-np.geomspace(1e3, 0.1, 9), np.geomspace(0.1, 1e3, 9),
+               -0.26600198804687486]
+    for kind in ("dxv2", "uvx"):
+        spec = make_fre_spec(kind, 1.0, 0.5)
+        got = fre._phase_cubic_coeffs(spec, -1.0, ws)
+        assert got.shape == (len(ws), 4)
+        for w, row in zip(ws, got):
+            assert row.tolist() == fre._phase_cubic_coeffs(
+                spec, -1.0, [w])[0].tolist()
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -186,6 +187,55 @@ def test_third_iterate_phase_floor():
                        match=r"outer .*\(xi, xi1\)=\(24.0235, 16.0037\)"):
         third_iterate_v(v0, a, 0.005, (24.0, 26.0), gl_nodes=8,
                         min_phase=6000.0)
+
+
+def test_third_iterate_floor_error_names_the_first_point_in_loop_order():
+    # the outer xi2 nodes run box by box, and at each node the box pairs
+    # (xi11, xi12) in order, inner check before outer. Here the first hit
+    # is an outer-only one at the 4th node (pair (2:3, 2:3)); at the 5th
+    # node pair (-9:-8, 2:3), earlier in pair order, trips the inner check
+    v0 = BoxData([FrequencyBox(-9.0, -8.0), FrequencyBox(2.0, 3.0)])
+    with pytest.raises(PhaseFloorError) as err:
+        third_iterate_v(v0, 2.0, 0.005, (-5.0, -1.0), gl_nodes=4,
+                        min_phase=100.0)
+    assert str(err.value) == ("outer phase below floor at (xi, xi1)="
+                              "(-2.1451, 5.92433)")
+
+
+def _digest(outputs):
+    h = hashlib.sha256()
+    for out in outputs:
+        h.update(np.ascontiguousarray(out.xi_samples).tobytes())
+        h.update(np.ascontiguousarray(out.values).tobytes())
+    return h.hexdigest()[:32]
+
+
+_N, _W = 64.0, 64.0 ** -0.5
+# the picard_third_v items of the certify workload (the L68 datum at
+# N = 64, gl_nodes = 6), and two boxes, one weighted, at gl_nodes = 8
+THIRD_PINS = [
+    (-1.0, "5ab165ee186f6dcdb1e6d79fba47a5bf"),
+    (-0.5, "f1941e56de7812fe6dda2dc54f6a9ff8"),
+    (-2.0, "f22ee4fbfe98aa467858448a4de7eb05"),
+    (-0.25, "7268202b1ce4edaefefc8f542d178ace"),
+]
+
+
+@pytest.mark.parametrize("a, digest", THIRD_PINS)
+def test_third_iterate_vetted_parts_pinned(a, digest):
+    v0 = BoxData([FrequencyBox(_N, _N + _W),
+                  FrequencyBox(-_N + 1.25 * _W, -_N + 1.5 * _W)])
+    parts = third_iterate_v(v0, a, 0.01, (_N + 2.0 * _W, _N + 2.25 * _W),
+                            gl_nodes=6, return_parts=True)
+    assert _digest(parts) == digest
+
+
+def test_third_iterate_two_box_parts_pinned():
+    v0 = BoxData([FrequencyBox(8.0, 9.0, 0.75), FrequencyBox(-3.5, -2.0)])
+    parts = third_iterate_v(v0, 2.0, 0.005, (10.0, 16.0), gl_nodes=8,
+                            return_parts=True)
+    assert np.count_nonzero(parts[0].values) == 147
+    assert _digest(parts) == "2a85d2506036a0da48f8a54ccc8a6096"
 
 
 def test_hs_norm_window_checks():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import math
 import random
 
 import pytest
@@ -149,13 +150,18 @@ def test_gwp_yes_branch():
 
 
 def test_gwp_quarter_branch():
-    c = Coefficients(0.25, gamma=1.0, theta=-1.0)
+    # the original coupling beta = a theta, which conserves E_H
+    c = Coefficients(0.25, beta=-0.25, gamma=1.0, theta=-1.0)
     assert classify_gwp(c, (1, 1)) == "Unknown"
     assert classify_gwp(c, (1, 1), original_system=True) == "Yes"
-    bad = Coefficients(0.25, gamma=-1.0, theta=-1.0)
+    bad = Coefficients(0.25, beta=-0.25, gamma=-1.0, theta=-1.0)
     assert classify_gwp(bad, (1, 1), original_system=True) == "Unknown"
-    cplx = Coefficients(0.25, gamma=1j, theta=-1.0)
+    cplx = Coefficients(0.25, beta=-0.25, gamma=1j, theta=-1.0)
     assert classify_gwp(cplx, (1, 1), original_system=True) == "Unknown"
+    # beta != a theta: E_H is not conserved, so there is no H^1 bound
+    for beta in (1.0, math.nextafter(-0.25, 0.0)):
+        off = Coefficients(0.25, beta=beta, gamma=1.0, theta=-1.0)
+        assert classify_gwp(off, (1, 1), original_system=True) == "Unknown"
 
 
 def test_boundary_segments_markers():

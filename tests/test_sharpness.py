@@ -187,3 +187,50 @@ def test_third_iterate_first_part_dominates():
     m2 = np.max(np.abs(p2.values))
     assert m1 > 0.0
     assert m2 <= 0.01 * m1
+
+
+# the certify workload's L61, L64 and L67 ladders at N = 64, 128, 256,
+# every vetted tuple, pinned bit for bit: (lemma, kwargs) -> rung norms
+CERTIFY_LADDERS = [
+    ("L61", dict(k=0.0, s=0.0, a=2.0), [
+        7.708433007151495e-08, 9.635538159065041e-09,
+        1.2044420747538735e-09]),
+    ("L61", dict(k=0.0, s=0.0, a=-1.0), [
+        7.708311962439731e-08, 9.63540271641328e-09,
+        1.2044260951399673e-09]),
+    ("L61", dict(k=0.0, s=0.0, a=3.0), [
+        7.70833914026486e-08, 9.635419192797625e-09,
+        1.204427109233294e-09]),
+    ("L61", dict(k=0.0, s=1.0, a=2.0), [
+        5.133024745729044e-06, 1.2582641013242777e-06,
+        3.1144911176814205e-07]),
+    ("L61", dict(k=0.0, s=0.5, a=-2.0), [
+        6.290007513282445e-07, 1.1010520686241772e-07,
+        1.9367402628207633e-08]),
+    ("L64", dict(k=0.0), [
+        0.046232686873559276, 0.05494556310129032, 0.06532707528603295]),
+    ("L64", dict(k=1.0), [
+        5.923744832683004, 14.071028398628423, 33.45160940136695]),
+    ("L64", dict(k=0.5), [
+        0.5233265012742597, 0.8792841259637565, 1.4782746037777537]),
+    ("L64", dict(k=-1.0), [
+        0.00036082947574084853, 0.00021455538933746354,
+        0.000127576127263048]),
+    ("L67", dict(s=0.0, a=2.0), [
+        1.6626953270363494e-07, 4.156738317537256e-08,
+        1.039184579385091e-08]),
+    ("L67", dict(s=0.0, a=3.0), [
+        2.883502654503624e-07, 7.20875663635468e-08,
+        1.802189159093065e-08]),
+    ("L67", dict(s=1.0, a=2.0), [
+        1.3449062176957742e-05, 6.724136777273153e-06,
+        3.3620196529435188e-06]),
+    ("L67", dict(s=0.5, a=4.0), [
+        3.96463970670633e-06, 1.4016865807013923e-06,
+        4.955688449810746e-07]),
+]
+
+
+@pytest.mark.parametrize("lemma, kwargs, norms", CERTIFY_LADDERS)
+def test_certify_ladder_norms_pinned(lemma, kwargs, norms):
+    assert run_ladder(lemma, Ns=(64, 128, 256), **kwargs).norms == norms

@@ -73,8 +73,32 @@ def test_tracer_keeps_a_scan_under_one_fre_sup_span():
     assert (fre.fre_sup, fre.ratio_scan, phases.eval_phase,
             fre.eval_phase) == originals
     counts = tracing.pass_counts(tracing.Layers(tr.spans), tr.counts, 0)
-    # one fit, so one phase evaluation, per distinct fixed frequency
+    # one fit, so one phase evaluation, for all distinct fixed frequencies
     assert counts["fre.fre_sup.calls"] == 1
-    assert counts["phases.eval_phase.calls"] == 172
+    assert counts["phases.eval_phase.calls"] == 1
+    assert counts["phases.eval_phase.points"] == 4 * 172
     times = tracing.pass_times(tracing.Layers(tr.spans))
     assert times["fre.fre_sup.self_s"] > 0.0
+
+
+def test_traced_passes_count_the_same_gauss_legendre_rules():
+    # the 64-node rule is built at import, so neither pass builds it; the
+    # 6-node rule of the third iterate is built once per call in each
+    tracing = _tracing()
+    n, w = 64.0, 64.0 ** -0.5
+    v0 = picard.BoxData([picard.FrequencyBox(n, n + w),
+                         picard.FrequencyBox(-n + 1.25 * w, -n + 1.5 * w)])
+    rules = []
+    for _ in range(2):
+        tr = tracing.Tracer()
+        try:
+            tracing.install(tr, MODULES)
+            sharpness.run_ladder("L61", Ns=(64, 128, 256), a=2.0)
+            picard.third_iterate_v(v0, -1.0, 0.01,
+                                   (n + 2.0 * w, n + 2.25 * w), gl_nodes=6)
+        finally:
+            tr.restore()
+        counts = tracing.pass_counts(tracing.Layers(tr.spans), tr.counts, 0)
+        assert counts["picard.second_iterate.calls"] == 3
+        rules.append(counts["picard.gl_rules"])
+    assert rules == [1, 1]
