@@ -234,3 +234,96 @@ CERTIFY_LADDERS = [
 @pytest.mark.parametrize("lemma, kwargs, norms", CERTIFY_LADDERS)
 def test_certify_ladder_norms_pinned(lemma, kwargs, norms):
     assert run_ladder(lemma, Ns=(64, 128, 256), **kwargs).norms == norms
+
+
+# every family's ladder at N = 64, 128, 256, pinned bit for bit: the
+# rung norms, and the report's predicted slope, rho, tol, a and verdict
+REPORT_PINS = [
+    ("L61", dict(k=0.0, s=0.0, a=2.0), (-3.0, None, 0.15, 2.0, True), [
+        7.708433007151495e-08, 9.635538159065041e-09,
+        1.2044420747538735e-09]),
+    ("L62", dict(k=0.0, s=-1.8, a=2.0, rho=-1.0),
+     (-0.5, -1.0, 0.15, 2.0, True), [
+         0.0013600114983558795, 0.001065960560453969,
+         0.0007881512804292373]),
+    # the default rho, the midpoint of the bracket (s+1/2, k-3/2)
+    ("L62", dict(k=4.0, s=0.0, a=2.0), (1.0, 1.5, 0.15, 2.0, True), [
+        0.46843272577279654, 1.0398963527427203, 2.1766301826865067]),
+    ("L62", dict(k=0.0, s=-2.5, a=2.0), (0.25, -1.75, 0.15, 2.0, True), [
+        0.033147960689362585, 0.04371957676396372,
+        0.054384813257043585]),
+    ("L63", dict(k=0.0, a=-1.0), (-0.5, None, 0.15, -1.0, True), [
+        2.1347819716306184e-06, 1.5095188084947983e-06,
+        1.0673909858153092e-06]),
+    ("L64", dict(k=0.0), (0.25, None, 0.15, 0.25, True), [
+        0.046232686873559276, 0.05494556310129032, 0.06532707528603295]),
+    ("L65", dict(s=0.0), (0.25, None, 0.15, 0.25, True), [
+        0.036550744785721526, 0.04343899204467093, 0.05164643255803767]),
+    ("L66", dict(k=0.0, a=2.0), (-2.0, None, 0.15, 2.0, True), [
+        9.976209952259696e-07, 2.494047227802357e-07,
+        6.235116425760817e-08]),
+    ("L67", dict(s=0.0, a=2.0), (-2.0, None, 0.15, 2.0, True), [
+        1.6626953270363494e-07, 4.156738317537256e-08,
+        1.039184579385091e-08]),
+    ("L68", dict(s=-0.5, a=-1.0), (-2.75, None, 0.2, -1.0, True), [
+        4.745376510334317e-09, 7.036694170925593e-10,
+        1.0462772071434609e-10]),
+]
+
+
+@pytest.mark.parametrize("lemma, kwargs, fields, norms", REPORT_PINS)
+def test_ladder_reports_pinned(lemma, kwargs, fields, norms):
+    rep = ladder_report(lemma, Ns=(64, 128, 256), **kwargs)
+    assert rep["norms"] == norms
+    assert (rep["predicted"], rep["rho"], rep["tol"], rep["a"],
+            rep["pass"]) == fields
+
+
+# every HypothesisError guard with its exact message
+GUARD_MESSAGES = [
+    (("L61", 8), dict(a=2.0), "ladder requires N >= 16"),
+    (("L61", 64), dict(), "L61 needs a outside {0,1}"),
+    (("L61", 64), dict(a=1), "L61 needs a outside {0,1}"),
+    (("L62", 64), dict(a=0), "L62 needs a outside {0,1}"),
+    (("L62", 64), dict(k=4.0, a=0.8),
+     "L62 phase positivity fails for a=0.8, b=0.9"),
+    (("L62", 64), dict(k=0.0, s=-1.8, a=2.0),
+     "L62 bracket (s+1/2, k-3/2) is empty at (k,s)=(0,-1.8); "
+     "pass rho explicitly"),
+    (("L63", 64), dict(a=1), "L63 needs a outside {0,1}"),
+    # one node pair of the support has exactly zero phase at this a
+    (("L63", 64), dict(a=1386.9999999999977),
+     "L63 phase floor fails at delta=0.05"),
+    (("L64", 64), dict(a=0.5), "L64 requires a = 1/4"),
+    (("L65", 64), dict(a=0.5), "L65 requires a = 1/4"),
+    (("L66", 64), dict(a=0.2), "L66 needs a > 1/4, a != 1"),
+    (("L66", 64), dict(a=1.0), "L66 needs a > 1/4, a != 1"),
+    (("L67", 64), dict(), "L67 needs a > 1/4, a != 1"),
+    (("L68", 64), dict(a=-0.125), "L68 needs a < 1/4 outside {-1/8, 0}"),
+    (("L68", 64), dict(a=0.5), "L68 needs a < 1/4 outside {-1/8, 0}"),
+]
+
+
+@pytest.mark.parametrize("args, kwargs, message", GUARD_MESSAGES)
+def test_guard_messages_pinned(args, kwargs, message):
+    with pytest.raises(HypothesisError) as exc:
+        build(*args, **kwargs)
+    assert str(exc.value) == message
+
+
+def test_phase_regime_messages_pinned():
+    spec = build("L64", 64)
+    spec.t = 10.0
+    with pytest.raises(HypothesisError) as exc:
+        check_phase_regime(spec)
+    assert str(exc.value) == ("L64_quarter_s: bounded-phase check failed, "
+                              "max|t*Phi|=15 > 0.1")
+    spec = build("L61", 64, a=2.0)
+    spec.t = 1.0
+    with pytest.raises(HypothesisError) as exc:
+        check_phase_regime(spec)
+    assert str(exc.value) == ("L61_s_le_k3: large-phase coherence failed, "
+                              "max|t*Phi|=2.62e+05")
+    with pytest.raises(ValueError) as exc:
+        predicted_slope("L62")
+    assert str(exc.value) == "L62 prediction needs rho"
