@@ -43,7 +43,6 @@ KEY_TYPES = {
     "beta": ("float", ("classify", "simulate")),
     "gamma": ("float", ("classify", "simulate")),
     "theta": ("float", ("classify", "simulate")),
-    "original_system": ("bool", ("classify",)),
     "k_max": ("float", ("atlas",)),
     "L": ("float", ("simulate", "ibps-check")),
     "n": ("int", ("simulate", "ibps-check")),
@@ -278,8 +277,7 @@ def _run_classify(cfg, art):
     out = verdict.as_dict()
     if verdict.supported:
         coeffs = _coeffs(cfg)
-        out["gwp"] = regions.classify_gwp(
-            coeffs, p, original_system=cfg.get("original_system", False))
+        out["gwp"] = regions.classify_gwp(coeffs, p)
     out["a"] = a
     out["k"] = float(p.k)
     out["s"] = float(p.s)

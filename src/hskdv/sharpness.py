@@ -5,71 +5,51 @@ frequency-box datum whose second (or third) Picard iterate grows like a
 power of the frequency parameter N in the relevant Sobolev norm. This
 module builds those data, evaluates the iterates through the picard
 module along an N-ladder, fits the log-log growth slope and compares it
-with the predicted exponent.
-
-Lemma tags (fixed enumeration; the suffix names the boundary the
-construction certifies):
-
-  L61_s_le_k3    s <= k+3             second v-iterate, distant boxes
-  L62_s_ge_km2   s >= k-2             second u-iterate, weighted boxes
-  L63_s_ge_k2_34 s >= k/2-3/4         second u-iterate, +-N boxes
-  L64_quarter_s  s >= k/2+3/8 (a=1/4) second u-iterate, double root
-  L65_quarter_k  k >= 3/4     (a=1/4) second v-iterate, double root
-  L66_agt_s      s >= k/2     (a>1/4) second u-iterate, resonant root
-  L67_agt_k      k >= 0       (a>1/4) second v-iterate, resonant root
-  L68_cubic_34   s >= -3/4    (a<1/4) third v-iterate
+with the predicted exponent. Each family is one row of FAMILIES, keyed
+by its lemma tag; only its box geometry in N is written as code.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from . import picard
 from .phases import eval_phase, mu
 
-LEMMA_TAGS = ("L61_s_le_k3", "L62_s_ge_km2", "L63_s_ge_k2_34",
-              "L64_quarter_s", "L65_quarter_k", "L66_agt_s",
-              "L67_agt_k", "L68_cubic_34")
-
-_SHORT = {t.split("_")[0]: t for t in LEMMA_TAGS}
-
 DEFAULT_NS = (64, 128, 256, 512, 1024)
 TIME_CONSTANT = 0.01      # c in t = c*N^-3 for the large-phase ladders
 BOUNDED_T = 0.01          # fixed small time, double-root ladders
 RESONANT_T = 0.002        # fixed small time, simple-resonance ladders
-L62_B = 0.9
-L63_DELTA = 0.05
 
 
 def canonical_tag(lemma):
-    if lemma in LEMMA_TAGS:
-        return lemma
-    if lemma in _SHORT:
-        return _SHORT[lemma]
-    raise ValueError("unknown lemma tag %r" % (lemma,))
+    tag = _SHORT.get(lemma, lemma)
+    if tag not in FAMILIES:
+        raise ValueError("unknown lemma tag %r" % (lemma,))
+    return tag
 
 
 class HypothesisError(ValueError):
     pass
 
 
-class CounterexampleSpec:
-    """Concrete ladder rung: box data, time, windows, norm index."""
+# One row of FAMILIES:
+#   boundary  the regions.region_planes label of the line it certifies
+#   iterate   second_u, measured in H^k, or second_v / third_v, in H^s
+#   guard     (admits(a), the HypothesisError text when a is not admitted)
+#   t         a fixed time (bounded phase), or None for TIME_CONSTANT*N^-3
+#   slope     (n, rho) -> predicted exponent at norm index n
+#   geometry  (N, a, rho) -> (u0, v0, out_window), the box data in N
+#   tol       the verdict's default tolerance; default_a, the a if none given
+#   rho       (k, s, rho) -> amplitude exponent of the weighted datum
+Family = namedtuple("Family", ("boundary", "iterate", "guard", "t", "slope",
+                               "geometry", "tol", "default_a", "rho"),
+                    defaults=(0.15, None, None))
 
-    def __init__(self, lemma, a, N, iterate, u0, v0, t, out_window,
-                 norm_index, norm_window, aux=None, phase_regime="large"):
-        self.lemma = lemma
-        self.a = float(a)
-        self.N = float(N)
-        self.iterate = iterate
-        self.u0 = u0
-        self.v0 = v0
-        self.t = float(t)
-        self.out_window = tuple(out_window)
-        self.norm_index = float(norm_index)
-        self.norm_window = tuple(norm_window)
-        self.aux = dict(aux or {})
-        self.phase_regime = phase_regime
+
+def _norm_index(fam, k, s):
+    return k if fam.iterate == "second_u" else s
 
 
 def _boxes(*iv, rho=0.0):
@@ -77,124 +57,161 @@ def _boxes(*iv, rho=0.0):
                            for lo, hi in iv])
 
 
+def _l61(N, a, rho):
+    return _boxes((N, N + 1.0)), _boxes((1.0, 3.0)), (N + 2.0, N + 3.0)
+
+
+def _l62(N, a, rho):
+    b = 0.9
+    if abs(1.0 - a) * b ** 3 - (1.0 - b ** 3) - (1.0 - b) ** 3 <= 0:
+        raise HypothesisError("L62 phase positivity fails for a=%g, "
+                              "b=%g" % (a, b))
+    v0 = _boxes((-1.0, 1.0), (b * N, N), rho=rho)
+    return None, v0, (b * N + 1.0, N - 1.0)
+
+
+def _l62_rho(k, s, rho):
+    if rho is None:
+        lo_b, hi_b = s + 0.5, k - 1.5
+        if not lo_b < hi_b:
+            raise HypothesisError(
+                "L62 bracket (s+1/2, k-3/2) is empty at (k,s)=(%g,%g); "
+                "pass rho explicitly" % (k, s))
+        rho = 0.5 * (lo_b + hi_b)
+    return rho
+
+
+def _l63(N, a, rho):
+    d = 0.05
+    v0 = _boxes((-N - d * N, -N + d * N), (N + d * N, N + 2 * d * N))
+    win = (d * N, 2 * d * N)
+    # the phase floor on the output window must be positive
+    if np.min(_support_phases("Phi1u", a, v0, v0, win),
+              initial=math.inf) <= 0:
+        raise HypothesisError("L63 phase floor fails at delta=%g" % d)
+    return None, v0, win
+
+
+def _l64(N, a, rho):
+    w = N ** -0.5
+    return None, _boxes((N, N + w)), (2 * N, 2 * N + 2 * w)
+
+
+def _l65(N, a, rho):
+    w = N ** -0.5
+    return (_boxes((2 * N, 2 * N + 2 * w)), _boxes((-N - w, -N)),
+            (N - w, N + 2 * w))
+
+
+def _l66(N, a, rho):
+    m = mu(a)
+    c2 = (1.0 / m - 1.0) * N
+    h = N ** -2.0
+    v0 = _boxes((N, N + h), (c2 - h, c2 + h))
+    return None, v0, (N / m - h, N / m + 2 * h)
+
+
+def _l67(N, a, rho):
+    m = mu(a)
+    h = N ** -2.0
+    u0 = _boxes((N, N + h))
+    v0 = _boxes(((m - 1.0) * N - h, (m - 1.0) * N + h))
+    return u0, v0, (m * N - h, m * N + 2 * h)
+
+
+def _l68(N, a, rho):
+    w = N ** -0.5
+    v0 = _boxes((N, N + w), (-N + 1.25 * w, -N + 1.5 * w))
+    return None, v0, (N + 2.0 * w, N + 2.25 * w)
+
+
+_NOT_01 = (lambda a: a not in (0, 1), "needs a outside {0,1}")
+_QUARTER = (lambda a: a == 0.25, "requires a = 1/4")
+_ABOVE = (lambda a: a > 0.25 and a != 1, "needs a > 1/4, a != 1")
+_BELOW = (lambda a: a < 0.25 and a not in (-0.125, 0.0),
+          "needs a < 1/4 outside {-1/8, 0}")
+
+FAMILIES = {
+    "L61_s_le_k3": Family("s=k+3", "second_v", _NOT_01, None,
+                          lambda n, rho: n - 3.0, _l61),
+    "L62_s_ge_km2": Family("s=k-2", "second_u", _NOT_01, None,
+                           lambda n, rho: n - 2.0 - rho + 0.5, _l62,
+                           rho=_l62_rho),
+    "L63_s_ge_k2_34": Family("s=k/2-3/4", "second_u", _NOT_01, None,
+                             lambda n, rho: n - 0.5, _l63),
+    "L64_quarter_s": Family("s=k/2+3/8", "second_u", _QUARTER, BOUNDED_T,
+                            lambda n, rho: n + 0.25, _l64, default_a=0.25),
+    "L65_quarter_k": Family("k=3/4", "second_v", _QUARTER, BOUNDED_T,
+                            lambda n, rho: n + 0.25, _l65, default_a=0.25),
+    "L66_agt_s": Family("s=k/2", "second_u", _ABOVE, RESONANT_T,
+                        lambda n, rho: n - 2.0, _l66),
+    "L67_agt_k": Family("k=0", "second_v", _ABOVE, RESONANT_T,
+                        lambda n, rho: n - 2.0, _l67),
+    "L68_cubic_34": Family("s=-3/4", "third_v", _BELOW, BOUNDED_T,
+                           lambda n, rho: n - 2.25, _l68, tol=0.2),
+}
+
+LEMMA_TAGS = tuple(FAMILIES)
+_SHORT = {t.split("_")[0]: t for t in LEMMA_TAGS}
+
+
+class CounterexampleSpec:
+    """Concrete ladder rung: box data, time, window, norm index.
+
+    Its iterate and phase regime are those of family = FAMILIES[lemma],
+    and the norm is taken over the iterate's window out_window.
+    """
+
+    def __init__(self, lemma, a, N, u0, v0, t, out_window, norm_index,
+                 aux=None):
+        self.lemma = lemma
+        self.family = FAMILIES[lemma]
+        self.a = float(a)
+        self.N = float(N)
+        self.u0 = u0
+        self.v0 = v0
+        self.t = float(t)
+        self.out_window = tuple(out_window)
+        self.norm_index = float(norm_index)
+        self.aux = dict(aux or {})
+
+
+def _resolve(lemma, k, s, a, rho):
+    """The family's a (its default when None, guarded) and its rho."""
+    fam = FAMILIES[lemma]
+    admits, needs = fam.guard
+    a = fam.default_a if a is None else a
+    if a is None or not admits(a):
+        raise HypothesisError("%s %s" % (lemma.split("_")[0], needs))
+    if fam.rho is not None:
+        rho = fam.rho(k, s, rho)
+    return a, rho
+
+
 def build(lemma, N, k=0.0, s=0.0, a=None, rho=None):
     """Instantiate one ladder rung of a counterexample family.
 
-    Guards the stated a-range of each family. For L62 the amplitude
-    exponent rho defaults to the midpoint of the admissible bracket
-    (s+1/2, k-3/2) when that bracket is nonempty; otherwise it must be
-    given explicitly.
+    Guards the family's a-range. For L62 the amplitude exponent rho
+    defaults to the midpoint of the admissible bracket (s+1/2, k-3/2)
+    when that bracket is nonempty (_l62_rho); otherwise it must be given
+    explicitly.
     """
     lemma = canonical_tag(lemma)
     if N < 16:
         raise HypothesisError("ladder requires N >= 16")
-    w = N ** -0.5
-
-    if lemma == "L61_s_le_k3":
-        if a in (None, 0, 1):
-            raise HypothesisError("L61 needs a outside {0,1}")
-        t = TIME_CONSTANT * N ** -3.0
-        win = (N + 2.0, N + 3.0)
-        return CounterexampleSpec(lemma, a, N, "second_v",
-                                  _boxes((N, N + 1.0)), _boxes((1.0, 3.0)),
-                                  t, win, s, win)
-
-    if lemma == "L62_s_ge_km2":
-        if a in (None, 0, 1):
-            raise HypothesisError("L62 needs a outside {0,1}")
-        b = L62_B
-        if abs(1.0 - a) * b ** 3 - (1.0 - b ** 3) - (1.0 - b) ** 3 <= 0:
-            raise HypothesisError("L62 phase positivity fails for a=%g, "
-                                  "b=%g" % (a, b))
-        if rho is None:
-            lo_b, hi_b = s + 0.5, k - 1.5
-            if not lo_b < hi_b:
-                raise HypothesisError(
-                    "L62 bracket (s+1/2, k-3/2) is empty at (k,s)=(%g,%g); "
-                    "pass rho explicitly" % (k, s))
-            rho = 0.5 * (lo_b + hi_b)
-        v0 = picard.BoxData([
-            picard.FrequencyBox(-1.0, 1.0, rho),
-            picard.FrequencyBox(b * N, N, rho),
-        ])
-        t = TIME_CONSTANT * N ** -3.0
-        win = (b * N + 1.0, N - 1.0)
-        return CounterexampleSpec(lemma, a, N, "second_u", None, v0, t,
-                                  win, k, win, aux={"rho": rho, "b": b})
-
-    if lemma == "L63_s_ge_k2_34":
-        if a in (None, 0, 1):
-            raise HypothesisError("L63 needs a outside {0,1}")
-        d = L63_DELTA
-        v0 = _boxes((-N - d * N, -N + d * N), (N + d * N, N + 2 * d * N))
-        # the phase floor on the output window must be positive
-        if np.min(_support_phases("Phi1u", a, v0, v0, (d * N, 2 * d * N)),
-                  initial=math.inf) <= 0:
-            raise HypothesisError("L63 phase floor fails at delta=%g" % d)
-        t = TIME_CONSTANT * N ** -3.0
-        win = (d * N, 2 * d * N)
-        return CounterexampleSpec(lemma, a, N, "second_u", None, v0, t,
-                                  win, k, win, aux={"delta": d})
-
-    if lemma == "L64_quarter_s":
-        if a is None:
-            a = 0.25
-        if a != 0.25:
-            raise HypothesisError("L64 requires a = 1/4")
-        v0 = _boxes((N, N + w))
-        win = (2 * N, 2 * N + 2 * w)
-        return CounterexampleSpec(lemma, a, N, "second_u", None, v0,
-                                  BOUNDED_T, win, k, win,
-                                  phase_regime="bounded")
-
-    if lemma == "L65_quarter_k":
-        if a is None:
-            a = 0.25
-        if a != 0.25:
-            raise HypothesisError("L65 requires a = 1/4")
-        u0 = _boxes((2 * N, 2 * N + 2 * w))
-        v0 = _boxes((-N - w, -N))
-        win = (N - w, N + 2 * w)
-        return CounterexampleSpec(lemma, a, N, "second_v", u0, v0,
-                                  BOUNDED_T, win, s, win,
-                                  phase_regime="bounded")
-
-    if lemma == "L66_agt_s":
-        if a is None or not (a > 0.25 and a != 1):
-            raise HypothesisError("L66 needs a > 1/4, a != 1")
-        m = mu(a)
-        c2 = (1.0 / m - 1.0) * N
-        h = N ** -2.0
-        v0 = _boxes((N, N + h), (c2 - h, c2 + h))
-        win = (N / m - h, N / m + 2 * h)
-        return CounterexampleSpec(lemma, a, N, "second_u", None, v0,
-                                  RESONANT_T, win, k, win,
-                                  phase_regime="bounded")
-
-    if lemma == "L67_agt_k":
-        if a is None or not (a > 0.25 and a != 1):
-            raise HypothesisError("L67 needs a > 1/4, a != 1")
-        m = mu(a)
-        h = N ** -2.0
-        u0 = _boxes((N, N + h))
-        v0 = _boxes(((m - 1.0) * N - h, (m - 1.0) * N + h))
-        win = (m * N - h, m * N + 2 * h)
-        return CounterexampleSpec(lemma, a, N, "second_v", u0, v0,
-                                  RESONANT_T, win, s, win,
-                                  phase_regime="bounded")
-
-    # L68_cubic_34
-    if a is None or not (a < 0.25 and a not in (-0.125, 0.0)):
-        raise HypothesisError("L68 needs a < 1/4 outside {-1/8, 0}")
-    v0 = _boxes((N, N + w), (-N + 1.25 * w, -N + 1.5 * w))
-    win = (N + 2.0 * w, N + 2.25 * w)
-    return CounterexampleSpec(lemma, a, N, "third_v", None, v0,
-                              BOUNDED_T, win, s, win,
-                              phase_regime="mixed")
+    fam = FAMILIES[lemma]
+    a, rho = _resolve(lemma, k, s, a, rho)
+    u0, v0, win = fam.geometry(N, a, rho)
+    t = TIME_CONSTANT * N ** -3.0 if fam.t is None else fam.t
+    return CounterexampleSpec(lemma, a, N, u0, v0, t, win,
+                              _norm_index(fam, k, s),
+                              aux=None if fam.rho is None else {"rho": rho})
 
 
 def predicted_slope(lemma, k=0.0, s=0.0, rho=None):
     """Predicted growth exponent of the measured window norm.
+
+    The FAMILIES row's slope: the norm index plus the family's offset.
 
     L62 (raw H^k norm of the second u-iterate over the window, with no
     division by the data norm). The datum is <xi>^(-rho) on
@@ -215,32 +232,14 @@ def predicted_slope(lemma, k=0.0, s=0.0, rho=None):
     norm inflation.
     """
     lemma = canonical_tag(lemma)
-    if lemma == "L61_s_le_k3":
-        return s - 3.0
-    if lemma == "L62_s_ge_km2":
-        if rho is None:
-            raise ValueError("L62 prediction needs rho")
-        return k - 2.0 - rho + 0.5
-    if lemma == "L63_s_ge_k2_34":
-        return k - 0.5
-    if lemma == "L64_quarter_s":
-        return k + 0.25
-    if lemma == "L65_quarter_k":
-        return s + 0.25
-    if lemma == "L66_agt_s":
-        return k - 2.0
-    if lemma == "L67_agt_k":
-        return s - 2.0
-    return s - 2.25  # L68_cubic_34
+    fam = FAMILIES[lemma]
+    if fam.rho is not None and rho is None:
+        raise ValueError("%s prediction needs rho" % lemma.split("_")[0])
+    return fam.slope(_norm_index(fam, k, s), rho)
 
 
 def _support_nodes(data, n=33):
-    if data is None or data.is_empty():
-        return np.array([])
-    out = []
-    for b in data.boxes:
-        out.append(np.linspace(b.lo, b.hi, n))
-    return np.concatenate(out)
+    return np.concatenate([np.linspace(b.lo, b.hi, n) for b in data.boxes])
 
 
 def _support_phases(tag, a, d1, d2, out_window):
@@ -264,41 +263,41 @@ def check_phase_regime(spec):
     need max |t*Phi| <= 0.1. The third-iterate family is checked
     through its effective bounded phase inside third_iterate_v.
     """
-    if spec.phase_regime == "mixed":
+    fam = spec.family
+    if fam.iterate == "third_v":
         return
-    if spec.iterate == "second_v":
+    if fam.iterate == "second_v":
         tag, d1 = "Phiv", spec.u0
     else:
         tag, d1 = "Phi1u", spec.v0
     phases = _support_phases(tag, spec.a, d1, spec.v0, spec.out_window)
     xmax = float(np.max(spec.t * phases, initial=0.0))
-    if spec.phase_regime == "bounded":
-        if xmax > 0.1:
+    if fam.t is None:
+        # large phase: the mean-value step needs sin(x)/x >= 0.99
+        if xmax > 0 and math.sin(xmax) < 0.99 * xmax:
             raise HypothesisError(
-                "%s: bounded-phase check failed, max|t*Phi|=%.3g > 0.1"
+                "%s: large-phase coherence failed, max|t*Phi|=%.3g"
                 % (spec.lemma, xmax))
-        return
-    # large phase: the mean-value step needs sin(x)/x >= 0.99
-    if xmax > 0 and math.sin(xmax) < 0.99 * xmax:
+    elif xmax > 0.1:  # a fixed time: bounded phase
         raise HypothesisError(
-            "%s: large-phase coherence failed, max|t*Phi|=%.3g"
+            "%s: bounded-phase check failed, max|t*Phi|=%.3g > 0.1"
             % (spec.lemma, xmax))
 
 
 def evaluate_rung(spec):
     """Run the designated iterate and return the windowed norm."""
     check_phase_regime(spec)
-    if spec.iterate == "second_v":
+    if spec.family.iterate == "second_v":
         out = picard.second_iterate_v(spec.u0, spec.v0, spec.a, spec.t,
                                       spec.out_window)
-    elif spec.iterate == "second_u":
+    elif spec.family.iterate == "second_u":
         out = picard.second_iterate_u(spec.v0, spec.a, spec.t,
                                       spec.out_window)
     else:
         out = picard.third_iterate_v(
             spec.v0, spec.a, spec.t, spec.out_window,
             gl_nodes=48, min_phase=0.4 * spec.N ** 1.5)
-    return picard.hs_norm_window(out, spec.norm_index, spec.norm_window)
+    return picard.hs_norm_window(out, spec.norm_index, spec.out_window)
 
 
 class ExponentFit:
@@ -311,10 +310,14 @@ class ExponentFit:
 
 
 def run_ladder(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None):
-    """Fit the growth slope of the windowed norm along the N ladder."""
+    """Fit the growth slope of the windowed norm along the N ladder.
+
+    Fewer than 3 distinct N is a ValueError, raised before any rung.
+    """
     Ns = sorted(float(N) for N in Ns)
-    if len(Ns) < 3:
-        raise ValueError("ladder needs at least 3 points")
+    if len(set(Ns)) < 3:
+        raise ValueError("ladder needs at least 3 distinct N, got %s"
+                         % ", ".join("%g" % N for N in Ns))
     norms = []
     for N in Ns:
         spec = build(lemma, N, k=k, s=s, a=a, rho=rho)
@@ -347,16 +350,13 @@ def ladder_report(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None,
                   tol=None):
     """Full JSON-ready report for one counterexample family."""
     lemma = canonical_tag(lemma)
-    spec0 = build(lemma, min(Ns), k=k, s=s, a=a, rho=rho)
-    rho_eff = spec0.aux.get("rho", rho)
+    a_eff, rho_eff = _resolve(lemma, k, s, a, rho)
     fit = run_ladder(lemma, Ns, k=k, s=s, a=a, rho=rho)
     pred = predicted_slope(lemma, k=k, s=s, rho=rho_eff)
-    if tol is None:
-        tol = 0.2 if lemma == "L68_cubic_34" else 0.15
-    v = verdict(fit, pred, tol)
+    tol = FAMILIES[lemma].tol if tol is None else tol
     return {
         "lemma": lemma,
-        "a": spec0.a,
+        "a": float(a_eff),
         "k": k,
         "s": s,
         "rho": rho_eff,
@@ -366,6 +366,5 @@ def ladder_report(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None,
         "r2": fit.r2,
         "predicted": pred,
         "tol": tol,
-        "pass": v["pass"],
+        "pass": verdict(fit, pred, tol)["pass"],
     }
-

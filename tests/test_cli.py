@@ -118,8 +118,7 @@ def test_classify_quarter_gwp_needs_the_original_coupling(tmp_path, beta,
     # the a = 1/4 verdict rests on E_H, conserved only when beta = a theta;
     # the default beta is 1
     argv = ["classify", "--a", "0.25", "--k", "1", "--s", "1", "--gamma",
-            "1", "--theta", "-1", "--original_system", "true",
-            "--out", str(tmp_path)]
+            "1", "--theta", "-1", "--out", str(tmp_path)]
     if beta is not None:
         argv += ["--beta", beta]
     assert cli.main(argv) == EXIT_OK
@@ -258,6 +257,17 @@ def test_seed_is_unknown_key(tmp_path, command):
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+def test_original_system_is_unknown_key(tmp_path, capsys):
+    # the a = 1/4 gwp branch checks beta = a theta itself; no flag selects it
+    with pytest.raises(ConfigError):
+        parse_config("command=classify\noriginal_system=true\n")
+    assert cli.main(["classify", "--a", "0.25", "--k", "1", "--s", "1",
+                     "--original_system", "true",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["classify", "fre-scan", "sharpness"])
 def test_rat_keys_are_exact_fractions(command):
     cfg = parse_config("command=%s\nk=1/2\ns=0.1\n" % command)
@@ -287,6 +297,19 @@ def test_sharpness_accepts_rational_index(tmp_path):
                          "--out", str(out)]) == EXIT_OK
         outs.append((out / "sharpness_L61_s_le_k3.json").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("ladder", ["64,64,128", "64,64,64"])
+def test_sharpness_needs_three_distinct_N(tmp_path, capfd, ladder):
+    code = cli.main(["sharpness", "--lemma", "L61", "--a", "2",
+                     "--N_ladder", ladder, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    # capfd also sees a warning numpy would print on a degenerate fit
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ladder needs at least 3 distinct N")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("k_max", ["-1", "0"])

@@ -152,16 +152,17 @@ def test_gwp_yes_branch():
 def test_gwp_quarter_branch():
     # the original coupling beta = a theta, which conserves E_H
     c = Coefficients(0.25, beta=-0.25, gamma=1.0, theta=-1.0)
-    assert classify_gwp(c, (1, 1)) == "Unknown"
-    assert classify_gwp(c, (1, 1), original_system=True) == "Yes"
+    assert classify_gwp(c, (1, 1)) == "Yes"
+    assert in_A(F(1, 4), (F(7, 8), 1))
+    assert classify_gwp(c, (F(7, 8), 1)) == "Unknown"  # k < 1
     bad = Coefficients(0.25, beta=-0.25, gamma=-1.0, theta=-1.0)
-    assert classify_gwp(bad, (1, 1), original_system=True) == "Unknown"
+    assert classify_gwp(bad, (1, 1)) == "Unknown"
     cplx = Coefficients(0.25, beta=-0.25, gamma=1j, theta=-1.0)
-    assert classify_gwp(cplx, (1, 1), original_system=True) == "Unknown"
+    assert classify_gwp(cplx, (1, 1)) == "Unknown"
     # beta != a theta: E_H is not conserved, so there is no H^1 bound
     for beta in (1.0, math.nextafter(-0.25, 0.0)):
         off = Coefficients(0.25, beta=beta, gamma=1.0, theta=-1.0)
-        assert classify_gwp(off, (1, 1), original_system=True) == "Unknown"
+        assert classify_gwp(off, (1, 1)) == "Unknown"
 
 
 def test_boundary_segments_markers():

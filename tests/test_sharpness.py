@@ -1,16 +1,18 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hskdv import picard, regions
+from hskdv import picard, regions, sharpness
 from hskdv.cli import to_json
 from hskdv.phases import eval_phase
-from hskdv.sharpness import (LEMMA_TAGS, ExponentFit, HypothesisError,
-                             build, canonical_tag, check_phase_regime,
-                             evaluate_rung, ladder_report, predicted_slope,
-                             run_ladder, verdict)
+from hskdv.sharpness import (FAMILIES, LEMMA_TAGS, ExponentFit,
+                             HypothesisError, build, canonical_tag,
+                             check_phase_regime, evaluate_rung,
+                             ladder_report, predicted_slope, run_ladder,
+                             verdict)
 
 
 def test_canonical_tag():
@@ -20,29 +22,89 @@ def test_canonical_tag():
         canonical_tag("L60")
 
 
-# the family certifying each boundary line of A_a, by the line labels of
-# regions.region_planes; no family in the lab certifies k = -3/4, so the
-# C^3 verdicts left of it (classify(-1, (-1, 0))) rest on the paper alone
-LINE_FAMILY = {
-    "s=k+3": "L61_s_le_k3", "s=k-2": "L62_s_ge_km2",
-    "s=k/2-3/4": "L63_s_ge_k2_34", "s=k/2+3/8": "L64_quarter_s",
-    "k=3/4": "L65_quarter_k", "s=k/2": "L66_agt_s", "k=0": "L67_agt_k",
-    "s=-3/4": "L68_cubic_34",
-}
-UNCERTIFIED = {"k=-3/4"}
+# one a per a-case of regions.region_planes
+A_CASES = (2.0, 0.25, -1.0)
+
+
+def _boundary_lines():
+    """label -> (a, half-plane) of every boundary line of A_a."""
+    return {h.label: (a, h) for a in A_CASES
+            for h in regions.region_planes(a)[0]}
 
 
 def test_every_boundary_line_names_its_family():
-    labels = set()
-    for a in (2.0, 0.25, -1.0):
-        for h in regions.region_planes(a)[0]:
-            labels.add(h.label)
-            assert (h.label in LINE_FAMILY) != (h.label in UNCERTIFIED)
-            if h.label in LINE_FAMILY:
-                # L62's rho bracket (s+1/2, k-3/2) is empty at (0, 0)
-                build(LINE_FAMILY[h.label], 64, k=0.0, s=-2.5, a=a)
-    assert labels == set(LINE_FAMILY) | UNCERTIFIED
-    assert sorted(LINE_FAMILY.values()) == sorted(LEMMA_TAGS)
+    # no family in the lab certifies k = -3/4, so the C^3 verdicts left of
+    # it (classify(-1, (-1, 0))) rest on the paper alone
+    lines = _boundary_lines()
+    certified = [fam.boundary for fam in FAMILIES.values()]
+    assert len(set(certified)) == len(certified) == len(LEMMA_TAGS)
+    assert set(certified) <= set(lines)
+    assert set(lines) - set(certified) == {"k=-3/4"}
+    for tag, fam in FAMILIES.items():
+        # L62's rho bracket (s+1/2, k-3/2) is empty at (0, 0)
+        build(tag, 64, k=0.0, s=-2.5, a=lines[fam.boundary][0])
+
+
+def _box_norm(sigma, beta, rho=0, at_N=True):
+    """N-exponent of the H^sigma norm of one frequency box.
+
+    The box has width N^beta and weight <xi>^(-rho), and sits at
+    |xi| ~ N (at_N) or at |xi| ~ 1.
+    """
+    return (sigma - rho if at_N else 0) + Fraction(beta) / 2
+
+
+NARROW = Fraction(-1, 2)  # beta of the boxes of width N^-1/2
+# the data-norm exponent of each family's ratio |iterate| / |data|^p:
+# u0 is measured in H^k and v0 in H^s, p = 2 for the second iterates and
+# 3 for the third; box widths N^beta from sharpness.FAMILIES' geometry
+DATA_EXPONENT = {
+    # u0 of width 1 at N, v0 on (1, 3)
+    "L61_s_le_k3": lambda k, s, rho: (_box_norm(k, 0)
+                                      + _box_norm(s, 0, at_N=False)),
+    # v0 = <xi>^-rho on [-1, 1] and on [bN, N], width N
+    "L62_s_ge_km2": lambda k, s, rho: 2 * max(
+        _box_norm(s, 0, rho, at_N=False), _box_norm(s, 1, rho)),
+    # v0 on two boxes of width delta N at -N and +N
+    "L63_s_ge_k2_34": lambda k, s, rho: 2 * _box_norm(s, 1),
+    # v0 of width N^-1/2
+    "L64_quarter_s": lambda k, s, rho: 2 * _box_norm(s, NARROW),
+    # u0 and v0 of width N^-1/2
+    "L65_quarter_k": lambda k, s, rho: (_box_norm(k, NARROW)
+                                        + _box_norm(s, NARROW)),
+    # v0 on two boxes of width N^-2
+    "L66_agt_s": lambda k, s, rho: 2 * _box_norm(s, -2),
+    # u0 and v0 of width N^-2
+    "L67_agt_k": lambda k, s, rho: _box_norm(k, -2) + _box_norm(s, -2),
+    # v0 on two boxes of width N^-1/2, cubed by the third iterate
+    "L68_cubic_34": lambda k, s, rho: 3 * _box_norm(s, NARROW),
+}
+
+
+def _inflation(tag, k, s):
+    # L62 at its best amplitude rho = s + 1/2, where both boxes of v0
+    # carry unit H^s norm; the other families ignore rho
+    rho = s + Fraction(1, 2)
+    pred = predicted_slope(tag, k=float(k), s=float(s), rho=float(rho))
+    return Fraction(pred) - DATA_EXPONENT[tag](k, s, rho)
+
+
+@pytest.mark.parametrize("tag", LEMMA_TAGS)
+def test_inflation_exponent_vanishes_on_the_family_boundary(tag):
+    # predicted_slope minus the data exponent is the family's inflation
+    # exponent: zero on its boundary line, positive on the ill-posed side
+    _, h = _boundary_lines()[FAMILIES[tag].boundary]
+    for x in (Fraction(1, 2), Fraction(13, 4)):
+        if h.cs:  # x is k
+            on = (x, -(h.ck * x + h.c0) / Fraction(h.cs))
+        else:  # the line k = const, x is s
+            on = (-Fraction(h.c0, h.ck), x)
+        outside = (on[0] - Fraction(h.ck, 4), on[1] - Fraction(h.cs, 4))
+        assert h.value(*on) == 0 and h.value(*outside) < 0
+        for p in (on, outside):  # dyadic, so the floats are exact
+            assert all(Fraction(float(x)) == x for x in p)
+        assert _inflation(tag, *on) == 0
+        assert _inflation(tag, *outside) > 0
 
 
 def test_hypothesis_guards():
@@ -143,6 +205,21 @@ def test_evaluate_rung_positive():
 def test_run_ladder_needs_three_points():
     with pytest.raises(ValueError):
         run_ladder("L61", Ns=(64, 128), a=2.0)
+
+
+@pytest.mark.parametrize("Ns", [(64, 64, 128), (64, 64, 64),
+                                (128, 64.0, 128, 64)])
+def test_ladder_needs_three_distinct_N_before_any_rung(monkeypatch, Ns):
+    # a slope through two distinct N fits with r2 = 1 and certifies nothing
+    rungs = []
+    monkeypatch.setattr(sharpness, "build",
+                        lambda *args, **kw: rungs.append(args))
+    for run in (run_ladder, ladder_report):
+        with pytest.raises(ValueError) as exc:
+            run("L61", Ns=Ns, a=2.0)
+        assert type(exc.value) is ValueError
+        assert str(exc.value).startswith("ladder needs at least 3 distinct N")
+    assert rungs == []
 
 
 def test_short_ladder_tracks_prediction():

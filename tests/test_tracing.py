@@ -81,6 +81,31 @@ def test_tracer_keeps_a_scan_under_one_fre_sup_span():
     assert times["fre.fre_sup.self_s"] > 0.0
 
 
+@pytest.mark.parametrize("lemma, kwargs", [("L61", dict(a=2.0)),
+                                           ("L64", dict()),
+                                           ("L67", dict(a=2.0))])
+def test_traced_ladder_counts_one_span_per_rung(lemma, kwargs):
+    # the certify workload's ladders: one evaluate_rung span per rung,
+    # each holding that rung's one check_phase_regime span
+    tracing = _tracing()
+    originals = (sharpness.evaluate_rung, sharpness.check_phase_regime)
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr, MODULES)
+        sharpness.run_ladder(lemma, Ns=(64, 128, 256), **kwargs)
+    finally:
+        tr.restore()
+    assert (sharpness.evaluate_rung,
+            sharpness.check_phase_regime) == originals
+    layers = tracing.Layers(tr.spans)
+    counts = tracing.pass_counts(layers, tr.counts, 0)
+    assert counts["sharpness.evaluate_rung.calls"] == 3
+    assert layers.calls["sharpness.check_phase_regime"] == 3
+    for name, _, _, parent, _ in tr.spans:
+        if name == "sharpness.check_phase_regime":
+            assert tr.spans[parent][0] == "sharpness.evaluate_rung"
+
+
 def test_traced_passes_count_the_same_gauss_legendre_rules():
     # the 64-node rule is built at import, so neither pass builds it; the
     # 6-node rule of the third iterate is built once per call in each
