@@ -21,6 +21,7 @@ DEFAULT_NS = (64, 128, 256, 512, 1024)
 TIME_CONSTANT = 0.01      # c in t = c*N^-3 for the large-phase ladders
 BOUNDED_T = 0.01          # fixed small time, double-root ladders
 RESONANT_T = 0.002        # fixed small time, simple-resonance ladders
+DEFAULT_TOL = 0.15        # slope tolerance of a verdict
 
 
 def canonical_tag(lemma):
@@ -45,7 +46,7 @@ class HypothesisError(ValueError):
 #   rho       (k, s, rho) -> amplitude exponent of the weighted datum
 Family = namedtuple("Family", ("boundary", "iterate", "guard", "t", "slope",
                                "geometry", "tol", "default_a", "rho"),
-                    defaults=(0.15, None, None))
+                    defaults=(DEFAULT_TOL, None, None))
 
 
 def _norm_index(fam, k, s):
@@ -159,11 +160,12 @@ class CounterexampleSpec:
     """Concrete ladder rung: box data, time, window, norm index.
 
     Its iterate and phase regime are those of family = FAMILIES[lemma],
-    and the norm is taken over the iterate's window out_window.
+    and the norm is taken over the iterate's window out_window. rho is
+    None unless the family has a rho rule, as only L62's datum is weighted.
     """
 
     def __init__(self, lemma, a, N, u0, v0, t, out_window, norm_index,
-                 aux=None):
+                 rho=None):
         self.lemma = lemma
         self.family = FAMILIES[lemma]
         self.a = float(a)
@@ -173,19 +175,17 @@ class CounterexampleSpec:
         self.t = float(t)
         self.out_window = tuple(out_window)
         self.norm_index = float(norm_index)
-        self.aux = dict(aux or {})
+        self.rho = rho
 
 
 def _resolve(lemma, k, s, a, rho):
-    """The family's a (its default when None, guarded) and its rho."""
+    """The family's a (default when None, guarded) and rho (or None)."""
     fam = FAMILIES[lemma]
     admits, needs = fam.guard
     a = fam.default_a if a is None else a
     if a is None or not admits(a):
         raise HypothesisError("%s %s" % (lemma.split("_")[0], needs))
-    if fam.rho is not None:
-        rho = fam.rho(k, s, rho)
-    return a, rho
+    return a, None if fam.rho is None else fam.rho(k, s, rho)
 
 
 def build(lemma, N, k=0.0, s=0.0, a=None, rho=None):
@@ -204,8 +204,7 @@ def build(lemma, N, k=0.0, s=0.0, a=None, rho=None):
     u0, v0, win = fam.geometry(N, a, rho)
     t = TIME_CONSTANT * N ** -3.0 if fam.t is None else fam.t
     return CounterexampleSpec(lemma, a, N, u0, v0, t, win,
-                              _norm_index(fam, k, s),
-                              aux=None if fam.rho is None else {"rho": rho})
+                              _norm_index(fam, k, s), rho)
 
 
 def predicted_slope(lemma, k=0.0, s=0.0, rho=None):
@@ -332,7 +331,7 @@ def run_ladder(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None):
     return ExponentFit(slope, intercept, r2, Ns, norms)
 
 
-def verdict(fit, predicted, tol=0.15):
+def verdict(fit, predicted, tol=DEFAULT_TOL):
     """Pass/fail report for one ladder fit."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")

@@ -312,6 +312,15 @@ def test_sharpness_needs_three_distinct_N(tmp_path, capfd, ladder):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sharpness_reports_no_rho_for_an_unweighted_family(tmp_path):
+    # only L62's datum carries the weight <xi>^(-rho)
+    assert cli.main(["sharpness", "--lemma", "L61", "--a", "2", "--rho", "7",
+                     "--N_ladder", "64,128,256",
+                     "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "sharpness_L61_s_le_k3.json").read_text())
+    assert report["rho"] is None
+
+
 @pytest.mark.parametrize("k_max", ["-1", "0"])
 def test_atlas_without_region_is_config_error(tmp_path, k_max):
     assert cli.main(["atlas", "--a", "2", "--k_max", k_max,

@@ -27,22 +27,24 @@ A_CASES = (2.0, 0.25, -1.0)
 
 
 def _boundary_lines():
-    """label -> (a, half-plane) of every boundary line of A_a."""
-    return {h.label: (a, h) for a in A_CASES
-            for h in regions.region_planes(a)[0]}
+    """label -> half-plane of every boundary line of A_a, over A_CASES."""
+    return {h.label: h for a in A_CASES for h in regions.region_planes(a)[0]}
 
 
 def test_every_boundary_line_names_its_family():
     # no family in the lab certifies k = -3/4, so the C^3 verdicts left of
     # it (classify(-1, (-1, 0))) rest on the paper alone
-    lines = _boundary_lines()
-    certified = [fam.boundary for fam in FAMILIES.values()]
-    assert len(set(certified)) == len(certified) == len(LEMMA_TAGS)
-    assert set(certified) <= set(lines)
-    assert set(lines) - set(certified) == {"k=-3/4"}
-    for tag, fam in FAMILIES.items():
-        # L62's rho bracket (s+1/2, k-3/2) is empty at (0, 0)
-        build(tag, 64, k=0.0, s=-2.5, a=lines[fam.boundary][0])
+    line_family = {fam.boundary: tag for tag, fam in FAMILIES.items()}
+    assert len(line_family) == len(LEMMA_TAGS)
+    labels = set()
+    for a in A_CASES:
+        for h in regions.region_planes(a)[0]:
+            labels.add(h.label)
+            if h.label in line_family:
+                # L62's rho bracket (s+1/2, k-3/2) is empty at (0, 0)
+                build(line_family[h.label], 64, k=0.0, s=-2.5, a=a)
+    assert labels - set(line_family) == {"k=-3/4"}
+    assert set(line_family) <= labels
 
 
 def _box_norm(sigma, beta, rho=0, at_N=True):
@@ -93,7 +95,7 @@ def _inflation(tag, k, s):
 def test_inflation_exponent_vanishes_on_the_family_boundary(tag):
     # predicted_slope minus the data exponent is the family's inflation
     # exponent: zero on its boundary line, positive on the ill-posed side
-    _, h = _boundary_lines()[FAMILIES[tag].boundary]
+    h = _boundary_lines()[FAMILIES[tag].boundary]
     for x in (Fraction(1, 2), Fraction(13, 4)):
         if h.cs:  # x is k
             on = (x, -(h.ck * x + h.c0) / Fraction(h.cs))
@@ -129,10 +131,12 @@ def test_l62_bracket_and_positivity():
     with pytest.raises(HypothesisError):
         build("L62", 64, k=0.0, s=-1.8, a=2.0)
     spec = build("L62", 64, k=0.0, s=-1.8, a=2.0, rho=-1.0)
-    assert spec.aux["rho"] == -1.0
+    assert spec.rho == -1.0
     # nonempty bracket defaults to its midpoint
     spec = build("L62", 64, k=4.0, s=0.0, a=2.0)
-    assert spec.aux["rho"] == pytest.approx(0.5 * (0.5 + 2.5))
+    assert spec.rho == pytest.approx(0.5 * (0.5 + 2.5))
+    # a family without a rho rule ignores a given rho
+    assert build("L61", 64, a=2.0, rho=7.0).rho is None
     # phase positivity fails when a is too close to 1
     with pytest.raises(HypothesisError):
         build("L62", 64, k=4.0, s=0.0, a=0.8)
