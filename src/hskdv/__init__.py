@@ -4,8 +4,7 @@ a pseudospectral solver, Picard-iterate evaluation, decomposition
 consistency checks, frequency-restricted-estimate scans and
 norm-inflation sharpness ladders."""
 
-from .phases import (Coefficients, PhaseId, eval_phase, mu, phase_floor,
-                     factorization_residual)
+from .phases import Coefficients, eval_phase, mu, phase_floor
 from .regions import (RegularityPoint, Verdict, BoundarySegment, in_A,
                       in_A0, classify, classify_gwp, boundary_segments)
 from .spectral import (Grid, SpectralField, SimState, SolverConfig,
@@ -23,8 +22,7 @@ from .sharpness import (CounterexampleSpec, build, predicted_slope,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Coefficients", "PhaseId", "eval_phase", "mu", "phase_floor",
-    "factorization_residual",
+    "Coefficients", "eval_phase", "mu", "phase_floor",
     "RegularityPoint", "Verdict", "BoundarySegment", "in_A", "in_A0",
     "classify", "classify_gwp", "boundary_segments",
     "Grid", "SpectralField", "SimState", "SolverConfig",

@@ -14,6 +14,7 @@ error too: one ``config error:`` line, no traceback, exit 2.
 
 import math
 import os
+import shutil
 import sys
 from fractions import Fraction
 
@@ -223,14 +224,24 @@ def to_json(obj, indent=0):
 
 
 class _Artifacts:
-    """Tracks written files so failures leave no partial outputs."""
+    """Tracks written files so failures leave no partial outputs.
+
+    The output directory is made at the first path(); discard() removes
+    the directories this run made.
+    """
 
     def __init__(self, outdir):
         self.outdir = outdir
         self.paths = []
-        os.makedirs(outdir, exist_ok=True)
+        self.made = None  # topmost directory this run created
 
     def path(self, name):
+        if not os.path.isdir(self.outdir):
+            top = os.path.abspath(self.outdir)
+            while not os.path.isdir(os.path.dirname(top)):
+                top = os.path.dirname(top)
+            os.makedirs(self.outdir)
+            self.made = top
         p = os.path.join(self.outdir, name)
         self.paths.append(p)
         return p
@@ -250,6 +261,8 @@ class _Artifacts:
                 os.remove(p)
             except OSError:
                 pass
+        if self.made is not None:
+            shutil.rmtree(self.made, ignore_errors=True)
 
 
 def _coeffs(cfg):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .phases import eval_phase
+from .phases import PHASES, eval_phase
 from .picard import GL_RULE
 
 ALPHA_EXPONENT = 0.99  # numerical stand-in for the <alpha>^(1-) weight
@@ -129,20 +129,20 @@ class FreSpec:
     """What to integrate: multiplier, Sobolev weights, phase.
 
     multiplier: 'xi' (symbol of d/dx(v*v)) or 'xi2' (symbol of u v_x).
-    weights = (s_out, s_1, s_2). The sup runs over the output frequency
-    xi and the integral over xi1, with xi2 = xi - xi1.
+    weights = (s_out, s_1, s_2). phase: a tag of phases.PHASES with the
+    two free frequencies (xi1, xi2). The sup runs over the output
+    frequency xi and the integral over xi1, with xi2 = xi - xi1.
     """
 
     def __init__(self, multiplier, weights, phase_tag):
         if multiplier not in ("xi", "xi2"):
             raise ValueError("unknown multiplier %r" % (multiplier,))
-        from .phases import PhaseId
-        pid = PhaseId(phase_tag) if isinstance(phase_tag, str) else phase_tag
-        if pid.arity != 2:
-            raise ValueError("FRE scans need a quadratic phase")
+        if phase_tag not in PHASES or len(PHASES[phase_tag][0]) != 2:
+            raise ValueError("FRE scans need a quadratic phase, got %r"
+                             % (phase_tag,))
         self.multiplier = multiplier
         self.weights = tuple(float(wq) for wq in weights)
-        self.phase = pid
+        self.phase = phase_tag
 
 
 def make_fre_spec(kind, k, s):

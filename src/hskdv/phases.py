@@ -1,4 +1,4 @@
-"""Total phases of the Hirota-Satsuma system and their factorizations.
+"""Total phases of the Hirota-Satsuma system.
 
 The system couples two KdV flows with dispersion coefficients a and 1.
 Duhamel integrals in frequency space oscillate with "total phases": the
@@ -15,17 +15,15 @@ and the cubic phases Psi* / Theta arise when a quadratic Duhamel term is
 integrated by parts in time and one profile derivative is substituted
 back from the equations.
 
-All evaluation is plain double-precision polynomial arithmetic; the
-factorization identities are checked through relative residuals.
+PHASES holds each phase as one row, its free frequencies and its
+polynomial in (a, *free); eval_phase evaluates a row in double precision.
+The tests check the rows' factorizations exactly and eval_phase against
+an exact rational oracle at the same float inputs.
 """
 
 import math
 
 import numpy as np
-
-QUADRATIC_TAGS = ("Phi1u", "Phi2u", "Phiv")
-CUBIC_TAGS = ("Psi1u", "Psi2u", "Psi1v", "Psi2v", "Psi3v", "Psi4v", "Theta")
-ALL_TAGS = QUADRATIC_TAGS + CUBIC_TAGS
 
 
 class PhaseFloorError(RuntimeError):
@@ -60,83 +58,50 @@ class Coefficients:
                 % (self.a, self.beta, self.gamma, self.theta))
 
 
-class PhaseId:
-    """Identifier for one of the total phases.
-
-    arity is the number of free frequencies: 2 for the quadratic phases,
-    3 for the cubic ones. The output frequency is always the sum of the
-    free ones and is never passed explicitly.
-    """
-
-    def __init__(self, tag):
-        if tag not in ALL_TAGS:
-            raise ValueError("unknown phase tag %r" % (tag,))
-        self.tag = tag
-        self.arity = 2 if tag in QUADRATIC_TAGS else 3
-
-    def __repr__(self):
-        return "PhaseId(%r)" % (self.tag,)
-
-    def __eq__(self, other):
-        return isinstance(other, PhaseId) and other.tag == self.tag
-
-    def __hash__(self):
-        return hash(self.tag)
+# Free-frequency conventions; the output frequency xi is their sum.
+_Q = ("xi1", "xi2")
+_SPLIT_1 = ("xi11", "xi12", "xi2")  # xi1 = xi11 + xi12
+_SPLIT_2 = ("xi1", "xi21", "xi22")  # xi2 = xi21 + xi22
 
 
-def eval_phase(pid, a, freqs):
-    """Evaluate a total phase at the given free frequencies.
+def _theta(a, p, q, r):  # symmetric, so Psi1v reuses it
+    return -(p + q + r) ** 3 + p ** 3 + q ** 3 + r ** 3
 
-    Conventions for the free-frequency tuples:
-      quadratic tags: (xi1, xi2), output xi = xi1 + xi2
-      Psi1u, Psi1v, Psi2v: (xi11, xi12, xi2), with xi1 = xi11 + xi12
-      Psi2u, Psi3v, Psi4v: (xi1, xi21, xi22), with xi2 = xi21 + xi22
-      Theta: (xi2, xi11, xi12)
 
-    Accepts scalars or numpy arrays (broadcast elementwise).
-    """
-    if isinstance(pid, str):
-        pid = PhaseId(pid)
-    if len(freqs) != pid.arity:
+def _psi34v(a, p, q, r):  # Psi3v and Psi4v differ only in their regions
+    return -(p + q + r) ** 3 + a * p ** 3 + a * q ** 3 + r ** 3
+
+
+# tag -> (free frequencies in argument order, polynomial in (a, *free))
+PHASES = {
+    "Phi1u": (_Q, lambda a, p, q: -a * (p + q) ** 3 + p ** 3 + q ** 3),
+    "Phi2u": (_Q, lambda a, p, q: a * (-(p + q) ** 3 + p ** 3 + q ** 3)),
+    "Phiv": (_Q, lambda a, p, q: -(p + q) ** 3 + a * p ** 3 + q ** 3),
+    "Psi1u": (_SPLIT_1, lambda a, p, q, r: (-a * (p + q + r) ** 3 + r ** 3
+                                            + a * p ** 3 + q ** 3)),
+    "Psi1v": (_SPLIT_1, _theta),
+    "Psi2v": (_SPLIT_1, lambda a, p, q, r: (-(p + q + r) ** 3 + r ** 3
+                                            + a * p ** 3 + a * q ** 3)),
+    "Psi2u": (_SPLIT_2, lambda a, p, q, r: (-a * (p + q + r) ** 3 + p ** 3
+                                            + a * q ** 3 + r ** 3)),
+    "Psi3v": (_SPLIT_2, _psi34v),
+    "Psi4v": (_SPLIT_2, _psi34v),
+    "Theta": (("xi2", "xi11", "xi12"), _theta),
+}
+
+
+def eval_phase(tag, a, freqs):
+    """PHASES[tag] at its free frequencies (scalars or broadcast arrays)."""
+    if tag not in PHASES:
+        raise ValueError("unknown phase tag %r" % (tag,))
+    free, poly = PHASES[tag]
+    if len(freqs) != len(free):
         raise ValueError("phase %s takes %d frequencies, got %d"
-                         % (pid.tag, pid.arity, len(freqs)))
+                         % (tag, len(free), len(freqs)))
     fr = [np.asarray(f, dtype=float) for f in freqs]
-    for f in fr:
-        if not np.all(np.isfinite(f)):
-            raise ValueError("non-finite frequency input")
-    a = float(a)
-
-    if pid.tag in QUADRATIC_TAGS:
-        x1, x2 = fr
-        xi = x1 + x2
-        if pid.tag == "Phi1u":
-            return -a * xi ** 3 + x1 ** 3 + x2 ** 3
-        if pid.tag == "Phi2u":
-            return a * (-xi ** 3 + x1 ** 3 + x2 ** 3)
-        return -xi ** 3 + a * x1 ** 3 + x2 ** 3  # Phiv
-
-    if pid.tag == "Theta":
-        x2, x11, x12 = fr
-        xi = x2 + x11 + x12
-        return -xi ** 3 + x2 ** 3 + x11 ** 3 + x12 ** 3
-
-    if pid.tag in ("Psi1u", "Psi1v", "Psi2v"):
-        x11, x12, x2 = fr
-        xi = x11 + x12 + x2
-        if pid.tag == "Psi1u":
-            return -a * xi ** 3 + x2 ** 3 + a * x11 ** 3 + x12 ** 3
-        if pid.tag == "Psi1v":
-            return -xi ** 3 + x2 ** 3 + x11 ** 3 + x12 ** 3
-        return -xi ** 3 + x2 ** 3 + a * x11 ** 3 + a * x12 ** 3  # Psi2v
-
-    # Psi2u, Psi3v, Psi4v share the (xi1, xi21, xi22) convention.
-    x1, x21, x22 = fr
-    xi = x1 + x21 + x22
-    if pid.tag == "Psi2u":
-        return -a * xi ** 3 + x1 ** 3 + a * x21 ** 3 + x22 ** 3
-    # Psi3v and Psi4v agree as polynomials; they differ only in the
-    # frequency region they are integrated over.
-    return -xi ** 3 + a * x1 ** 3 + a * x21 ** 3 + x22 ** 3
+    if not all(np.all(np.isfinite(f)) for f in fr):
+        raise ValueError("non-finite frequency input")
+    return poly(float(a), *fr)
 
 
 def mu(a):
@@ -169,36 +134,3 @@ def phase_floor(a):
     if a == 0:
         raise ValueError("phase_floor requires a != 0")
     return 0.25 - a
-
-
-def _factored_value(pid, a, freqs):
-    tag = pid.tag
-    if tag == "Phi1u":
-        # 3*xi*(xi1 - mu*xi)*(xi1 - (1-mu)*xi), real roots need a >= 1/4
-        x1, x2 = (np.asarray(f, dtype=float) for f in freqs)
-        xi = x1 + x2
-        m = mu(a)
-        return 3.0 * xi * (x1 - m * xi) * (x1 - (1.0 - m) * xi)
-    if tag == "Phiv":
-        # Phiv(xi, xi1, xi2) = Phi1u evaluated at free freqs (-xi, xi2)
-        x1, x2 = (np.asarray(f, dtype=float) for f in freqs)
-        xi = x1 + x2
-        return eval_phase(PhaseId("Phi1u"), a, (-xi, x2))
-    if tag == "Theta":
-        x2, x11, x12 = (np.asarray(f, dtype=float) for f in freqs)
-        return -3.0 * (x2 + x11) * (x2 + x12) * (x11 + x12)
-    raise ValueError("no factored form for phase %s" % tag)
-
-
-def factorization_residual(pid, a, freqs):
-    """Relative residual |direct - factored| / (1 + |direct|).
-
-    Supported tags: Phi1u (root-product form, a >= 1/4), Phiv (via the
-    reflection identity to Phi1u, any a), Theta (triple-product form).
-    Exact algebra means the result is pure round-off.
-    """
-    if isinstance(pid, str):
-        pid = PhaseId(pid)
-    direct = eval_phase(pid, a, freqs)
-    factored = _factored_value(pid, a, freqs)
-    return np.abs(direct - factored) / (1.0 + np.abs(direct))

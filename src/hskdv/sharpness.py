@@ -16,6 +16,7 @@ import numpy as np
 
 from . import picard
 from .phases import eval_phase, mu
+from .regions import QUARTER, _rat
 
 DEFAULT_NS = (64, 128, 256, 512, 1024)
 TIME_CONSTANT = 0.01      # c in t = c*N^-3 for the large-phase ladders
@@ -38,7 +39,7 @@ class HypothesisError(ValueError):
 # One row of FAMILIES:
 #   boundary  the regions.region_planes label of the line it certifies
 #   iterate   second_u, measured in H^k, or second_v / third_v, in H^s
-#   guard     (admits(a), the HypothesisError text when a is not admitted)
+#   guard     (admits(regions._rat(a)), the HypothesisError text otherwise)
 #   t         a fixed time (bounded phase), or None for TIME_CONSTANT*N^-3
 #   slope     (n, rho) -> predicted exponent at norm index n
 #   geometry  (N, a, rho) -> (u0, v0, out_window), the box data in N
@@ -126,10 +127,10 @@ def _l68(N, a, rho):
     return None, v0, (N + 2.0 * w, N + 2.25 * w)
 
 
-_NOT_01 = (lambda a: a not in (0, 1), "needs a outside {0,1}")
-_QUARTER = (lambda a: a == 0.25, "requires a = 1/4")
-_ABOVE = (lambda a: a > 0.25 and a != 1, "needs a > 1/4, a != 1")
-_BELOW = (lambda a: a < 0.25 and a not in (-0.125, 0.0),
+_NOT_01 = (lambda aq: aq not in (0, 1), "needs a outside {0,1}")
+_QUARTER = (lambda aq: aq == QUARTER, "requires a = 1/4")
+_ABOVE = (lambda aq: aq > QUARTER and aq != 1, "needs a > 1/4, a != 1")
+_BELOW = (lambda aq: aq < QUARTER and aq not in (-QUARTER / 2, 0),
           "needs a < 1/4 outside {-1/8, 0}")
 
 FAMILIES = {
@@ -183,7 +184,7 @@ def _resolve(lemma, k, s, a, rho):
     fam = FAMILIES[lemma]
     admits, needs = fam.guard
     a = fam.default_a if a is None else a
-    if a is None or not admits(a):
+    if a is None or not admits(_rat(a)):
         raise HypothesisError("%s %s" % (lemma.split("_")[0], needs))
     return a, None if fam.rho is None else fam.rho(k, s, rho)
 

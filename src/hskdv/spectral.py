@@ -456,7 +456,10 @@ def invariants_eval(state):
 
 
 def run(state, cfg, T, store_every=0):
-    """Integrate to time ~T; returns (final_state, stored_states).
+    """Integrate to time T; returns (final_state, stored_states).
+
+    ValueError unless T >= 0 and |round(T/dt)*dt - T| <= 1e-9*max(T, dt):
+    a run is never cut short or stretched silently.
 
     With store_every=m > 0 every m-th state (including the initial and
     final ones) is kept, which the decomposition checks consume. The
@@ -471,6 +474,9 @@ def run(state, cfg, T, store_every=0):
     step() call per step, which perfbench/tracing.py counts and times.
     """
     nsteps = int(round(T / cfg.dt))
+    if T < 0 or abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
+        raise ValueError("end time T=%r is not a non-negative whole number "
+                         "of steps dt=%r" % (T, cfg.dt))
     stored = [state.copy()] if store_every else []
     prop = _Propagator(state, cfg)
     for i in range(nsteps):

@@ -9,8 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from hskdv import cli, fre, ibps, picard, regions, sharpness, spectral
-from hskdv.phases import (Coefficients, eval_phase, factorization_residual,
-                          phase_floor)
+from hskdv.phases import PHASES, Coefficients, eval_phase, phase_floor
 
 from fractions import Fraction
 import random
@@ -21,20 +20,48 @@ F = Fraction
 # --------------------------------------------------------------- 1
 
 
+def _exact_phase(tag, a, freqs):
+    """PHASES[tag] at the float inputs in exact rational arithmetic,
+    rounded once to the nearest double.
+
+    Every double is an integer over a power of two, so one common 2**K
+    turns all frequencies into Python ints. Each row is homogeneous of
+    degree 3 in its frequencies and affine in a, so with a = p/q exactly,
+    the phase is (q*f(0) + p*(f(1) - f(0))) / (q * 2**(3K)), where f(c)
+    is the row polynomial at a = c on the ints.
+    """
+    rows = [np.ravel(f).tolist() for f in freqs]
+    K = max(v.as_integer_ratio()[1].bit_length() - 1
+            for row in rows for v in row)
+    ints = [np.array([n << (K - d.bit_length() + 1)
+                      for n, d in map(float.as_integer_ratio, row)],
+                     dtype=object) for row in rows]
+    poly = PHASES[tag][1]
+    f0, f1 = poly(0, *ints), poly(1, *ints)
+    p, q = Fraction(a).as_integer_ratio()
+    return ((q * f0 + p * (f1 - f0)) / (q << 3 * K)).astype(float)
+
+
+def _oracle_error(tag, a, freqs):
+    """max |eval_phase - exact| / (1 + |exact|) against _exact_phase."""
+    exact = _exact_phase(tag, a, freqs)
+    return np.max(np.abs(eval_phase(tag, a, freqs) - exact)
+                  / (1.0 + np.abs(exact)))
+
+
 def test_criterion_1_phase_algebra():
     rng = np.random.default_rng(101)
     n = 10_000
     for a in (0.25, 0.5, 1.0, 2.0, 4.0):
         x1 = rng.uniform(-50, 50, n)
         x2 = rng.uniform(-50, 50, n)
-        assert np.max(factorization_residual("Phi1u", a, (x1, x2))) <= 1e-9
+        assert _oracle_error("Phi1u", a, (x1, x2)) <= 1e-9
     for a in (-2.0, -0.125, 0.5, 3.0):
         x1 = rng.uniform(-50, 50, n)
         x2 = rng.uniform(-50, 50, n)
-        assert np.max(factorization_residual("Phiv", a, (x1, x2))) <= 1e-9
+        assert _oracle_error("Phiv", a, (x1, x2)) <= 1e-9
     x2, x11, x12 = rng.uniform(-50, 50, (3, n))
-    assert np.max(factorization_residual("Theta", 0.7,
-                                         (x2, x11, x12))) <= 1e-9
+    assert _oracle_error("Theta", 0.7, (x2, x11, x12)) <= 1e-9
     for a in (-2.0, -1.0, -0.125, 0.125):
         c = phase_floor(a)
         x1 = rng.uniform(-50, 50, n)
@@ -43,6 +70,9 @@ def test_criterion_1_phase_algebra():
         floor = c * np.abs(x1 + x2) ** 3
         violations = np.count_nonzero(vals < floor * (1 - 1e-12) - 1e-12)
         assert violations == 0
+    for tag in sorted(PHASES.keys() - {"Phi1u", "Phiv", "Theta"}):
+        freqs = rng.uniform(-50, 50, (len(PHASES[tag][0]), n))
+        assert _oracle_error(tag, 0.7, freqs) <= 1e-9
 
 
 # --------------------------------------------------------------- 2

@@ -150,6 +150,15 @@ def test_simulate_artifacts(tmp_path):
     assert (tmp_path / "final.snap").exists()
 
 
+def test_simulate_rejects_a_partial_last_step(tmp_path, capsys):
+    code = cli.main(["simulate", "--a", "0.5", "--n", "64", "--T", "0.25",
+                     "--dt", "0.1", "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "not a non-negative whole number of steps" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_stability_exit(tmp_path, capsys):
     code = cli.main(["simulate", "--a", "0.5", "--n", "256", "--dt", "0.5",
                      "--T", "2.0", "--out", str(tmp_path)])
@@ -360,3 +369,27 @@ def test_non_finite_float_is_config_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error: bad ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_fresh_output_dir_made_only_by_a_run_that_writes(tmp_path, capsys):
+    fresh = tmp_path / "new" / "out"
+    assert cli.main(["sharpness", "--lemma", "L61", "--a", "2",
+                     "--N_ladder", "64,64,128",
+                     "--out", str(fresh)]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+    assert cli.main(["classify", "--a", "0.5", "--k", "1", "--s", "1",
+                     "--out", str(fresh)]) == EXIT_OK
+    assert [p.name for p in fresh.iterdir()] == ["classify.json"]
+
+
+def test_discard_removes_only_directories_the_run_made(tmp_path):
+    art = cli._Artifacts(str(tmp_path / "new" / "out"))
+    art.write_text("a.txt", "x")
+    art.discard()
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "keep").mkdir()
+    (tmp_path / "keep" / "old.txt").write_text("old")
+    art = cli._Artifacts(str(tmp_path / "keep"))
+    art.write_text("a.txt", "x")
+    art.discard()
+    assert [p.name for p in (tmp_path / "keep").iterdir()] == ["old.txt"]

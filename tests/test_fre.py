@@ -65,7 +65,7 @@ def test_spec_validation():
     sp = make_fre_spec("dxv2", 1.0, 0.5)
     assert sp.multiplier == "xi"
     sp = make_fre_spec("uvx", 1.0, 0.5)
-    assert sp.multiplier == "xi2" and sp.phase.tag == "Phiv"
+    assert sp.multiplier == "xi2" and sp.phase == "Phiv"
 
 
 def test_fre_sup_against_dense_bruteforce():

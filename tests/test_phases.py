@@ -1,8 +1,21 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from hskdv.phases import (Coefficients, PhaseId, eval_phase, mu,
-                          phase_floor, factorization_residual)
+from hskdv.phases import PHASES, Coefficients, eval_phase, mu, phase_floor
+
+
+def _identically_zero(f, nvars, degree=3):
+    """Whether the polynomial f, of degree <= `degree` in each of its nvars
+    variables, is the zero polynomial.
+
+    Exact: f is evaluated in integers on the grid {0, ..., degree}^nvars,
+    and such a polynomial that vanishes there is zero (induction on nvars:
+    a one-variable polynomial of degree d with d + 1 roots is zero).
+    """
+    return all(f(*p) == 0 for p in
+               itertools.product(range(degree + 1), repeat=nvars))
 
 
 def test_coefficients_reject_zero():
@@ -16,11 +29,12 @@ def test_coefficients_reject_zero():
 
 
 def test_phase_id_arity():
-    assert PhaseId("Phi1u").arity == 2
-    assert PhaseId("Theta").arity == 3
-    with pytest.raises(ValueError):
-        PhaseId("Phi9z")
-    with pytest.raises(ValueError):
+    assert {tag: len(free) for tag, (free, _) in PHASES.items()} == {
+        "Phi1u": 2, "Phi2u": 2, "Phiv": 2, "Psi1u": 3, "Psi2u": 3,
+        "Psi1v": 3, "Psi2v": 3, "Psi3v": 3, "Psi4v": 3, "Theta": 3}
+    with pytest.raises(ValueError, match="unknown phase tag"):
+        eval_phase("Phi9z", 2.0, (1.0, 2.0))
+    with pytest.raises(ValueError, match="takes 2 frequencies, got 3"):
         eval_phase("Phi1u", 2.0, (1.0, 2.0, 3.0))
 
 
@@ -64,12 +78,22 @@ def test_cubic_values():
 
 
 def test_theta_factorization_exact_small():
-    # Theta = -3 (xi2+xi11)(xi2+xi12)(xi11+xi12)
-    x2, x11, x12 = 2.0, -1.0, 3.0
-    xi = x2 + x11 + x12
-    direct = eval_phase("Theta", 0.3, (x2, x11, x12))
-    assert direct == pytest.approx(-xi ** 3 + x2 ** 3 + x11 ** 3 + x12 ** 3)
-    assert factorization_residual("Theta", 0.3, (x2, x11, x12)) < 1e-12
+    # Theta = -3 (xi2+xi11)(xi2+xi12)(xi11+xi12), as polynomials in
+    # (a, xi2, xi11, xi12), and exactly in floats at a small integer point
+    theta = PHASES["Theta"][1]
+    assert _identically_zero(
+        lambda a, x2, x11, x12: theta(a, x2, x11, x12)
+        + 3 * (x2 + x11) * (x2 + x12) * (x11 + x12), 4)
+    assert eval_phase("Theta", 0.3, (2.0, -1.0, 3.0)) == -30.0
+
+
+def test_shared_rows_agree_exactly():
+    # Psi1v is Theta under its own frequency names; Psi3v is Psi4v
+    psi1v, theta = PHASES["Psi1v"][1], PHASES["Theta"][1]
+    assert _identically_zero(lambda a, x11, x12, x2: psi1v(a, x11, x12, x2)
+                             - theta(a, x2, x11, x12), 4)
+    psi3v, psi4v = PHASES["Psi3v"][1], PHASES["Psi4v"][1]
+    assert _identically_zero(lambda *v: psi3v(*v) - psi4v(*v), 4)
 
 
 def test_mu_basics():
@@ -84,21 +108,23 @@ def test_mu_basics():
 
 
 def test_phi1u_root_product_form():
-    rng = np.random.default_rng(11)
-    for a in (0.25, 0.5, 1.0, 2.0, 4.0):
-        x1 = rng.uniform(-20, 20, 1000)
-        x2 = rng.uniform(-20, 20, 1000)
-        res = factorization_residual("Phi1u", a, (x1, x2))
-        assert np.max(res) < 1e-9
+    # Phi1u = 3 xi (xi1 - mu xi)(xi1 - (1-mu) xi) whenever
+    # 3 mu (1-mu) = 1 - a: a polynomial identity in (mu, xi1, xi2)
+    phi1u = PHASES["Phi1u"][1]
+
+    def diff(m, x1, x2):
+        xi = x1 + x2
+        return (phi1u(1 - 3 * m * (1 - m), x1, x2)
+                - 3 * xi * (x1 - m * xi) * (x1 - (1 - m) * xi))
+
+    assert _identically_zero(diff, 3)
 
 
 def test_phiv_reflection_identity():
-    rng = np.random.default_rng(12)
-    for a in (-2.0, -0.125, 0.5, 3.0):
-        x1 = rng.uniform(-20, 20, 1000)
-        x2 = rng.uniform(-20, 20, 1000)
-        res = factorization_residual("Phiv", a, (x1, x2))
-        assert np.max(res) < 1e-9
+    # Phiv(xi1, xi2) = Phi1u at the free frequencies (-xi, xi2)
+    phiv, phi1u = PHASES["Phiv"][1], PHASES["Phi1u"][1]
+    assert _identically_zero(lambda a, x1, x2: phiv(a, x1, x2)
+                             - phi1u(a, -(x1 + x2), x2), 3)
 
 
 def test_phase_floor_bound():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hskdv import picard, regions, sharpness
+from hskdv import cli, picard, regions, sharpness
 from hskdv.cli import to_json
 from hskdv.phases import eval_phase
 from hskdv.sharpness import (FAMILIES, LEMMA_TAGS, ExponentFit,
@@ -124,6 +124,22 @@ def test_hypothesis_guards():
         with pytest.raises(HypothesisError):
             build("L68", 64, a=bad_a)
     assert build("L64", 64).a == 0.25  # defaulted
+
+
+def test_guards_decide_on_the_a_that_classify_uses(tmp_path):
+    # regions._rat snaps this a to 1/4, so classify reads the a = 1/4
+    # table; the guards must agree: L64 builds, L66/L67 are refused
+    a = 0.25000000000000006
+    assert regions._rat(a) == regions.QUARTER
+    assert build("L64", 64, k=-1.0, a=a).a == a
+    for lemma in ("L66", "L67"):
+        with pytest.raises(HypothesisError,
+                           match="needs a > 1/4, a != 1"):
+            build(lemma, 64, a=a)
+        assert cli.main(["sharpness", "--lemma", lemma, "--a", repr(a),
+                         "--N_ladder", "64,128,256",
+                         "--out", str(tmp_path)]) == cli.EXIT_NUMERICAL
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_l62_bracket_and_positivity():

@@ -324,10 +324,21 @@ def test_grid_rejects_bad_period(L, recwarn):
     assert not recwarn.list
 
 
+@pytest.mark.parametrize("T", [0.25, -0.1])
+def test_run_rejects_a_T_that_is_not_whole_steps(T):
+    st = _cos_state(Grid(2.0 * np.pi, 16), Coefficients(0.5))
+    with pytest.raises(ValueError, match="end time T"):
+        run(st, SolverConfig(dt=0.1), T)
+    # round-off in T/dt is not a partial step
+    fin, _ = run(st, SolverConfig(dt=0.1), 0.30000000000000004)
+    assert fin.t == pytest.approx(0.3)
+
+
 def test_trajectory_csv_header(tmp_path):
     path = os.path.join(tmp_path, "t.csv")
     trajectory_csv(path, [(0.0, 1.0, 2.0, 0.0, 3.0, 4.0)])
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "t,u_norm,v_norm,mean_u,M,E"
     assert len(lines) == 2
 
