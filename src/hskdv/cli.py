@@ -240,8 +240,9 @@ class _Artifacts:
             top = os.path.abspath(self.outdir)
             while not os.path.isdir(os.path.dirname(top)):
                 top = os.path.dirname(top)
+            if not os.path.lexists(top):  # else makedirs fails, makes none
+                self.made = top
             os.makedirs(self.outdir)
-            self.made = top
         p = os.path.join(self.outdir, name)
         self.paths.append(p)
         return p
@@ -435,7 +436,9 @@ def run(cfg):
         art.discard()
         print("numerical validity failure: %s" % exc, file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:  # ConfigError, or a parameter a module rejects
+    # ConfigError, a parameter a module rejects, or an output path that
+    # cannot be made or written
+    except (ValueError, OSError) as exc:
         art.discard()
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

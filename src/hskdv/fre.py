@@ -10,6 +10,7 @@ growth outside).
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -166,14 +167,51 @@ def _freqs_from(spec, w, free):
     return xi, xi1, xi - xi1
 
 
+try:  # the stacked LAPACK solve that np.linalg.lstsq makes per matrix
+    from numpy.linalg._umath_linalg import lstsq as _lstsq
+except ImportError:  # numpy 1.x splits it into lstsq_m and lstsq_n
+    _lstsq = None
+
+
+def _raise_lstsq(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least "
+                                "Squares")
+
+
 def _phase_cubic_coeffs(spec, a, ws):
     """(W, 4) coefficients of the phase as a cubic in the free variable per
-    fixed frequency in ws: one phase evaluation, then np.polyfit per row."""
+    fixed frequency in ws, from one phase evaluation and one stacked fit.
+
+    Each row is == np.polyfit(nodes, vals, 3) of its frequency alone,
+    because the fit repeats polyfit's operations on all rows at once:
+    the Vandermonde powers by multiply.accumulate into a reversed view,
+    the column scales (4-term sums in the same order), rcond 4 eps, one
+    call of the gufunc that np.linalg.lstsq calls for one matrix, then
+    the unscaling. The gufunc copies each matrix into the same workspace
+    and runs LAPACK's dgelsd on it as on a lone matrix, so no row sees
+    its neighbours. Without that gufunc, np.polyfit is called per row.
+    """
     ws = np.asarray(ws, dtype=float)
     nodes = np.maximum(1.0, np.abs(ws))[:, None] * [-2.0, -0.5, 0.5, 2.0]
     xi, xi1, xi2 = _freqs_from(spec, ws[:, None], nodes)
     vals = eval_phase(spec.phase, a, (xi1, xi2))
-    return np.array([np.polyfit(x, v, 3) for x, v in zip(nodes, vals)])
+    if _lstsq is None:
+        return np.array([np.polyfit(x, v, 3) for x, v in zip(nodes, vals)])
+    lhs = np.empty(nodes.shape + (4,))
+    pows = lhs[..., ::-1]  # np.vander(x, 4) per row
+    pows[..., 0] = 1.0
+    pows[..., 1:] = nodes[..., None]
+    np.multiply.accumulate(pows[..., 1:], out=pows[..., 1:], axis=-1)
+    scale = np.sqrt((lhs * lhs).sum(axis=-2))
+    lhs /= scale[:, None, :]
+    with np.errstate(call=_raise_lstsq, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        c, _, rank, _ = _lstsq(lhs, vals[..., None], 4 * np.finfo(float).eps,
+                               signature="ddd->ddid")
+    if np.any(rank != 4):
+        warnings.warn("Polyfit may be poorly conditioned",
+                      np.exceptions.RankWarning, stacklevel=2)
+    return c[..., 0] / scale
 
 
 def _weight_integrand(spec, a, xi, xi1, xi2):

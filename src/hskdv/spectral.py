@@ -459,7 +459,8 @@ def run(state, cfg, T, store_every=0):
     """Integrate to time T; returns (final_state, stored_states).
 
     ValueError unless T >= 0 and |round(T/dt)*dt - T| <= 1e-9*max(T, dt):
-    a run is never cut short or stretched silently.
+    a run is never cut short or stretched silently. ValueError for
+    store_every < 0.
 
     With store_every=m > 0 every m-th state (including the initial and
     final ones) is kept, which the decomposition checks consume. The
@@ -473,6 +474,8 @@ def run(state, cfg, T, store_every=0):
     norm from the propagator. run() makes exactly one module-level
     step() call per step, which perfbench/tracing.py counts and times.
     """
+    if store_every < 0:
+        raise ValueError("store_every=%r must be >= 0" % (store_every,))
     nsteps = int(round(T / cfg.dt))
     if T < 0 or abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
         raise ValueError("end time T=%r is not a non-negative whole number "

@@ -393,3 +393,44 @@ def test_discard_removes_only_directories_the_run_made(tmp_path):
     art.write_text("a.txt", "x")
     art.discard()
     assert [p.name for p in (tmp_path / "keep").iterdir()] == ["old.txt"]
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = os.path.join(str(afile), sub) if sub else str(afile)
+    assert cli.main(["classify", "--a", "0.5", "--k", "1", "--s", "1",
+                     "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert out in err[0]
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text() == "keep"
+
+
+def test_output_file_that_cannot_be_written_is_config_error(tmp_path,
+                                                            capsys):
+    # a directory in the way of classify.json; a fresh parent that makedirs
+    # made before failing on an over-long name is removed again
+    (tmp_path / "d" / "classify.json").mkdir(parents=True)
+    long_out = str(tmp_path / "new" / ("x" * 300))
+    for out in (str(tmp_path / "d"), long_out):
+        assert cli.main(["classify", "--a", "0.5", "--k", "1", "--s", "1",
+                         "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert [p.name for p in (tmp_path / "d").iterdir()] == ["classify.json"]
+
+
+@pytest.mark.parametrize("command, every", [("simulate", "-3"),
+                                            ("ibps-check", "-1")])
+def test_negative_store_every_is_config_error(tmp_path, capsys, command,
+                                              every):
+    out = tmp_path / "out"
+    assert cli.main([command, "--a", "0.5", "--n", "64", "--T", "0.01",
+                     "--dt", "1e-3", "--store_every", every,
+                     "--out", str(out)]) == EXIT_CONFIG
+    assert "store_every" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -8,6 +8,7 @@ import pytest
 from hskdv import fre
 from hskdv.fre import (FreSpec, fre_sup, level_set_measure, make_fre_spec,
                        ratio_scan, _real_cubic_roots)
+from hskdv.phases import eval_phase
 
 
 def test_level_set_measure_cases():
@@ -433,16 +434,55 @@ def test_ratio_scan_fits_each_fixed_frequency_once(monkeypatch):
 
 
 def test_phase_fit_rows_match_single_frequency_fits():
-    # each row of a batched fit is the fit of its frequency alone
+    # each row of a batched fit is the fit of its frequency alone and
+    # np.polyfit on that frequency's nodes and phase values
     ws = np.r_[-np.geomspace(1e3, 0.1, 9), np.geomspace(0.1, 1e3, 9),
                -0.26600198804687486]
     for kind in ("dxv2", "uvx"):
         spec = make_fre_spec(kind, 1.0, 0.5)
-        got = fre._phase_cubic_coeffs(spec, -1.0, ws)
-        assert got.shape == (len(ws), 4)
-        for w, row in zip(ws, got):
-            assert row.tolist() == fre._phase_cubic_coeffs(
-                spec, -1.0, [w])[0].tolist()
+        for a in (-1.0, 0.5, 2.0, 3.0):
+            got = fre._phase_cubic_coeffs(spec, a, ws)
+            assert got.shape == (len(ws), 4)
+            for w, row in zip(ws, got):
+                assert row.tolist() == fre._phase_cubic_coeffs(
+                    spec, a, [w])[0].tolist()
+                x = max(1.0, abs(w)) * np.array([-2.0, -0.5, 0.5, 2.0])
+                v = eval_phase(spec.phase, a, (x, w - x))
+                assert row.tolist() == np.polyfit(x, v, 3).tolist()
+
+
+def test_phase_fit_fallback_rows_match_the_batched_rows(monkeypatch):
+    if fre._lstsq is None:
+        pytest.skip("numpy without the stacked least-squares gufunc")
+    ws, _ = fre._fixed_grid(np.array([1e2, 1e3, 1e4]))
+    cases = [(make_fre_spec(kind, 1.0, s), a) for kind in ("dxv2", "uvx")
+             for s in (0.5, -1.0) for a in (-1.0, 0.5, 2.0, 3.0)]
+    batched = [fre._phase_cubic_coeffs(spec, a, ws) for spec, a in cases]
+    monkeypatch.setattr(fre, "_lstsq", None)
+    for (spec, a), rows in zip(cases, batched):
+        assert fre._phase_cubic_coeffs(spec, a, ws).tolist() == rows.tolist()
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_phase_fit_raises_as_polyfit_does(batched, monkeypatch):
+    if not batched:
+        monkeypatch.setattr(fre, "_lstsq", None)
+    # nodes near 1e120 overflow their cube: the SVD cannot converge
+    with pytest.raises(np.linalg.LinAlgError), np.errstate(all="ignore"):
+        fre._phase_cubic_coeffs(make_fre_spec("dxv2", 1.0, 0.5), 2.0,
+                                [1.0, 1e120])
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_phase_fit_warns_on_rank_loss(batched, monkeypatch):
+    if not batched:
+        monkeypatch.setattr(fre, "_lstsq", None)
+    # past |w| ~ 3e51 the cube column's squared norm overflows, its scale
+    # is inf and the column drops out
+    with pytest.warns(np.exceptions.RankWarning), np.errstate(all="ignore"):
+        got = fre._phase_cubic_coeffs(make_fre_spec("uvx", 1.0, 0.5), 2.0,
+                                      [1.0, 1e60])
+    assert got[1, 0] == 0.0
 
 
 @pytest.mark.parametrize("lam", [float("nan"), float("inf"),

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from hskdv import spectral
 from hskdv.cli import _gaussian_state, parse_config
 from hskdv.phases import Coefficients
 from hskdv.spectral import (STABILITY_C, Grid, SimState, SolverConfig,
@@ -332,6 +333,17 @@ def test_run_rejects_a_T_that_is_not_whole_steps(T):
     # round-off in T/dt is not a partial step
     fin, _ = run(st, SolverConfig(dt=0.1), 0.30000000000000004)
     assert fin.t == pytest.approx(0.3)
+
+
+def test_run_rejects_a_negative_store_every_before_stepping(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("stepped before store_every was checked")
+
+    monkeypatch.setattr(spectral, "step", no_step)
+    st = _cos_state(Grid(2.0 * np.pi, 16), Coefficients(0.5))
+    for every in (-1, -3):
+        with pytest.raises(ValueError, match="store_every"):
+            run(st, SolverConfig(dt=0.1), 0.3, store_every=every)
 
 
 def test_trajectory_csv_header(tmp_path):
