@@ -1,7 +1,11 @@
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
-from hskdv import ibps
+from hskdv import cli, ibps
 from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
                         in_U, in_V, ibps_residual, u_phase_floor_constant,
                         v_phase_floor_constant)
@@ -477,3 +481,72 @@ def test_residual_rejects_other_systems(short_trajectory):
         with pytest.raises(ValueError, match="describes the system"):
             ibps_residual(states, 0.5, CutoffParams())
         states[-1] = st
+
+
+# The five vetted ibps-check tuples (n = 256, L = 2 pi, dt = 2e-5,
+# T = 0.01024, every 2nd of 512 steps kept, width 0.25): (a, u0, v0) ->
+# residual, pinned bit for bit.
+VETTED_RESIDUALS = {
+    ("0.5", "0.5", "0.5"): 1.2825849861982803e-11,
+    ("0.5", "0.4", "0.3"): 5.751127105867012e-12,
+    ("2", "0.5", "0.5"): 2.5562627884070306e-10,
+    ("-1", "0.4", "0.4"): 5.315282593777606e-09,
+    ("0.5", "0.3", "0.5"): 1.2759950331046683e-11,
+}
+
+
+@pytest.mark.parametrize("a, u0, v0", sorted(VETTED_RESIDUALS))
+def test_vetted_residuals_pinned(tmp_path, a, u0, v0):
+    code = cli.main(["ibps-check", "--a", a, "--n", "256",
+                     "--L", repr(2.0 * math.pi), "--dt", "2e-5",
+                     "--T", "0.01024", "--store_every", "2",
+                     "--width", "0.25", "--u0_amp", u0, "--v0_amp", v0,
+                     "--max_residual", "1e-4", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    report = json.loads((tmp_path / "ibps_report.json").read_text())
+    assert report["n_states"] == 257
+    assert report["residual"] == VETTED_RESIDUALS[(a, u0, v0)]
+
+
+# sha256 prefixes of the bytes of the (12, n) _StateTerms rows at random
+# non-Hermitian data (seed n, t = 0.0123): (n, a, cutoffs) -> digest
+CUT02 = CutoffParams(delta_u=0.2, delta_v=0.2)
+ROW_DIGESTS = {
+    (64, -1.0, "default"): "ac9b5f46408e16a5",
+    (64, -1.0, "0.2"): "91933a30c986f1a6",
+    (64, 0.5, "default"): "7c82fba01a3e9e47",
+    (64, 0.5, "0.2"): "6f1bddd6259084bf",
+    (64, 2.0, "default"): "fcacf1f35e15b3ed",
+    (64, 2.0, "0.2"): "b71055f1335f0b28",
+    (128, -1.0, "default"): "373831be66b385bb",
+    (128, -1.0, "0.2"): "f79e3cd22c015661",
+    (128, 0.5, "default"): "a0f15495aeed0234",
+    (128, 0.5, "0.2"): "d6cd5f2eac918092",
+    (128, 2.0, "default"): "fac4169b4e6a53f1",
+    (128, 2.0, "0.2"): "74804926725c09b8",
+    (256, -1.0, "default"): "94191f798fb64a29",
+    (256, -1.0, "0.2"): "9b2334604171822d",
+    (256, 0.5, "default"): "6f0744e955395d01",
+    (256, 0.5, "0.2"): "cca679a4d96b8627",
+    (256, 2.0, "default"): "077a0c40dbad6a91",
+    (256, 2.0, "0.2"): "6bfab3283122b05c",
+    (512, -1.0, "default"): "bb9c9a7d06c353d2",
+    (512, -1.0, "0.2"): "4ea5cbf93cc59cff",
+    (512, 0.5, "default"): "b5fb46c774b86d27",
+    (512, 0.5, "0.2"): "83b3d9186f303ad0",
+    (512, 2.0, "default"): "4e852e2ade20cccb",
+    (512, 2.0, "0.2"): "df7bc2741f065cd5",
+}
+
+
+@pytest.mark.parametrize("n, a, cut", sorted(ROW_DIGESTS))
+def test_state_term_rows_pinned(n, a, cut):
+    g = Grid(2.0 * np.pi, n)
+    rng = np.random.default_rng(n)
+    field = lambda: SpectralField(
+        g, rng.normal(size=n) + 1j * rng.normal(size=n))
+    st = SimState(0.0123, field(), field(), _norm_params(a))
+    rows = ibps._StateTerms(
+        g, a, CutoffParams() if cut == "default" else CUT02)(st)
+    digest = hashlib.sha256(rows.tobytes()).hexdigest()[:16]
+    assert digest == ROW_DIGESTS[(n, a, cut)]
