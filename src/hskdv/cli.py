@@ -357,6 +357,11 @@ def _run_ibps(cfg, art):
     scfg = spectral.SolverConfig(
         dt=cfg.get("dt", 1e-4),
         nonlinear_enabled=cfg.get("nonlinear", True))
+    if scfg.nonlinear_enabled:
+        # the kernels, and with them the phase-floor check, before the
+        # solve: a PhaseFloorError ends the run before any step, and the
+        # build's temporaries do not stack on the stored states
+        ibps.region_kernels(grid, a, cut)
     _, stored = spectral.run(state, scfg, cfg.get("T", 0.1),
                              store_every=cfg.get("store_every", 2))
     if len(stored) % 2 == 0:

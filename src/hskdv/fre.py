@@ -18,6 +18,9 @@ from .phases import PHASES, eval_phase
 from .picard import GL_RULE
 
 ALPHA_EXPONENT = 0.99  # numerical stand-in for the <alpha>^(1-) weight
+# the largest cutoff: the phase fit's nodes reach 2 lam, and its cube
+# column's squared norm, about 128 lam^6, overflows a double past 1.06e51
+LAM_MAX = 1e51
 
 
 def _bracket(x):
@@ -252,7 +255,8 @@ def fre_sup(spec, a, alpha, M, lam):
     sequences of (alpha, M) pairs (an array of per-pair sups is
     returned, each equal to the scalar call). A 1-D sequence of
     cutoffs lam adds a leading axis whose rows each equal (==) the
-    single-cutoff call. Each distinct fixed frequency w of the grids'
+    single-cutoff call. A cutoff outside (0, LAM_MAX] raises ValueError
+    before any fit. Each distinct fixed frequency w of the grids'
     union is fitted once; one array pass then root-finds every pair's
     two level-set cubics, tests the segments between the roots for
     every (cutoff, w, pair) and integrates each distinct (w, lo, hi)
@@ -275,6 +279,9 @@ def fre_sup(spec, a, alpha, M, lam):
             and np.all(np.isfinite(np.r_[lams, alphas, Ms, a]))):
         raise ValueError("lam (scalar or 1-D) must be finite and positive, "
                          "M finite and positive, alpha and a finite")
+    if np.any(lams > LAM_MAX):
+        raise ValueError("cutoff lam = %g exceeds %g, past which the phase "
+                         "fit overflows" % (lams[lams > LAM_MAX][0], LAM_MAX))
     ws, held = _fixed_grid(lams)
     coeffs = _phase_cubic_coeffs(spec, a, ws)
     nj, nw, npair = len(lams), len(ws), len(alphas)

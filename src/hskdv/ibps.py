@@ -11,9 +11,12 @@ and the integrated-by-parts reconstructions of the profiles agree.
 
 Each region is kept per grid as the index lists of its (xi, xi1)
 pairs with the real kernels on them, so B, N1, N2 and N3v are sums
-over the region's pairs only. A complement N0 is the convolution over
-every pair whose xi2 is a grid frequency, by one zero-padded FFT
-product, minus the region's part of it.
+over the region's pairs only. The lists are found over blocks of
+output rows, so no n x n array is ever made. region_kernels builds
+and caches them; the phase-floor check runs there, so a caller can
+run it before a solve. A complement N0 is the convolution over every
+pair whose xi2 is a grid frequency, by one zero-padded FFT product,
+minus the region's part of it.
 
 One evaluator (_StateTerms) forms all ten terms and both classical
 right sides of a state together; eval_term and coupling_terms select
@@ -23,8 +26,10 @@ spectral.NonlinearTerms, built once with the evaluator. Per state it
 makes five FFT calls (the batched inverse and forward transforms of
 NonlinearTerms, one forward transform of (u^2, v^2), and one
 zero-padded length-2n forward and inverse pair for both complements),
-one exp call for the two carriers and two gathers per region, each
-region's rows summed by one np.add.reduceat.
+one exp call for the two carriers and two gathers per region into
+scratch the evaluator holds, each region's rows summed by one
+np.add.reduceat. At n = 256 no array of a state's evaluation is
+larger than 128 KB.
 
 All formulas use the normalized coupling beta = gamma = theta = 1.
 
@@ -49,8 +54,10 @@ TERM_TAGS = ("N0u", "N1u", "N2u", "N3u", "N0v", "N1v", "N2v", "N3v",
 
 class CutoffParams:
     def __init__(self, delta_u=0.05, delta_v=0.05, eta_sim=0.1):
-        if delta_u <= 0 or delta_v <= 0:
-            raise ValueError("cutoff thresholds must be positive")
+        for name, delta in (("delta_u", delta_u), ("delta_v", delta_v)):
+            if not (delta > 0 and np.isfinite(delta)):
+                raise ValueError("cutoff threshold %s must be positive "
+                                 "and finite" % name)
         if not 0 < eta_sim < 1:
             raise ValueError("eta_sim must lie in (0,1)")
         self.delta_u = float(delta_u)
@@ -106,6 +113,10 @@ def v_phase_floor_constant(a, eta):
                - 3.0 * abs(a) * eta ** 2 - abs(1.0 - a) * eta ** 3, 0.0)
 
 
+# (xi, xi1) pairs per block of output rows in the region build
+_BLOCK_PAIRS = 4096
+
+
 class _GridKernels:
     """Index lists and real phase kernels of the regions U and V on one grid.
 
@@ -113,38 +124,41 @@ class _GridKernels:
     order: pair p has first input xi1 = xi[j[p]] and xi2 = xi - xi1 at
     grid index j2[p]; the pairs of output frequency xi[rows[r]] begin at
     starts[r]. A pair whose xi2 is not a grid frequency lies in no
-    region. The phase-floor check runs on every pair of U and V; then
-    the pairs whose output row lies outside the dealias mask outmask are
-    dropped (54% of them at n = 256, L = 2 pi, default cutoffs), since
-    the dealiased carriers zero those rows. A kept row keeps all its
-    pairs in order, so its sum is unchanged. The kernels are real arrays
-    over the kept pairs of their region: ku = xi/Phi1u on U, kv2 =
-    xi2/Phiv and kv12 = xi1 xi2/Phiv on V. No n x n array outlives
-    construction.
+    region. The pairs are found over blocks of output rows, about
+    _BLOCK_PAIRS pairs a block, and the blocks' lists are joined in row
+    order, so no n x n array is ever made (1.1 MB traced for the build
+    at n = 256, L = 2 pi, default cutoffs). The phase-floor check runs
+    once per region on every pair of U and V; then the pairs whose
+    output row lies outside the dealias mask outmask are dropped (54%
+    of them there), since the dealiased carriers zero those rows. A
+    kept row keeps all its pairs in order, so its sum is unchanged. The
+    kernels are real arrays over the kept pairs of their region: ku =
+    xi/Phi1u on U, kv2 = xi2/Phiv and kv12 = xi1 xi2/Phiv on V.
     """
 
     def __init__(self, grid, a, cut):
         self.grid = grid
         n = grid.n
         xi = grid.xi
-        XI = xi[:, None]          # output frequency
         XI1 = xi[None, :]         # first input frequency
-        XI2 = XI - XI1            # forced by the convolution constraint
-        # keep only pairs whose xi2 is a representable grid frequency
         dxi = 2.0 * np.pi / grid.L
-        idx2 = np.rint(XI2 / dxi).astype(int)
         half = n // 2
-        valid = (idx2 >= -half) & (idx2 <= half - 1)
-
-        mask_U = in_U(a, XI, XI1, XI2, cut)
-        mask_V = in_V(XI, XI1, XI2, cut)
-
-        def pairs(mask):
-            i, j = np.nonzero(mask & valid)
-            return i, j, idx2[i, j] % n
+        found = ([], [])          # (i, j, j2) of U and of V, per block
+        step = max(1, _BLOCK_PAIRS // n)
+        for r0 in range(0, n, step):
+            XI = xi[r0:r0 + step, None]     # output frequency
+            XI2 = XI - XI1        # forced by the convolution constraint
+            # keep only pairs whose xi2 is a representable grid frequency
+            idx2 = np.rint(XI2 / dxi).astype(int)
+            valid = (idx2 >= -half) & (idx2 <= half - 1)
+            for blocks, mask in zip(found, (in_U(a, XI, XI1, XI2, cut),
+                                            in_V(XI, XI1, XI2, cut))):
+                i, j = np.nonzero(mask & valid)
+                blocks.append((i + r0, j, idx2[i, j] % n))
+        (iu, ju, j2u), (iv, jv, j2v) = (
+            [np.concatenate(c) for c in zip(*blocks)] for blocks in found)
 
         self.outmask = grid.dealias_mask()
-        iu, ju, j2u = pairs(mask_U)
         xi_u, xi1_u = xi[iu], xi[ju]
         phi1u = eval_phase("Phi1u", a, (xi1_u, xi_u - xi1_u))
         self._check_floor("Phi1u", phi1u, xi_u, xi1_u,
@@ -152,7 +166,6 @@ class _GridKernels:
         self.U, (self.ku,) = _region(iu, ju, j2u, (xi_u / phi1u,),
                                      self.outmask)
 
-        iv, jv, j2v = pairs(mask_V)
         xi_v, xi1_v = xi[iv], xi[jv]
         xi2_v = xi_v - xi1_v
         phiv = eval_phase("Phiv", a, (xi1_v, xi2_v))
@@ -217,13 +230,28 @@ def _valid_conv(rows, left, right):
     return np.concatenate((conv[:, :h], conv[:, n + h:]), axis=1)
 
 
-def _kernels(grid, a, cut, cache={}):
+def region_kernels(grid, a, cut, cache={}):
+    """The _GridKernels of grid, a and cut, built once and cached.
+
+    The build runs the phase-floor check, so PhaseFloorError comes from
+    here. The cache holds the kernels of up to nine (grid, a, cut).
+    """
     key = (id(grid), float(a), cut.delta_u, cut.delta_v, cut.eta_sim)
     if key not in cache:
         if len(cache) > 8:
             cache.clear()
         cache[key] = _GridKernels(grid, a, cut)
     return cache[key]
+
+
+def _gather(region, at_j, at_j2, out):
+    """The rows at_j at the region's j and at_j2 at its j2, into out.
+
+    mode="clip" (every index is in range) makes take unbuffered.
+    """
+    for rows, idx, g in zip((at_j, at_j2), region[2:], out):
+        np.take(rows, idx, axis=1, out=g, mode="clip")
+    return out
 
 
 # rows of _StateTerms: TERM_TAGS, then the classical u and v sides; the
@@ -236,57 +264,69 @@ class _StateTerms:
 
     Built once per grid, a and cut: the region kernels, the solver's
     NonlinearTerms on all n modes for the normalized coupling (a, 1, 1,
-    1) and the grid's dealias mask, and xi^3. Calling it at a state
-    returns a (12, n) array: the TERM_TAGS terms in order, then the u
-    and v sides of coupling_terms, each in profile coordinates at the
-    state's time. The dealias mask is applied to every row, so the
-    partition N0 + (region part) reproduces exactly the solver's
-    coupling term.
+    1) and the grid's dealias mask, xi^3, and the scratch of the region
+    sums (as NonlinearTerms holds its own): the six coefficient rows the
+    regions read and their gathers at each region's j and j2, which the
+    products overwrite. Calling it at a state returns a new (12, n) array: the
+    TERM_TAGS terms in order, then the u and v sides of coupling_terms,
+    each in profile coordinates at the state's time. The dealias mask
+    is applied to every row, so the partition N0 + (region part)
+    reproduces exactly the solver's coupling term.
     """
 
     def __init__(self, grid, a, cut):
         self.a = a
-        self.ker = _kernels(grid, a, cut)
-        self.nonlinear = NonlinearTerms(grid, Coefficients(a),
-                                        self.ker.outmask)
+        self.ker = ker = region_kernels(grid, a, cut)
+        self.nonlinear = NonlinearTerms(grid, Coefficients(a), ker.outmask)
         self.xi3 = grid.xi ** 3
+        # rows uh, conv_uu, conv_vv, i xi vh, w, vh; each region's
+        # products overwrite its gathers of them at its j and j2
+        self._src = np.empty((6, grid.n), dtype=complex)
+        self._pu = np.empty((2, 2, ker.U[2].size), dtype=complex)
+        self._pv = np.empty((2, 3, ker.V[2].size), dtype=complex)
 
     def __call__(self, state):
         a, ker = self.a, self.ker
         mask = ker.outmask
         ixi = self.nonlinear.ixi
+        src = self._src
         uh = state.uhat.coeffs
         vh = state.vhat.coeffs
-        ixv = ixi * vh
+        src[0], src[5] = uh, vh
+        ixv = np.multiply(ixi, vh, out=src[3])
         # the solver's right sides, dealiased, and the physical u and v
         (cl_u, cl_v), (u, v) = self.nonlinear(np.array((uh, vh)))
-        w = -1j * cl_v                             # conv(uhat, xi vhat)
-        conv_uu, conv_vv = np.fft.fft(np.array((u * u, v * v)),
-                                      norm="forward") * mask
+        np.multiply(-1j, cl_v, out=src[4])         # w = conv(uhat, xi vhat)
+        np.multiply(np.fft.fft(np.array((u * u, v * v)), norm="forward"),
+                    mask, out=src[1:3])
         # complements: every valid pair minus the region's pairs
         full_u, full_v = _valid_conv(np.array((vh, uh, ixv)), [0, 1],
                                      [0, 2])
 
-        # u region rows: N0u part, N1u, N2u, Bu
-        j, j2 = ker.U[2:]
-        pu = (np.array((vh, w, vh, vh)).take(j, axis=1)
-              * np.array((vh, vh, w, vh)).take(j2, axis=1))
-        pu[1:] *= ker.ku
-        su = ker.sums(ker.U, pu)
-        # v region rows: N0v part, N1v, N2v, N3v, Bv
-        j, j2 = ker.V[2:]
-        pv = (np.array((uh, conv_vv, conv_uu, uh, uh)).take(j, axis=1)
-              * np.array((ixv, vh, vh, w, vh)).take(j2, axis=1))
-        pv[1:3] *= ker.kv12
-        pv[3:] *= ker.kv2
-        sv = ker.sums(ker.V, pv)
+        # u region: the gathers (vh, w) at j and (w, vh) at j2 become
+        # the rows Bu, N1u, N2u and the N0u part
+        p = _gather(ker.U, src[:3:-1], src[4:], self._pu).reshape(4, -1)
+        np.multiply(p[0], p[2], out=p[2])
+        np.multiply(p[1], p[3], out=p[1])
+        np.multiply(p[0], p[3], out=p[3])
+        p[0] = p[3]
+        p[:3] *= ker.ku
+        su = ker.sums(ker.U, p)
+        # v region: the gathers (uh, conv_uu, conv_vv) at j and (i xi vh,
+        # w, vh) at j2 become the rows N2v, N1v, the N0v part, N3v, Bv
+        p = _gather(ker.V, src[:3], src[3:], self._pv).reshape(6, -1)
+        np.multiply(p[1:3], p[5], out=p[1:3])
+        np.multiply(p[0], p[3:], out=p[3:])
+        p[1:3] *= ker.kv12
+        p[4:] *= ker.kv2
+        sv = ker.sums(ker.V, p[1:])
         # the cubic terms' factor -i, from the profile equations
         su[1:3] *= -1j
-        sv[1:4] *= -1j
+        sv[[0, 1, 3]] *= -1j
 
-        terms = np.array((ixi * (full_u - su[0]), su[1], su[2],
-                          ixi * conv_uu, full_v - sv[0], sv[1], sv[2],
-                          sv[3], su[3], sv[4], cl_u, cl_v))
+        terms = np.array((ixi * (full_u - su[3]), su[1], su[2],
+                          ixi * src[1], full_v - sv[2], sv[1], sv[0],
+                          sv[3], su[0], sv[4], cl_u, cl_v))
         carriers = mask * np.exp(np.multiply.outer(
             (-1j * a * state.t, -1j * state.t), self.xi3))
         terms *= carriers[_EQUATION]

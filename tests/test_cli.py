@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hskdv import cli, regions
+from hskdv import cli, ibps, regions, spectral
 from hskdv.cli import (ConfigError, parse_config, to_json, EXIT_OK,
                        EXIT_CONFIG, EXIT_NUMERICAL, EXIT_ACCEPTANCE)
 
@@ -197,6 +197,25 @@ def test_ibps_acceptance_exit(tmp_path):
     assert rep["pass"] is False
 
 
+def test_ibps_check_floor_failure_ends_the_run_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ibps, "u_phase_floor_constant", lambda a, eta: 1e6)
+
+    def step(*args, **kwargs):
+        raise AssertionError("stepped before the phase-floor check")
+
+    monkeypatch.setattr(spectral, "step", step)
+    out = tmp_path / "out"
+    code = cli.main(["ibps-check", "--a", "0.5", "--n", "64",
+                     "--L", repr(2.0 * np.pi), "--T", "0.01", "--dt", "1e-4",
+                     "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical validity failure: Phi1u below its "
+                          "floor") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_and_help(tmp_path, capsys):
     assert cli.main(["classify", "--wat", "1",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -347,6 +366,18 @@ def test_fre_scan_bad_cutoffs_are_config_errors(tmp_path, capfd, lams):
     out, err = capfd.readouterr()
     assert out == ""
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fre_scan_cutoff_past_lam_max_is_config_error(tmp_path, capfd):
+    code = cli.main(["fre-scan", "--form", "uvx", "--a", "0.5", "--k", "1",
+                     "--s", "0.5", "--lams", "100,1000,1e60",
+                     "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == ("config error: cutoff lam = 1e+60 exceeds 1e+51, past "
+                   "which the phase fit overflows\n")
     assert list(tmp_path.iterdir()) == []
 
 

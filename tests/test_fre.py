@@ -500,6 +500,34 @@ def test_fre_sup_rejects_bad_cutoffs_before_fitting(lam, monkeypatch):
         fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], lam)
 
 
+@pytest.mark.parametrize("lam", [1e60, 2e51, [100.0, 1e120, 1e3]])
+def test_fre_sup_rejects_cutoffs_past_lam_max_before_fitting(lam,
+                                                            monkeypatch):
+    def fit(*args):
+        raise AssertionError("fitted before the cutoffs were checked")
+
+    monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
+    spec = make_fre_spec("uvx", 1.0, 0.5)
+    big = "%g" % (lam[1] if isinstance(lam, list) else lam)
+    for alpha, M in ((0.0, 1.0), ([0.0, 1.0], [1.0, 4.0])):
+        with pytest.raises(ValueError, match=r"cutoff lam = %s exceeds"
+                           % big.replace("+", r"\+")):
+            fre_sup(spec, 0.5, alpha, M, lam)
+
+
+@pytest.mark.parametrize("batched", [True, False])
+def test_fre_sup_fits_up_to_lam_max(batched, monkeypatch):
+    # at LAM_MAX both fits keep uvx's cube coefficient a - 1, with no
+    # overflow or rank warning (warnings are errors in the tests)
+    if not batched:
+        monkeypatch.setattr(fre, "_lstsq", None)
+    spec = make_fre_spec("uvx", 1.0, 0.5)
+    coeffs = fre._phase_cubic_coeffs(spec, 0.5, [-fre.LAM_MAX, fre.LAM_MAX])
+    assert coeffs[:, 0] == pytest.approx([-0.5, -0.5], rel=1e-9)
+    got = fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], [100.0, fre.LAM_MAX])
+    assert np.all(np.isfinite(got)) and np.all(got[1] >= got[0])
+
+
 @pytest.mark.parametrize("a, alpha, M", [
     (float("nan"), 0.0, 1.0), (float("inf"), 0.0, 1.0),
     (0.5, float("nan"), 1.0), (0.5, -float("inf"), 1.0),

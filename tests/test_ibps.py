@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hskdv import cli, ibps
 from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
                         in_U, in_V, ibps_residual, u_phase_floor_constant,
                         v_phase_floor_constant)
-from hskdv.ibps import _kernels
+from hskdv.ibps import region_kernels
 from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
 from hskdv.spectral import (Grid, NonlinearTerms, SimState, SolverConfig,
                             SpectralField, make_state, run,
@@ -56,6 +57,16 @@ def test_cutoff_validation():
         CutoffParams(delta_u=0.0)
     with pytest.raises(ValueError):
         CutoffParams(eta_sim=1.5)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["delta_u", "delta_v"])
+def test_cutoff_rejects_non_finite_thresholds(field, value):
+    # a NaN threshold left every region empty, so the residual compared
+    # the classical side with itself and passed
+    with pytest.raises(ValueError, match=field + " must be positive and "
+                       "finite"):
+        CutoffParams(**{field: value})
 
 
 def test_floor_constants():
@@ -254,7 +265,7 @@ def test_boundary_kernel_symmetric_in_arguments():
     g = Grid(2.0 * np.pi, 64)
     a = -1.0
     cut = CutoffParams(delta_u=0.2, delta_v=0.2)
-    ker = _kernels(g, a, cut)
+    ker = region_kernels(g, a, cut)
     rng = np.random.default_rng(7)
     f = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
     h = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
@@ -320,7 +331,7 @@ def test_output_row_filter_keeps_every_term(monkeypatch, a):
     g = Grid(2.0 * np.pi, 64)
     st = SimState(0.002, field(g), field(g), _norm_params(a))
     filtered = {tag: eval_term(tag, st, a, cut) for tag in TERM_TAGS}
-    ker = _kernels(g, a, cut)
+    ker = region_kernels(g, a, cut)
 
     keep_all = ibps._region
     monkeypatch.setattr(ibps, "_region", lambda i, j, j2, ks, keep:
@@ -328,7 +339,7 @@ def test_output_row_filter_keeps_every_term(monkeypatch, a):
     g2 = Grid(2.0 * np.pi, 64)  # a fresh grid, so the kernel cache misses
     st2 = SimState(st.t, SpectralField(g2, st.uhat.coeffs),
                    SpectralField(g2, st.vhat.coeffs), st.params)
-    full = _kernels(g2, a, cut)
+    full = region_kernels(g2, a, cut)
     for region in ("U", "V"):
         kept = getattr(ker, region)[2].size
         assert 0 < kept < getattr(full, region)[2].size
@@ -353,7 +364,7 @@ def _ref_valid_conv(f1, f2):
 
 def _ref_eval_term(tag, state, a, cut):
     grid = state.grid
-    ker = _kernels(grid, a, cut)
+    ker = region_kernels(grid, a, cut)
     xi = grid.xi
     uh = state.uhat.coeffs
     vh = state.vhat.coeffs
@@ -392,7 +403,7 @@ def _ref_eval_term(tag, state, a, cut):
 def _ref_coupling_terms(state, a, cut):
     grid = state.grid
     xi3 = grid.xi ** 3
-    mask = _kernels(grid, a, cut).outmask
+    mask = region_kernels(grid, a, cut).outmask
     nu, nv = NonlinearTerms(grid, Coefficients(a), mask)(
         np.array((state.uhat.coeffs, state.vhat.coeffs)))[0]
     return (np.exp(-1j * a * state.t * xi3) * nu,
@@ -550,3 +561,105 @@ def test_state_term_rows_pinned(n, a, cut):
         g, a, CutoffParams() if cut == "default" else CUT02)(st)
     digest = hashlib.sha256(rows.tobytes()).hexdigest()[:16]
     assert digest == ROW_DIGESTS[(n, a, cut)]
+
+
+def _dense_regions(grid, a, cut):
+    """((rows, starts, j, j2), kernels) of U and of V from n x n frequency
+    arrays: the construction _GridKernels used before its row blocks,
+    kept as the oracle of the blocked build."""
+    n, xi = grid.n, grid.xi
+    XI, XI1 = xi[:, None], xi[None, :]
+    XI2 = XI - XI1
+    idx2 = np.rint(XI2 / (2.0 * np.pi / grid.L)).astype(int)
+    valid = (idx2 >= -(n // 2)) & (idx2 <= n // 2 - 1)
+    keep = grid.dealias_mask()
+    out = []
+    for tag, mask in (("Phi1u", in_U(a, XI, XI1, XI2, cut)),
+                      ("Phiv", in_V(XI, XI1, XI2, cut))):
+        i, j = np.nonzero(mask & valid)
+        j2 = idx2[i, j] % n
+        x, x1 = xi[i], xi[j]
+        x2 = x - x1
+        phi = eval_phase(tag, a, (x1, x2))
+        if tag == "Phi1u":
+            kernels = (x / phi,)
+        else:
+            kv2 = x2 / phi
+            kernels = (kv2, x1 * kv2)
+        on = keep[i]
+        rows, starts = np.unique(i[on], return_index=True)
+        out.append(((rows, starts, j[on], j2[on]), [k[on] for k in kernels]))
+    return out
+
+
+def _assert_regions_equal(ker, dense):
+    (U, ku), (V, kv) = dense
+    got = (*ker.U, ker.ku, *ker.V, ker.kv2, ker.kv12)
+    for k, (x, y) in enumerate(zip(got, (*U, *ku, *V, *kv))):
+        assert x.dtype == y.dtype and np.array_equal(x, y), k
+
+
+@pytest.mark.parametrize("cut", [CutoffParams(), CUT02],
+                         ids=["default", "0.2"])
+@pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [64, 128, 256, 512])
+def test_blocked_regions_equal_the_dense_build(n, a, cut):
+    g = Grid(2.0 * np.pi, n)
+    _assert_regions_equal(ibps._GridKernels(g, a, cut),
+                          _dense_regions(g, a, cut))
+
+
+@pytest.mark.parametrize("block", [1, 700, 10 ** 6])
+def test_block_size_does_not_change_the_regions(monkeypatch, block):
+    # one row a block, ragged blocks of 5 rows, and one block of all rows
+    monkeypatch.setattr(ibps, "_BLOCK_PAIRS", block)
+    g = Grid(2.0 * np.pi, 128)
+    _assert_regions_equal(ibps._GridKernels(g, -1.0, CUT02),
+                          _dense_regions(g, -1.0, CUT02))
+
+
+def test_phase_floor_error_from_a_later_block(monkeypatch):
+    # the phase is 0 on the pairs of output frequency xi >= 100 only:
+    # rows 100-127 of n = 256, in the 7th and 8th blocks of 16 rows
+    phase = ibps.eval_phase
+    monkeypatch.setattr(ibps, "eval_phase", lambda tag, a, freqs: np.where(
+        freqs[0] + freqs[1] >= 100.0, 0.0, phase(tag, a, freqs)))
+    g = Grid(2.0 * np.pi, 256)
+    assert 100 // (ibps._BLOCK_PAIRS // g.n) == 6
+    with pytest.raises(PhaseFloorError) as err:
+        ibps._GridKernels(g, 0.5, CutoffParams())
+    assert str(err.value) == ("Phi1u below its floor inside the region at "
+                              "(xi, xi1) = (100, 0)")
+
+
+def _traced_peak(fn):
+    """Bytes of the tracemalloc peak of fn() above what was traced before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_region_build_memory():
+    # an n x n float array alone is 0.5 MB at n = 256; the dense build
+    # peaked at 2.8 MB
+    g = Grid(2.0 * np.pi, 256)
+    assert _traced_peak(lambda: ibps._GridKernels(g, 0.5,
+                                                  CutoffParams())) <= 1.5e6
+
+
+def test_state_terms_call_memory():
+    # the gathers and products live in the evaluator's scratch; per-call
+    # gathers peaked at 0.6 MB
+    g = Grid(2.0 * np.pi, 256)
+    rng = np.random.default_rng(3)
+    field = lambda: SpectralField(
+        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
+    st = SimState(0.0123, field(), field(), _norm_params(0.5))
+    terms = ibps._StateTerms(g, 0.5, CutoffParams())
+    first = terms(st)
+    assert _traced_peak(lambda: terms(st)) <= 0.25e6
+    assert np.array_equal(terms(st), first)
