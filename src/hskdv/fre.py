@@ -279,9 +279,9 @@ def fre_sup(spec, a, alpha, M, lam):
             and np.all(np.isfinite(np.r_[lams, alphas, Ms, a]))):
         raise ValueError("lam (scalar or 1-D) must be finite and positive, "
                          "M finite and positive, alpha and a finite")
-    if np.any(lams > LAM_MAX):
+    if lams.max() > LAM_MAX:
         raise ValueError("cutoff lam = %g exceeds %g, past which the phase "
-                         "fit overflows" % (lams[lams > LAM_MAX][0], LAM_MAX))
+                         "fit overflows" % (lams.max(), LAM_MAX))
     ws, held = _fixed_grid(lams)
     coeffs = _phase_cubic_coeffs(spec, a, ws)
     nj, nw, npair = len(lams), len(ws), len(alphas)

@@ -27,9 +27,9 @@ makes five FFT calls (the batched inverse and forward transforms of
 NonlinearTerms, one forward transform of (u^2, v^2), and one
 zero-padded length-2n forward and inverse pair for both complements),
 one exp call for the two carriers and two gathers per region into
-scratch the evaluator holds, each region's rows summed by one
-np.add.reduceat. At n = 256 no array of a state's evaluation is
-larger than 128 KB.
+scratch the evaluator allocates once, each region's rows summed by
+one np.add.reduceat. At n = 256 a state's evaluation allocates no
+array larger than 128 KB.
 
 All formulas use the normalized coupling beta = gamma = theta = 1.
 
