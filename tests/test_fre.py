@@ -518,7 +518,8 @@ def test_fre_sup_rejects_cutoffs_past_lam_max_before_fitting(lam, named,
 @pytest.mark.parametrize("batched", [True, False])
 def test_fre_sup_fits_up_to_lam_max(batched, monkeypatch):
     # at LAM_MAX both fits keep uvx's cube coefficient a - 1, with no
-    # overflow or rank warning (warnings are errors in the tests)
+    # overflow or rank warning (warnings are errors in the tests); the
+    # scan runs, but its value there is not checked
     if not batched:
         monkeypatch.setattr(fre, "_lstsq", None)
     spec = make_fre_spec("uvx", 1.0, 0.5)
