@@ -12,7 +12,7 @@ from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
                         v_phase_floor_constant)
 from hskdv.ibps import region_kernels
 from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
-from hskdv.spectral import (Grid, NonlinearTerms, SimState, SolverConfig,
+from hskdv.spectral import (Grid, SimState, SolverConfig,
                             SpectralField, make_state, run,
                             spectral_product)
 
@@ -21,6 +21,15 @@ CUT10 = CutoffParams(delta_u=0.1, delta_v=0.1, eta_sim=0.1)
 
 def _norm_params(a):
     return Coefficients(a, beta=1.0, gamma=1.0, theta=1.0)
+
+
+def _real_field(grid, rng, nyquist=0.0):
+    """A real field: random coefficients of modes 0, ..., n/2-1 (mode 0
+    real), the given Nyquist coefficient and the mirror of the rest."""
+    z = rng.normal(size=grid.n // 2) + 1j * rng.normal(size=grid.n // 2)
+    z[0] = z[0].real
+    return SpectralField(grid, np.concatenate((z, [nyquist],
+                                               np.conj(z[:0:-1]))))
 
 
 def _gaussian_state(grid, a, amp=0.5, width=0.25):
@@ -227,9 +236,8 @@ def test_every_term_matches_double_loop_oracle(a):
     g = Grid(2.0 * np.pi, 32)
     cut = CutoffParams(delta_u=0.2, delta_v=0.2)  # threshold 5, inside band
     rng = np.random.default_rng(11)
-    field = lambda: SpectralField(
-        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
-    st = SimState(0.002, field(), field(), _norm_params(a))
+    st = SimState(0.002, _real_field(g, rng), _real_field(g, rng),
+                  _norm_params(a))
     oracle = _oracle_terms(st, a, cut)
     for tag in TERM_TAGS:
         got = eval_term(tag, st, a, cut)
@@ -326,10 +334,9 @@ def test_output_row_filter_keeps_every_term(monkeypatch, a):
     # term must equal the one summed over the unfiltered regions
     cut = CutoffParams(delta_u=0.2, delta_v=0.2)
     rng = np.random.default_rng(5)
-    field = lambda g: SpectralField(
-        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
     g = Grid(2.0 * np.pi, 64)
-    st = SimState(0.002, field(g), field(g), _norm_params(a))
+    st = SimState(0.002, _real_field(g, rng), _real_field(g, rng),
+                  _norm_params(a))
     filtered = {tag: eval_term(tag, st, a, cut) for tag in TERM_TAGS}
     ker = region_kernels(g, a, cut)
 
@@ -400,12 +407,27 @@ def _ref_eval_term(tag, state, a, cut):
     return -1j * carrier * ker.pair_sum(V, ker.kv2, uh, w)
 
 
+def _full_space_sides(state, mask):
+    """The classical right sides (i xi (u^2 + v^2)^hat, (u v_x)^hat) on
+    all n modes with complex transforms, the operations of the
+    full-space evaluator the IBPS check used before it shared the
+    solver's half space; kept as that evaluator's oracle. With a complex
+    Nyquist coefficient, ifft gives u and v an imaginary part that irfft
+    drops, so the two agree only to rounding on real data whose Nyquist
+    coefficient is real."""
+    ixi = 1j * state.grid.xi
+    uh, vh = state.uhat.coeffs, state.vhat.coeffs
+    u, v, vx = np.fft.ifft(np.array((uh, vh, ixi * vh)), norm="forward")
+    nl = np.fft.fft(np.array((u * u + v * v, u * vx)), norm="forward")
+    nl *= mask
+    nl[0] *= ixi
+    return nl
+
+
 def _ref_coupling_terms(state, a, cut):
-    grid = state.grid
-    xi3 = grid.xi ** 3
-    mask = region_kernels(grid, a, cut).outmask
-    nu, nv = NonlinearTerms(grid, Coefficients(a), mask)(
-        np.array((state.uhat.coeffs, state.vhat.coeffs)))[0]
+    xi3 = state.grid.xi ** 3
+    nu, nv = _full_space_sides(state, region_kernels(state.grid, a,
+                                                     cut).outmask)
     return (np.exp(-1j * a * state.t * xi3) * nu,
             np.exp(-1j * state.t * xi3) * nv)
 
@@ -441,13 +463,14 @@ def _ref_residual(trajectory, a, cut):
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
 def test_state_terms_match_per_term_reference(n, a):
-    # a = -1 takes the U1 branch (xi1 ~= xi2); random non-Hermitian data
+    # a = -1 takes the U1 branch (xi1 ~= xi2); random real data with a
+    # zero Nyquist coefficient, on which the full-space oracle of the
+    # classical sides is exact to rounding
     g = Grid(2.0 * np.pi, n)
     cut = CutoffParams(delta_u=0.2, delta_v=0.2)
     rng = np.random.default_rng(n)
-    field = lambda: SpectralField(
-        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
-    st = SimState(0.0123, field(), field(), _norm_params(a))
+    st = SimState(0.0123, _real_field(g, rng), _real_field(g, rng),
+                  _norm_params(a))
     got = ibps._StateTerms(g, a, cut)(st)
     ref = ([_ref_eval_term(tag, st, a, cut) for tag in TERM_TAGS]
            + list(_ref_coupling_terms(st, a, cut)))
@@ -520,33 +543,33 @@ def test_vetted_residuals_pinned(tmp_path, a, u0, v0):
 
 
 # sha256 prefixes of the bytes of the (12, n) _StateTerms rows at random
-# non-Hermitian data (seed n, t = 0.0123): (n, a, cutoffs) -> digest
+# real data (_real_field, seed n, t = 0.0123): (n, a, cutoffs) -> digest
 CUT02 = CutoffParams(delta_u=0.2, delta_v=0.2)
 ROW_DIGESTS = {
-    (64, -1.0, "default"): "ac9b5f46408e16a5",
-    (64, -1.0, "0.2"): "91933a30c986f1a6",
-    (64, 0.5, "default"): "7c82fba01a3e9e47",
-    (64, 0.5, "0.2"): "6f1bddd6259084bf",
-    (64, 2.0, "default"): "fcacf1f35e15b3ed",
-    (64, 2.0, "0.2"): "b71055f1335f0b28",
-    (128, -1.0, "default"): "373831be66b385bb",
-    (128, -1.0, "0.2"): "f79e3cd22c015661",
-    (128, 0.5, "default"): "a0f15495aeed0234",
-    (128, 0.5, "0.2"): "d6cd5f2eac918092",
-    (128, 2.0, "default"): "fac4169b4e6a53f1",
-    (128, 2.0, "0.2"): "74804926725c09b8",
-    (256, -1.0, "default"): "94191f798fb64a29",
-    (256, -1.0, "0.2"): "9b2334604171822d",
-    (256, 0.5, "default"): "6f0744e955395d01",
-    (256, 0.5, "0.2"): "cca679a4d96b8627",
-    (256, 2.0, "default"): "077a0c40dbad6a91",
-    (256, 2.0, "0.2"): "6bfab3283122b05c",
-    (512, -1.0, "default"): "bb9c9a7d06c353d2",
-    (512, -1.0, "0.2"): "4ea5cbf93cc59cff",
-    (512, 0.5, "default"): "b5fb46c774b86d27",
-    (512, 0.5, "0.2"): "83b3d9186f303ad0",
-    (512, 2.0, "default"): "4e852e2ade20cccb",
-    (512, 2.0, "0.2"): "df7bc2741f065cd5",
+    (64, -1.0, "default"): "13db30e9cfae2374",
+    (64, -1.0, "0.2"): "73d16103a5e08bc5",
+    (64, 0.5, "default"): "93f6d320cdcc28ab",
+    (64, 0.5, "0.2"): "aaa67e2b24bf2b48",
+    (64, 2.0, "default"): "818ddbdec7532701",
+    (64, 2.0, "0.2"): "33f384c28ae22c57",
+    (128, -1.0, "default"): "9301dfd9842c8009",
+    (128, -1.0, "0.2"): "d1e927ef18544d1a",
+    (128, 0.5, "default"): "22878257aa3c76f3",
+    (128, 0.5, "0.2"): "88466a94211ade01",
+    (128, 2.0, "default"): "a5f94bcb5c20a8b3",
+    (128, 2.0, "0.2"): "b10fb8a884c4532b",
+    (256, -1.0, "default"): "92212fd960c95773",
+    (256, -1.0, "0.2"): "50698c2488f7f43f",
+    (256, 0.5, "default"): "370f9f55b1214a92",
+    (256, 0.5, "0.2"): "16a55f908a91abd0",
+    (256, 2.0, "default"): "121aa19c6802d40c",
+    (256, 2.0, "0.2"): "46ae8502ad9da032",
+    (512, -1.0, "default"): "06704488340c2ef2",
+    (512, -1.0, "0.2"): "9773072686d058d2",
+    (512, 0.5, "default"): "5539a15525279cc0",
+    (512, 0.5, "0.2"): "6cdd5033c42745de",
+    (512, 2.0, "default"): "55bd8f2ff8b16dd2",
+    (512, 2.0, "0.2"): "8e4c86d6c57afa0c",
 }
 
 
@@ -554,9 +577,8 @@ ROW_DIGESTS = {
 def test_state_term_rows_pinned(n, a, cut):
     g = Grid(2.0 * np.pi, n)
     rng = np.random.default_rng(n)
-    field = lambda: SpectralField(
-        g, rng.normal(size=n) + 1j * rng.normal(size=n))
-    st = SimState(0.0123, field(), field(), _norm_params(a))
+    st = SimState(0.0123, _real_field(g, rng), _real_field(g, rng),
+                  _norm_params(a))
     rows = ibps._StateTerms(
         g, a, CutoffParams() if cut == "default" else CUT02)(st)
     digest = hashlib.sha256(rows.tobytes()).hexdigest()[:16]
@@ -656,9 +678,8 @@ def test_state_terms_call_memory():
     # gathers peaked at 0.6 MB
     g = Grid(2.0 * np.pi, 256)
     rng = np.random.default_rng(3)
-    field = lambda: SpectralField(
-        g, rng.normal(size=g.n) + 1j * rng.normal(size=g.n))
-    st = SimState(0.0123, field(), field(), _norm_params(0.5))
+    st = SimState(0.0123, _real_field(g, rng), _real_field(g, rng),
+                  _norm_params(0.5))
     terms = ibps._StateTerms(g, 0.5, CutoffParams())
     first = terms(st)
     assert _traced_peak(lambda: terms(st)) <= 0.25e6
