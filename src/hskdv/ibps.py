@@ -21,15 +21,16 @@ minus the region's part of it.
 One evaluator (_StateTerms) forms all ten terms and both classical
 right sides of a state together; eval_term and coupling_terms select
 rows of it, and ibps_residual builds it once and calls it once per
-state. Its classical sides come from the solver's own right side,
-spectral.NonlinearTerms, built once with the evaluator. Per state it
-makes five FFT calls (the batched inverse and forward transforms of
-NonlinearTerms, one forward transform of (u^2, v^2), and one
-zero-padded length-2n forward and inverse pair for both complements),
-one exp call for the two carriers and two gathers per region into
-scratch the evaluator allocates once, each region's rows summed by
-one np.add.reduceat. At n = 256 a state's evaluation allocates no
-array larger than 128 KB.
+state. The states are real, and its classical sides are the solver's
+own right side: spectral.NonlinearTerms on the half space of n/2+1
+modes, built once with the evaluator, mirrored to all n modes. Per
+state it makes five FFT calls (the batched irfft and rfft of
+NonlinearTerms, one rfft of (u^2, v^2), and one zero-padded length-2n
+forward and inverse pair for both complements), one exp call for the
+two carriers and two gathers per region into scratch the evaluator
+allocates once, each region's rows summed by one np.add.reduceat. The
+region pairs, sums and complements run over all n output rows. At
+n = 256 a state's evaluation allocates no array larger than 128 KB.
 
 All formulas use the normalized coupling beta = gamma = theta = 1.
 
@@ -46,7 +47,7 @@ import numpy as np
 from .phases import Coefficients, PhaseFloorError, eval_phase
 # spectral_product is bound here too, unused, so that the benchmark's
 # tracer (perfbench/tracing.py) finds it in every module it patches
-from .spectral import NonlinearTerms, spectral_product  # noqa: F401
+from .spectral import NonlinearTerms, _mirror, spectral_product  # noqa: F401
 
 TERM_TAGS = ("N0u", "N1u", "N2u", "N3u", "N0v", "N1v", "N2v", "N3v",
              "Bu", "Bv")
@@ -263,22 +264,29 @@ class _StateTerms:
     """Every decomposition term and both classical sides, state by state.
 
     Built once per grid, a and cut: the region kernels, the solver's
-    NonlinearTerms on all n modes for the normalized coupling (a, 1, 1,
-    1) and the grid's dealias mask, xi^3, and the scratch of the region
-    sums (as NonlinearTerms holds its own): the six coefficient rows the
-    regions read and their gathers at each region's j and j2, which the
-    products overwrite. Calling it at a state returns a new (12, n) array: the
-    TERM_TAGS terms in order, then the u and v sides of coupling_terms,
-    each in profile coordinates at the state's time. The dealias mask
-    is applied to every row, so the partition N0 + (region part)
-    reproduces exactly the solver's coupling term.
+    NonlinearTerms on the half space for the normalized coupling
+    (a, 1, 1, 1) and the dealias mask, xi^3, and the scratch of the
+    region sums (as NonlinearTerms holds its own): the two classical
+    rows mirrored to all n modes, the six coefficient rows the regions
+    read and their gathers at each region's j and j2, which the
+    products overwrite. Calling it at a state returns a new (12, n)
+    array: the TERM_TAGS terms in order, then the u and v sides of
+    coupling_terms, each in profile coordinates at the state's time.
+    The classical sides are the solver's right side, mirrored. The
+    region pairs, their sums and the complements run over all n rows.
+    The dealias mask is applied to every row, so the partition
+    N0 + (region part) reproduces exactly the solver's coupling term.
     """
 
     def __init__(self, grid, a, cut):
         self.a = a
         self.ker = ker = region_kernels(grid, a, cut)
-        self.nonlinear = NonlinearTerms(grid, Coefficients(a), ker.outmask)
+        self.m = m = grid.n // 2 + 1
+        self.nonlinear = NonlinearTerms(grid, Coefficients(a),
+                                        ker.outmask[:m])
+        self.ixi = 1j * grid.xi
         self.xi3 = grid.xi ** 3
+        self._cl = np.empty((2, grid.n), dtype=complex)
         # rows uh, conv_uu, conv_vv, i xi vh, w, vh; each region's
         # products overwrite its gathers of them at its j and j2
         self._src = np.empty((6, grid.n), dtype=complex)
@@ -286,19 +294,21 @@ class _StateTerms:
         self._pv = np.empty((2, 3, ker.V[2].size), dtype=complex)
 
     def __call__(self, state):
-        a, ker = self.a, self.ker
+        a, ker, m = self.a, self.ker, self.m
         mask = ker.outmask
-        ixi = self.nonlinear.ixi
+        ixi = self.ixi
         src = self._src
         uh = state.uhat.coeffs
         vh = state.vhat.coeffs
         src[0], src[5] = uh, vh
         ixv = np.multiply(ixi, vh, out=src[3])
         # the solver's right sides, dealiased, and the physical u and v
-        (cl_u, cl_v), (u, v) = self.nonlinear(np.array((uh, vh)))
+        nl, (u, v) = self.nonlinear(np.array((uh[:m], vh[:m])))
+        cl_u, cl_v = _mirror(nl, self._cl)
         np.multiply(-1j, cl_v, out=src[4])         # w = conv(uhat, xi vhat)
-        np.multiply(np.fft.fft(np.array((u * u, v * v)), norm="forward"),
-                    mask, out=src[1:3])
+        sq = np.fft.rfft(np.array((u * u, v * v)), norm="forward")
+        sq *= self.nonlinear.mask
+        _mirror(sq, src[1:3])
         # complements: every valid pair minus the region's pairs
         full_u, full_v = _valid_conv(np.array((vh, uh, ixv)), [0, 1],
                                      [0, 2])
@@ -349,9 +359,9 @@ def coupling_terms(state, a, cut):
     """Classical profile-equation right sides (u and v), dealiased.
 
     Equals (N0u + region part + N3u, N0v + region part). These are the
-    solver's nonlinear terms (spectral.NonlinearTerms) at the
-    normalized coupling, mapped to profile coordinates: the last two
-    rows of _StateTerms.
+    solver's nonlinear terms (spectral.NonlinearTerms on the half space)
+    at the normalized coupling, mirrored to all n modes and mapped to
+    profile coordinates: the last two rows of _StateTerms.
     """
     cu, cv = _StateTerms(state.grid, a, cut)(state)[-2:]
     return cu, cv

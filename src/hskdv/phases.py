@@ -31,12 +31,12 @@ class PhaseFloorError(RuntimeError):
 
 
 class Coefficients:
-    """System parameters (a, beta, gamma, theta).
+    """System parameters (a, beta, gamma, theta), all real floats.
 
-    a is the real dispersion ratio between the two components; beta,
-    gamma, theta are the (possibly complex) coupling scalars. All four
-    must be nonzero. a = 1 is storable but rejected by theory-facing
-    code paths.
+    a is the dispersion ratio between the two components; beta, gamma,
+    theta are the coupling scalars. All four must be nonzero, and a
+    coupling with a nonzero imaginary part is a ValueError: the system
+    is real. a = 1 is storable but rejected by theory-facing code paths.
     """
 
     def __init__(self, a, beta=1.0, gamma=1.0, theta=1.0):
@@ -44,14 +44,13 @@ class Coefficients:
             raise ValueError("dispersion ratio a must be nonzero")
         if beta == 0 or gamma == 0 or theta == 0:
             raise ValueError("coupling coefficients must be nonzero")
+        couplings = [complex(c) for c in (beta, gamma, theta)]
+        if any(c.imag != 0 for c in couplings):
+            raise ValueError("coupling coefficients must be real, got "
+                             "(beta, gamma, theta) = (%r, %r, %r)"
+                             % (beta, gamma, theta))
         self.a = float(a)
-        self.beta = complex(beta)
-        self.gamma = complex(gamma)
-        self.theta = complex(theta)
-
-    def is_real(self):
-        return (self.beta.imag == 0 and self.gamma.imag == 0
-                and self.theta.imag == 0)
+        self.beta, self.gamma, self.theta = (c.real for c in couplings)
 
     def __repr__(self):
         return ("Coefficients(a=%r, beta=%r, gamma=%r, theta=%r)"

@@ -226,29 +226,25 @@ def classify_gwp(coeffs, p):
         and a = 1/4, k, s >= 1, (k, s) in A_{1/4}, gamma > 0 and
         theta < 0.
 
-    Both branches require real coefficients. Each rests on a
-    conserved pair of spectral.invariants_eval. The first uses the mass
-    M = int theta u^2 - 2 gamma v^2, which is definite when
-    gamma theta < 0. The a = 1/4 branch rests on M together with the
-    energy E_H, which is conserved only when beta = a theta; the branch
-    checks that, exactly as Fractions of the given floats.
+    Each branch rests on a conserved pair of spectral.invariants_eval.
+    The first uses the mass M = int theta u^2 - 2 gamma v^2, which is
+    definite when gamma theta < 0. The a = 1/4 branch rests on M
+    together with the energy E_H, which is conserved only when
+    beta = a theta; the branch checks that, exactly as Fractions of the
+    given floats.
     At a = 1/4 with gamma > 0 > theta, M is definite and the quadratic
     part 1/2 u_x^2 - 4 gamma/theta v_x^2 of E_H is positive, so with
     the Gagliardo-Nirenberg inequality for its cubic terms the pair
     bounds the H^1 x H^1 norm.
     """
     a = _rat(coeffs.a)
-    if not coeffs.is_real():
-        return "Unknown"
-    gamma = coeffs.gamma.real
-    theta = coeffs.theta.real
+    gamma, theta = coeffs.gamma, coeffs.theta
     k, s = _point(p)
     if a not in (0, 1, QUARTER):
         if gamma * theta < 0 and k >= 0 and s >= 0 and in_A(a, (k, s)):
             return "Yes"
     if a == QUARTER:
-        energy = (Fraction(coeffs.beta.real)
-                  == Fraction(coeffs.a) * Fraction(theta))
+        energy = Fraction(coeffs.beta) == Fraction(coeffs.a) * Fraction(theta)
         if (energy and k >= 1 and s >= 1 and gamma > 0 and theta < 0
                 and in_A(QUARTER, (k, s))):
             return "Yes"

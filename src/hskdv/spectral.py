@@ -17,24 +17,23 @@ dealiased with the 2/3 rule, which makes them equal to exact
 Fourier coefficients follow the "continuous coefficient" convention
 c_k = fft(samples)/n, so a pure cosine has two coefficients of 1/2.
 
-A run steps on one of two mode spaces, chosen once from its input. Real
-couplings (Coefficients.is_real()) and two fields flagged hermitian,
-as make_state builds them, give the half space: the m = n/2+1 modes of
-frequencies 0, ..., n/2-1 and the Nyquist mode, transformed with
-irfft/rfft. Every other input (complex couplings, non-Hermitian data)
-keeps all n modes and ifft/fft. The Nyquist mode keeps fftfreq's
-xi = -pi n/L, so its coefficient follows the same linear flow as on the
-full space; it is outside every dealias mask, and irfft reads only its
-real part. Either way a step makes 8 FFT calls, one inverse and one
-forward per RK4 stage, and returns all n coefficients.
+The system is real (real couplings, real fields), so every field is
+conjugate-symmetric, c(-k) = conj(c(k)), and the solver works on one
+mode space, the half space: the m = n/2+1 modes of frequencies
+0, ..., n/2-1 and the Nyquist mode, transformed with irfft/rfft. The
+Nyquist mode keeps fftfreq's xi = -pi n/L, so its coefficient follows
+the linear flow of that frequency; it is outside every dealias mask,
+and irfft reads only its real part, which is why the imaginary part of
+the Nyquist coefficient is the one asymmetry a SpectralField may carry.
+A step makes 8 FFT calls, one inverse and one forward per RK4 stage,
+and returns all n coefficients.
 
-A run builds its constant data once, in a _Propagator: the space's
-linear-flow factors and its NonlinearTerms, which hold i xi, the
-transform pair, the couplings and scratch arrays. The IBPS check
-(ibps.py) builds a NonlinearTerms of its own on all n modes, so the
-quadratic products of both are formed by the same code. Each step
-leaves its result's coefficient rows and norm in the propagator, and
-the next step of the run starts from them.
+A run builds its constant data once, in a _Propagator: the linear-flow
+factors and the NonlinearTerms, which hold i xi, the transform pair,
+the couplings and scratch arrays. The IBPS check (ibps.py) builds a
+NonlinearTerms of its own, so its classical right sides are the
+solver's. Each step leaves its result's coefficient rows and norm in
+the propagator, and the next step of the run starts from them.
 """
 
 import numpy as np
@@ -71,39 +70,38 @@ class Grid:
 
 
 class SpectralField:
-    """Fourier coefficients of one scalar field on a Grid.
+    """Fourier coefficients of one real scalar field on a Grid.
 
-    hermitian marks the coefficients of a real field, c(-k) = conj(c(k)),
-    and is checked to 1e-12 relative when passed here. step() sets it,
-    unchecked, on the fields it builds on the half space: those are
-    exactly symmetric but for the imaginary part of the Nyquist
-    coefficient, which irfft ignores. copy() carries it over unchecked.
+    The n coefficients must be conjugate-symmetric, c(-k) = conj(c(k)),
+    to 1e-12 relative to the largest; the imaginary part of the Nyquist
+    coefficient is exempt (module docstring). ValueError otherwise. This
+    is the one place the symmetry is checked: step() builds its fields,
+    exactly symmetric, without the check, and copy() carries a checked
+    field over.
     """
 
-    def __init__(self, grid, coeffs, hermitian=False):
+    def __init__(self, grid, coeffs):
         coeffs = np.asarray(coeffs, dtype=complex)
         if coeffs.shape != (grid.n,):
             raise ValueError("coefficient array does not match grid")
-        if hermitian:
-            sym = np.conj(coeffs[(-np.arange(grid.n)) % grid.n])
-            scale = max(np.max(np.abs(coeffs)), 1e-300)
-            if np.max(np.abs(coeffs - sym)) > 1e-12 * scale:
-                raise ValueError("field flagged hermitian is not "
-                                 "conjugate-symmetric")
+        h = grid.n // 2
+        asym = max(abs(coeffs[0].imag),
+                   np.abs(coeffs[1:h] - np.conj(coeffs[:h:-1])).max())
+        if asym > 1e-12 * np.abs(coeffs).max():
+            raise ValueError("coefficients are not conjugate-symmetric "
+                             "(not a real field)")
         self.grid = grid
         self.coeffs = coeffs
-        self.hermitian = bool(hermitian)
 
     @classmethod
-    def _checked(cls, grid, coeffs, hermitian):
+    def _checked(cls, grid, coeffs):
         """A field from a complex (n,) array whose checks the caller made."""
         f = cls.__new__(cls)
-        f.grid, f.coeffs, f.hermitian = grid, coeffs, hermitian
+        f.grid, f.coeffs = grid, coeffs
         return f
 
     def copy(self):
-        return SpectralField._checked(self.grid, self.coeffs.copy(),
-                                      self.hermitian)
+        return SpectralField._checked(self.grid, self.coeffs.copy())
 
 
 class SimState:
@@ -158,8 +156,8 @@ def make_state(grid, u0, v0, params):
 
     uc = np.fft.fft(sample(u0)) / grid.n
     vc = np.fft.fft(sample(v0)) / grid.n
-    return SimState(0.0, SpectralField(grid, uc, hermitian=True),
-                    SpectralField(grid, vc, hermitian=True), params)
+    return SimState(0.0, SpectralField(grid, uc), SpectralField(grid, vc),
+                    params)
 
 
 def spectral_product(ahat, bhat, grid, mask):
@@ -171,41 +169,34 @@ def spectral_product(ahat, bhat, grid, mask):
 
 
 class NonlinearTerms:
-    """The nonlinear right sides of the system on one mode space.
+    """The nonlinear right sides of the system on the half space.
 
-    mask is the dealias mask over the space's modes: all n of them
-    (ifft/fft, the complex couplings) or the m = n/2+1 of the half
-    space (irfft/rfft, the couplings' real parts; module docstring).
-    i xi, the transform pair, the couplings and the scratch arrays are
-    set up here, once, and every call reuses them.
+    mask is the dealias mask over the m = n/2+1 modes of the half space
+    (module docstring). i xi, the transform pair irfft/rfft (read from
+    np.fft here, so that a tracer patching np.fft sees them), the
+    couplings and the scratch arrays are set up here, once, and every
+    call reuses them.
 
     Calling it at coefficient rows w = (uhat, vhat), shape (2, m),
     returns (N, uv): N is the new (2, m) array with rows
     i xi (beta u^2 + gamma v^2)^hat and theta (u v_x)^hat, dealiased by
-    mask, and uv the physical rows (u, v), real on the half space.
-    One batched inverse FFT of (uhat, vhat, i xi vhat) gives u, v and
-    v_x, and one batched forward FFT transforms both products. uv is
-    scratch that the next call overwrites. The quadratic products of
-    the solver and of the IBPS check are formed here and nowhere else.
+    mask, and uv the real physical rows (u, v). One batched inverse FFT
+    of (uhat, vhat, i xi vhat) gives u, v and v_x, and one batched
+    forward FFT transforms both products. uv is scratch that the next
+    call overwrites. The quadratic products of the solver and of the
+    IBPS check are formed here and nowhere else.
     """
 
     def __init__(self, grid, params, mask):
-        m, n = mask.size, grid.n
+        m, n = grid.n // 2 + 1, grid.n
         self.n = n
         self.mask = mask
         self.ixi = 1j * grid.xi[:m]
-        if m == n:
-            self._inv, self._fwd = np.fft.ifft, np.fft.fft
-            self._c = (params.beta, params.gamma, params.theta)
-            dtype = complex
-        else:
-            self._inv, self._fwd = np.fft.irfft, np.fft.rfft
-            self._c = (params.beta.real, params.gamma.real,
-                       params.theta.real)
-            dtype = float
+        self._inv, self._fwd = np.fft.irfft, np.fft.rfft
+        self._c = (params.beta, params.gamma, params.theta)
         self._in = np.empty((3, m), dtype=complex)
-        self._phys = np.empty((3, n), dtype=dtype)
-        self._prod = np.empty((2, n), dtype=dtype)
+        self._phys = np.empty((3, n))
+        self._prod = np.empty((2, n))
         # views of the scratch rows, so that a call makes none
         self._uv_in, self._ivx_in = self._in[:2], self._in[2]
         self._uv = self._phys[:2]
@@ -232,14 +223,13 @@ class NonlinearTerms:
 
 
 class _Propagator:
-    """Mode space, linear flow and right side of the steps of one run().
+    """Linear flow and right side of the steps of one run().
 
-    The space (module docstring) is chosen here, from the input state,
-    and the propagator serves the states of that run: same grid, params
-    and cfg. It holds the space's xi^3, dealias mask and NonlinearTerms,
-    max |xi| for the stability bound, the weights (1, 2, ..., 2, 1 on
-    the half space, all 1 on the full one) that turn sums of |c|^2 over
-    its modes into sums over all n, the half-step factor
+    The propagator serves the states of one run: same grid, params and
+    cfg. It holds the half space's xi^3, dealias mask and
+    NonlinearTerms, max |xi| for the stability bound, the weights
+    (1, 2, ..., 2, 1) that turn sums of |c|^2 over the half space into
+    sums over all n modes, the half-step factor
     eh = exp(rate dt/2) for the rates rate = (i a xi^3, i xi^3) as rows,
     and a one-entry memo of exp(rate tau). Each exponent is formed as
     (i a tau) xi^3, the rounding of exp(1j * a * tau * xi**3); at
@@ -252,16 +242,13 @@ class _Propagator:
 
     def __init__(self, state, cfg):
         grid, p = state.grid, state.params
-        self.half = (p.is_real() and state.uhat.hermitian
-                     and state.vhat.hermitian)
         self.grid = grid
-        m = grid.n // 2 + 1 if self.half else grid.n
+        m = grid.n // 2 + 1
         self.mask = grid.dealias_mask(cfg.dealias_fraction)[:m]
         self.terms = NonlinearTerms(grid, p, self.mask)
         self.xi_max = np.abs(grid.xi).max()
-        self.weights = np.ones(m)
-        if self.half:
-            self.weights[1:-1] = 2.0
+        self.weights = np.full(m, 2.0)
+        self.weights[[0, -1]] = 1.0
         self._ia = np.array(((1j * p.a,), (1j,)))
         self._xi3 = grid.xi[:m] ** 3
         self.dt = cfg.dt
@@ -285,22 +272,24 @@ class _Propagator:
         return np.sqrt((w.real ** 2 + w.imag ** 2) @ self.weights)
 
     def full(self, w):
-        """All n modes of the rows of w: on the half space, the mirror
-        c(-k) = conj(c(k)) of modes k = 1, ..., n/2-1 is appended."""
-        if not self.half:
-            return w
-        m = w.shape[1]
-        out = np.empty((2, self.grid.n), dtype=complex)
-        out[:, :m] = w
-        np.conjugate(w[:, m - 2:0:-1], out=out[:, m:])
-        return out
+        """All n modes of the half-space rows of w, in a new array."""
+        return _mirror(w, np.empty((2, self.grid.n), dtype=complex))
+
+
+def _mirror(rows, out):
+    """Half-space rows into the (k, n) array out, followed by their mirror
+    c(-k) = conj(c(k)) of modes k = 1, ..., n/2-1; returns out."""
+    m = rows.shape[1]
+    out[:, :m] = rows
+    np.conjugate(rows[:, m - 2:0:-1], out=out[:, m:])
+    return out
 
 
 def step(state, cfg, prop=None):
     """One integrating-factor RK4 step; the linear flow is exact.
 
-    u and v are stacked as rows w over the propagator's modes, and N is
-    its NonlinearTerms. The RK4 stages on the profiles exp(-rate tau) w
+    u and v are stacked as rows w over the half space, and N is the
+    propagator's NonlinearTerms. The RK4 stages on the profiles exp(-rate tau) w
     are written relative to the step start t, so they use only
     eh = exp(rate dt/2):
 
@@ -329,9 +318,9 @@ def step(state, cfg, prop=None):
     since must be passed as a copy. The returned state is built without
     repeating these checks.
 
-    On the half space the step reads modes 0..n/2 of the state and
-    returns all n, conjugate-symmetric, with the hermitian flag set, so
-    a following step(state, cfg) stays on the half space.
+    The step reads modes 0..n/2 of the state and returns all n,
+    exactly conjugate-symmetric but for the imaginary part of the
+    Nyquist coefficient.
     """
     if prop is None:
         prop = _Propagator(state, cfg)
@@ -376,8 +365,7 @@ def step(state, cfg, prop=None):
     if not np.isfinite(w_new).all():
         raise ValueError("non-finite coefficients in state")
 
-    u, v = (SpectralField._checked(prop.grid, c, prop.half)
-            for c in prop.full(w_new))
+    u, v = (SpectralField._checked(prop.grid, c) for c in prop.full(w_new))
     prop.w, prop.norm = w_new, new
     prop.last = SimState._checked(t + dt, u, v, state.params)
     return prop.last
@@ -394,15 +382,15 @@ def sobolev_norm(field, s):
 def invariants_eval(state):
     """Mean of u, mass M and energy E_H by spectral quadrature.
 
-    M = int theta u^2 - 2 gamma v^2 dx is conserved for real
-    couplings. Under "E" the energy
+    M = int theta u^2 - 2 gamma v^2 dx is conserved. Under "E" the
+    energy
 
         E_H = int 1/2 u_x^2 + beta/(3a) u^3
                   + gamma/(a-1) (3/theta v_x^2 + u v^2) dx
 
-    is reported for real couplings with beta = a theta (to 1e-12
-    relative) and a != 1; a and theta are nonzero for every
-    Coefficients. For any other system E is NaN.
+    is reported for couplings with beta = a theta (to 1e-12 relative)
+    and a != 1; a and theta are nonzero for every Coefficients. For any
+    other system E is NaN.
 
     Derivation. Write the u equation as u_t = R_x with
     R = -a u_xx + beta u^2 + gamma v^2, and let k = gamma/(a-1). The
@@ -421,20 +409,12 @@ def invariants_eval(state):
     (1/2, 1, 1, 1), where beta != a theta, the same functional moves by
     6.5%.
 
-    The fields must be Hermitian to 1e-8 relative, except for the
-    imaginary part of the Nyquist coefficient: the linear flow makes
-    that coefficient complex, and irfft ignores its imaginary part.
     u, v, u_x and v_x come from their n/2+1 nonnegative modes by one
-    batched irfft.
+    batched irfft, which ignores the imaginary part of the Nyquist
+    coefficient (the linear flow makes that coefficient complex).
     """
     grid = state.grid
     p = state.params
-    for f in (state.uhat, state.vhat):
-        asym = f.coeffs - np.conj(f.coeffs[(-np.arange(grid.n)) % grid.n])
-        asym[grid.n // 2] = 0.0  # 2i Im(Nyquist), which irfft drops
-        scale = max(np.max(np.abs(f.coeffs)), 1e-300)
-        if np.max(np.abs(asym)) > 1e-8 * scale:
-            raise ValueError("invariants need real (hermitian) fields")
     m = grid.n // 2 + 1
     uh, vh = state.uhat.coeffs[:m], state.vhat.coeffs[:m]
     ixi = 1j * grid.xi[:m]
@@ -442,13 +422,10 @@ def invariants_eval(state):
                                 grid.n, norm="forward")
     dx = grid.L / grid.n
     mean_u = float(np.sum(u) * dx)
-    a, beta = p.a, p.beta.real
-    gamma = p.gamma.real
-    theta = p.theta.real
+    a, beta, gamma, theta = p.a, p.beta, p.gamma, p.theta
     M = float(np.sum(theta * u ** 2 - 2.0 * gamma * v ** 2) * dx)
     E = float("nan")
-    if (p.is_real() and a != 1.0
-            and abs(beta - a * theta) <= 1e-12 * abs(beta)):
+    if a != 1.0 and abs(beta - a * theta) <= 1e-12 * abs(beta):
         k = gamma / (a - 1.0)
         E = float(np.sum(0.5 * ux ** 2 + beta / (3.0 * a) * u ** 3
                          + k * (3.0 / theta * vx ** 2 + u * v ** 2)) * dx)
@@ -520,8 +497,9 @@ def load_snapshot(path, params=None):
 
     Raises ValueError for a file shorter than the 24-byte header, a mode
     count n that is not a positive even integer, a length other than
-    24 + 32 n bytes, a non-finite time t or (from Grid) a period L that
-    is not positive and finite.
+    24 + 32 n bytes, a non-finite time t, (from Grid) a period L that
+    is not positive and finite or (from SpectralField, with the file
+    named) coefficients that are not conjugate-symmetric.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -541,8 +519,11 @@ def load_snapshot(path, params=None):
                          % (path, len(raw), n, 24 + 32 * n))
     body = np.frombuffer(raw[24:], dtype="<f8").reshape(n, 4)
     grid = Grid(L, n)
-    uh = SpectralField(grid, body[:, 0] + 1j * body[:, 1])
-    vh = SpectralField(grid, body[:, 2] + 1j * body[:, 3])
+    try:
+        uh, vh = (SpectralField(grid, body[:, j] + 1j * body[:, j + 1])
+                  for j in (0, 2))
+    except ValueError as err:
+        raise ValueError("snapshot %s: %s" % (path, err)) from None
     if params is None:
         params = Coefficients(0.5)
     return SimState(t, uh, vh, params)

@@ -15,6 +15,7 @@ from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
 from hskdv.spectral import (Grid, SimState, SolverConfig,
                             SpectralField, make_state, run,
                             spectral_product)
+from hskdv.spectral import _Propagator
 
 CUT10 = CutoffParams(delta_u=0.1, delta_v=0.1, eta_sim=0.1)
 
@@ -483,6 +484,27 @@ def test_state_terms_match_per_term_reference(n, a):
         assert np.array_equal(eval_term(tag, st, a, cut), got[k]), tag
     cu, cv = coupling_terms(st, a, cut)
     assert np.array_equal(cu, got[10]) and np.array_equal(cv, got[11])
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
+def test_coupling_terms_are_the_solver_right_side(a):
+    # a real state whose Nyquist coefficient the linear flow made complex:
+    # the classical sides are the solver's right side on the half space,
+    # mirrored to all n modes and carried to profile coordinates
+    g = Grid(2.0 * np.pi, 64)
+    st = make_state(g, lambda x: 0.3 * np.cos(x) + 0.1 * np.cos(32 * x),
+                    lambda x: 0.2 * np.sin(2 * x) - 0.1 * np.cos(32 * x),
+                    _norm_params(a))
+    st, _ = run(st, SolverConfig(dt=1e-3, nonlinear_enabled=False), 0.005)
+    assert st.uhat.coeffs[32].imag != 0.0 and st.vhat.coeffs[32].imag != 0.0
+    prop = _Propagator(st, SolverConfig(dt=1e-3))
+    m = g.n // 2 + 1
+    nl = prop.terms(np.array((st.uhat.coeffs[:m], st.vhat.coeffs[:m])))[0]
+    carriers = g.dealias_mask() * np.exp(np.multiply.outer(
+        (-1j * a * st.t, -1j * st.t), g.xi ** 3))
+    want = prop.full(nl) * carriers
+    cu, cv = coupling_terms(st, a, CutoffParams())
+    assert np.array_equal(cu, want[0]) and np.array_equal(cv, want[1])
 
 
 def test_residual_matches_per_term_reference(short_trajectory):

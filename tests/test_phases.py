@@ -23,9 +23,17 @@ def test_coefficients_reject_zero():
         Coefficients(0.0)
     with pytest.raises(ValueError):
         Coefficients(0.5, beta=0.0)
-    c = Coefficients(0.5, gamma=1j)
-    assert not c.is_real()
-    assert Coefficients(2.0).is_real()
+
+
+def test_coefficients_are_real():
+    c = Coefficients(2.0, beta=-1, gamma=np.float64(0.5), theta=3 + 0j)
+    assert (c.a, c.beta, c.gamma, c.theta) == (2.0, -1.0, 0.5, 3.0)
+    assert all(type(x) is float for x in (c.a, c.beta, c.gamma, c.theta))
+    for key in ("beta", "gamma", "theta"):
+        with pytest.raises(ValueError, match="must be real"):
+            Coefficients(0.5, **{key: 1j})
+    with pytest.raises(ValueError, match="must be real"):
+        Coefficients(0.5, gamma=1 + 1e-300j)
 
 
 def test_phase_id_arity():

@@ -157,8 +157,6 @@ def test_gwp_quarter_branch():
     assert classify_gwp(c, (F(7, 8), 1)) == "Unknown"  # k < 1
     bad = Coefficients(0.25, beta=-0.25, gamma=-1.0, theta=-1.0)
     assert classify_gwp(bad, (1, 1)) == "Unknown"
-    cplx = Coefficients(0.25, beta=-0.25, gamma=1j, theta=-1.0)
-    assert classify_gwp(cplx, (1, 1)) == "Unknown"
     # beta != a theta: E_H is not conserved, so there is no H^1 bound
     for beta in (1.0, math.nextafter(-0.25, 0.0)):
         off = Coefficients(0.25, beta=beta, gamma=1.0, theta=-1.0)

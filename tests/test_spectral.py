@@ -148,64 +148,29 @@ def _per_product_step(state, cfg):
 
 
 def _random_state(grid, params, seed=3):
-    # non-Hermitian coefficients with a decaying spectrum
+    # a real state: random coefficients of modes 0, ..., n/2-1 with a
+    # decaying spectrum, mirrored by the real transforms, and a zero
+    # Nyquist coefficient, which the full-space reference would see
+    # differently once the flow makes it complex
     rng = np.random.default_rng(seed)
-    k = np.abs(np.fft.fftfreq(grid.n, 1.0 / grid.n))
+    k = np.arange(grid.n // 2 + 1)
 
-    def coeffs():
-        z = rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)
-        return 0.05 * z * np.exp(-k / 4.0)
-    return SimState(0.0, SpectralField(grid, coeffs()),
-                    SpectralField(grid, coeffs()), params)
-
-
-@pytest.mark.parametrize("case", ["complex_couplings", "non_hermitian"])
-def test_step_matches_per_product_step(case):
-    if case == "complex_couplings":
-        g = Grid(2.0 * np.pi, 128)
-        st = _cos_state(g, Coefficients(0.5, gamma=1j, theta=-1),
-                        amp_u=0.3, amp_v=0.3)
-        cfg = SolverConfig(dt=1e-3)
-    else:
-        g = Grid(2.0 * np.pi, 64)
-        st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
-        cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
-    ref = st
-    for _ in range(20):
-        ref, _ = _per_product_step(ref, cfg)
-        st = step(st, cfg)
-        got = np.concatenate([st.uhat.coeffs, st.vhat.coeffs])
-        want = np.concatenate([ref.uhat.coeffs, ref.vhat.coeffs])
-        assert st.t == ref.t
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    # the stability bound comes from the same amplitude
-    _, dt_max = _per_product_step(st, cfg)
-    with pytest.raises(StabilityError) as err:
-        step(st, SolverConfig(dt=1.001 * dt_max))
-    bound = float(str(err.value).split(" = ")[1].split(" ")[0])
-    assert bound == pytest.approx(dt_max, rel=1e-5)
-    step(st, SolverConfig(dt=0.999 * dt_max))
+    def field():
+        z = 0.05 * (rng.normal(size=k.size) + 1j * rng.normal(size=k.size))
+        z[-1] = 0.0
+        x = np.fft.irfft(z * np.exp(-k / 4.0), grid.n, norm="forward")
+        return SpectralField(grid, np.fft.fft(x, norm="forward"))
+    return SimState(0.0, field(), field(), params)
 
 
-@pytest.mark.parametrize("case", ["complex_couplings", "non_hermitian",
-                                  "non_dyadic_a"])
+@pytest.mark.parametrize("case", ["non_dyadic_a"])
 def test_step_matches_per_product_step_at_large_t(case):
     # at t0 = 37 the phases t xi^3 reach 1e6-1e7 rad, so the step's
     # factors relative to the step start must agree with the reference's
     # absolute ones; a = 0.3 makes a tau xi^3 depend on product order
-    if case == "complex_couplings":
-        g = Grid(2.0 * np.pi, 128)
-        st = _cos_state(g, Coefficients(0.5, gamma=1j, theta=-1),
-                        amp_u=0.3, amp_v=0.3)
-        cfg = SolverConfig(dt=1e-3)
-    elif case == "non_hermitian":
-        g = Grid(2.0 * np.pi, 64)
-        st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
-        cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
-    else:
-        g = Grid(2.0 * np.pi, 128)
-        st = _random_state(g, Coefficients(0.3, beta=0.5, gamma=1j))
-        cfg = SolverConfig(dt=1e-3)
+    g = Grid(2.0 * np.pi, 128)
+    st = _random_state(g, Coefficients(0.3, beta=0.5, gamma=-1.0))
+    cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
     st = ref = SimState(37.0, st.uhat, st.vhat, st.params)
     assert 37.0 * np.max(g.xi) ** 3 > 1e6
     for _ in range(20):
@@ -227,7 +192,7 @@ def test_linear_flow_norm_drift_is_a_random_walk():
     # larger. A fixed factor exp(rate dt) repeats the same modulus error
     # in every step, so the drift grows like N times its weighted mean.
     # The bound 2 sqrt(N) u = 2.2e-14 (N = 1e4) lies between the two:
-    # this run drifts by 8.9e-16, and by 1.6e-13 with exp(rate dt).
+    # this run drifts by 4.0e-15, and by 2.0e-13 with exp(rate dt).
     g = Grid(2.0 * np.pi, 128)
     st = _random_state(g, Coefficients(0.5))
     nsteps = 10000
@@ -283,6 +248,40 @@ def test_snapshot_roundtrip(tmp_path):
     assert back.t == st.t
     assert np.array_equal(back.uhat.coeffs, st.uhat.coeffs)
     assert np.array_equal(back.vhat.coeffs, st.vhat.coeffs)
+
+
+def test_snapshot_run_continues_bit_for_bit(tmp_path):
+    # a run stopped at T/2, saved, loaded and run on to T is the
+    # uninterrupted run: a loaded state steps on the same half space
+    g = Grid(2.0 * np.pi, 64)
+    p = Coefficients(2.0, beta=0.5, gamma=-1.0, theta=2.0)
+    st = _cos_state(g, p, amp_u=0.3, amp_v=0.3, mode=3)
+    cfg = SolverConfig(dt=1e-3)
+    want, _ = run(st, cfg, 0.04)
+    mid, _ = run(st, cfg, 0.02)
+    assert mid.uhat.coeffs[g.n // 2].imag != 0.0
+    path = os.path.join(tmp_path, "mid.snap")
+    save_snapshot(path, mid)
+    got, _ = run(load_snapshot(path, params=p), cfg, 0.02)
+    assert got.t == want.t
+    assert np.array_equal(got.uhat.coeffs, want.uhat.coeffs)
+    assert np.array_equal(got.vhat.coeffs, want.vhat.coeffs)
+
+
+def test_snapshot_rejects_a_field_that_is_not_real(tmp_path):
+    path = os.path.join(tmp_path, "s.snap")
+    save_snapshot(path, _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5)))
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    # set Im of v's mode-1 coefficient, so that mode -1 no longer mirrors it
+    raw[24 + 32 + 24:24 + 32 + 32] = np.array([0.3], "<f8").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    with pytest.raises(ValueError) as err:
+        load_snapshot(path)
+    assert str(err.value) == ("snapshot %s: coefficients are not "
+                              "conjugate-symmetric (not a real field)"
+                              % path)
 
 
 def _header_with_n(n):
@@ -359,8 +358,15 @@ def test_hermitian_check():
     g = Grid(2.0 * np.pi, 16)
     c = np.zeros(16, dtype=complex)
     c[1] = 1.0  # no conjugate partner
-    with pytest.raises(ValueError):
-        SpectralField(g, c, hermitian=True)
+    with pytest.raises(ValueError, match="not conjugate-symmetric"):
+        SpectralField(g, c)
+    c[-1] = 1.0 + 1e-13
+    SpectralField(g, c)  # symmetric to 1e-12 relative
+    c[8] = 0.5 + 0.5j  # the imaginary Nyquist part is exempt
+    SpectralField(g, c)
+    c[0] = 1e-11j  # the mean is not
+    with pytest.raises(ValueError, match="not conjugate-symmetric"):
+        SpectralField(g, c)
 
 
 def test_run_stores_endpoints():
@@ -377,7 +383,7 @@ def test_run_matches_step_loop():
     # step() alone builds its own, and the results are bit-identical
     g = Grid(2.0 * np.pi, 64)
     cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
-    st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=1j))
+    st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=-1.0))
     fin, stored = run(st, cfg, 0.02, store_every=5)
     ref = [st]
     for _ in range(20):
@@ -389,22 +395,23 @@ def test_run_matches_step_loop():
     assert len(stored) == 5 and fin.t == ref[-1].t
 
 
-def _unflagged(state):
-    # the same coefficients without the hermitian flag: the full space
-    return SimState(state.t, SpectralField(state.grid, state.uhat.coeffs),
-                    SpectralField(state.grid, state.vhat.coeffs),
-                    state.params)
+def _full(state):
+    """The state rebuilt from all n coefficients, as a snapshot holds them,
+    with a complex Nyquist coefficient, as the linear flow leaves it."""
+    c = np.array((state.uhat.coeffs, state.vhat.coeffs))
+    c[:, state.grid.n // 2] = (0.003 + 0.004j, -0.002 + 0.001j)
+    return SimState(state.t, SpectralField(state.grid, c[0]),
+                    SpectralField(state.grid, c[1]), state.params)
 
 
 def test_half_space_step_matches_per_product_step():
-    # case real_couplings: real beta, gamma, theta and real data step on
-    # the n/2+1 nonnegative modes with irfft/rfft
+    # real beta, gamma, theta and real data step on the n/2+1
+    # nonnegative modes with irfft/rfft
     g = Grid(2.0 * np.pi, 128)
     st = _cos_state(g, Coefficients(0.5, beta=0.5, gamma=-1.0, theta=2.0),
                     amp_u=0.3, amp_v=0.3)
     cfg = SolverConfig(dt=1e-3)
-    prop = _Propagator(st, cfg)
-    assert prop.half and prop.mask.size == g.n // 2 + 1
+    assert _Propagator(st, cfg).mask.size == g.n // 2 + 1
     ref = st
     for _ in range(20):
         ref, _ = _per_product_step(ref, cfg)
@@ -416,14 +423,15 @@ def test_half_space_step_matches_per_product_step():
 
 
 def test_half_and_full_run_agree():
+    # a run on the half space against the full-space per-product steps
     g = Grid(40.0, 256)
     f = lambda x: 0.5 * np.exp(-((x - 20.0) / 2.0) ** 2)
     st = make_state(g, f, lambda x: 0.4 * f(x), Coefficients(-1.0))
     cfg = SolverConfig(dt=1e-4)
-    full = _unflagged(st)
-    assert _Propagator(st, cfg).half and not _Propagator(full, cfg).half
     got, _ = run(st, cfg, 200 * 1e-4)
-    want, _ = run(full, cfg, 200 * 1e-4)
+    want = st
+    for _ in range(200):
+        want, _ = _per_product_step(want, cfg)
     assert got.t == want.t
     for a, b in ((got.uhat, want.uhat), (got.vhat, want.vhat)):
         assert np.max(np.abs(a.coeffs - b.coeffs)) <= (
@@ -440,10 +448,9 @@ def test_half_space_states_are_exactly_hermitian():
     k = np.arange(1, g.n // 2)
     for s in stored[1:]:
         for f in (s.uhat, s.vhat):
-            assert f.hermitian
             assert np.array_equal(f.coeffs[-k], np.conj(f.coeffs[k]))
             assert f.coeffs[0].imag == 0.0
-            SpectralField(g, f.coeffs, hermitian=True)  # the verified flag
+            SpectralField(g, f.coeffs)  # passes the constructor's check
 
 
 def test_half_space_stability_errors_match_full_space():
@@ -451,40 +458,38 @@ def test_half_space_stability_errors_match_full_space():
     st = _cos_state(g, Coefficients(0.5, gamma=-1.0), amp_u=0.3, amp_v=0.3)
     # the advective bound: the value of the per-product reference
     _, dt_max = _per_product_step(st, SolverConfig(dt=1e-3))
-    assert _Propagator(st, SolverConfig(dt=1e-3)).half
     with pytest.raises(StabilityError) as err:
         step(st, SolverConfig(dt=1.001 * dt_max))
     bound = float(str(err.value).split(" = ")[1].split(" ")[0])
     assert bound == pytest.approx(dt_max, rel=1e-5)
     step(st, SolverConfig(dt=0.999 * dt_max))
     # a coupling far above the amplitude bound's scale trips the 10x
-    # growth guard; the norm over all n modes gives the same message
-    strong = Coefficients(0.5, gamma=-1.0, theta=100.0)  # grows 87x
+    # growth guard, whose norms are taken over all n modes
+    strong = Coefficients(0.5, gamma=-1.0, theta=100.0)
     st = SimState(0.0, st.uhat, st.vhat, strong)
-    cfg = SolverConfig(dt=0.5 * dt_max)
-    messages = []
-    for s in (st, _unflagged(st)):
-        with pytest.raises(StabilityError) as err:
-            step(s, cfg)
-        messages.append(str(err.value))
-    assert messages[0].startswith("instability detected: spectral norm grew")
-    assert messages[0] == messages[1]
+    with pytest.raises(StabilityError) as err:
+        step(st, SolverConfig(dt=0.5 * dt_max))
+    ref, _ = _per_product_step(st, SolverConfig(dt=0.5 * dt_max))
+    grew = (np.linalg.norm(np.array((ref.uhat.coeffs, ref.vhat.coeffs)),
+                           axis=1).max()
+            / np.linalg.norm(np.array((st.uhat.coeffs, st.vhat.coeffs)),
+                             axis=1).max())
+    assert str(err.value) == ("instability detected: spectral norm grew "
+                              "%.3gx in one step at t=0" % grew)
 
 
 def test_cli_gaussian_state_steps_on_half_space():
     cfg = parse_config("command=simulate\na=0.5\nbeta=2\ngamma=-1\n"
                        "theta=0.5\nn=64\n")
     st, g = _gaussian_state(cfg)
-    prop = _Propagator(st, SolverConfig(dt=1e-4))
-    assert prop.half and prop.mask.size == 33
-    # the same data with a complex coupling keep the full space
-    st = SimState(0.0, st.uhat, st.vhat, Coefficients(0.5, gamma=1j))
-    assert not _Propagator(st, SolverConfig(dt=1e-4)).half
+    assert st.params.gamma == -1.0
+    assert _Propagator(st, SolverConfig(dt=1e-4)).mask.size == 33
 
 
 def test_half_space_nyquist_mode_follows_full_space_flow():
     # the Nyquist coefficient keeps xi = -pi n/L on the half space, so a
-    # linear run moves it with the phase of the full space
+    # linear run moves it, like every other mode, with the exact flow
+    # of the full space
     g = Grid(2.0 * np.pi, 32)
     p = Coefficients(0.3)
     st = make_state(g, lambda x: np.cos(x) + 0.25 * np.cos(16 * x),
@@ -492,12 +497,12 @@ def test_half_space_nyquist_mode_follows_full_space_flow():
     assert st.uhat.coeffs[16] == pytest.approx(0.25)
     cfg = SolverConfig(dt=1e-2, nonlinear_enabled=False)
     got, _ = run(st, cfg, 0.37)
-    want, _ = run(_unflagged(st), cfg, 0.37)
     nyq = np.exp(1j * np.array((p.a, 1.0)) * got.t * (-16.0) ** 3)
     assert np.allclose((got.uhat.coeffs[16], got.vhat.coeffs[16]),
                        nyq * (0.25, 0.5), rtol=1e-13, atol=0)
-    for a, b in ((got.uhat, want.uhat), (got.vhat, want.vhat)):
-        assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
+    for f, f0, rate in ((got.uhat, st.uhat, p.a), (got.vhat, st.vhat, 1.0)):
+        want = f0.coeffs * np.exp(1j * rate * got.t * g.xi ** 3)
+        assert np.max(np.abs(f.coeffs - want)) <= 1e-13
 
 
 def _chain(state, cfg, nsteps, store_every):
@@ -510,6 +515,8 @@ def _chain(state, cfg, nsteps, store_every):
     return state, stored
 
 
+# space: "half" starts from make_state's state, "full" from that state
+# rebuilt from all n coefficients with a complex Nyquist one (_full)
 @pytest.mark.parametrize("space", ["half", "full"])
 @pytest.mark.parametrize("store_every", [0, 3])
 @pytest.mark.parametrize("nonlinear", [True, False])
@@ -520,9 +527,8 @@ def test_run_equals_fresh_step_chain(space, store_every, nonlinear):
     st = _cos_state(g, Coefficients(2.0, beta=0.5, gamma=-1.0, theta=2.0),
                     amp_u=0.3, amp_v=0.3, mode=3)
     if space == "full":
-        st = _unflagged(st)
+        st = _full(st)
     cfg = SolverConfig(dt=1e-3, nonlinear_enabled=nonlinear)
-    assert _Propagator(st, cfg).half == (space == "half")
     fin, stored = run(st, cfg, 0.013, store_every=store_every)
     want_fin, want = _chain(st, cfg, 13, store_every)
     assert len(stored) == len(want) == (6 if store_every else 0)
@@ -530,7 +536,6 @@ def test_run_equals_fresh_step_chain(space, store_every, nonlinear):
         assert got.t == ref.t
         assert np.array_equal(got.uhat.coeffs, ref.uhat.coeffs)
         assert np.array_equal(got.vhat.coeffs, ref.vhat.coeffs)
-        assert got.uhat.hermitian == ref.uhat.hermitian
 
 
 def test_run_calls_step_once_per_step(monkeypatch):
@@ -554,7 +559,7 @@ def test_step_reads_a_state_its_propagator_did_not_return(space):
     g = Grid(2.0 * np.pi, 64)
     st = _cos_state(g, Coefficients(0.5, gamma=-1.0), amp_u=0.3, amp_v=0.3)
     if space == "full":
-        st = _unflagged(st)
+        st = _full(st)
     cfg = SolverConfig(dt=1e-3)
     prop = _Propagator(st, cfg)
     last = step(step(st, cfg, prop), cfg, prop)
@@ -574,7 +579,7 @@ def test_growth_guard_fires_mid_run_as_in_a_fresh_step_chain(space):
     st = _cos_state(g, Coefficients(0.5, gamma=-1.0, theta=100.0),
                     amp_u=0.3, amp_v=0.3)
     if space == "full":
-        st = _unflagged(st)
+        st = _full(st)
     cfg = SolverConfig(dt=1e-2)
     s, fresh = st, None
     for k in range(20):
@@ -599,7 +604,7 @@ def test_non_finite_right_side_raises(monkeypatch):
 
     monkeypatch.setattr(spectral.NonlinearTerms, "__call__", nan_terms)
     st = _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5))
-    for s in (st, _unflagged(st)):
+    for s in (st, _full(st)):
         with pytest.raises(ValueError,
                            match="^non-finite coefficients in state$"):
             step(s, SolverConfig(dt=1e-3))
