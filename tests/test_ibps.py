@@ -543,11 +543,11 @@ def test_residual_rejects_other_systems(short_trajectory):
 # T = 0.01024, every 2nd of 512 steps kept, width 0.25): (a, u0, v0) ->
 # residual, pinned bit for bit.
 VETTED_RESIDUALS = {
-    ("0.5", "0.5", "0.5"): 1.2825849861982803e-11,
-    ("0.5", "0.4", "0.3"): 5.751127105867012e-12,
-    ("2", "0.5", "0.5"): 2.5562627884070306e-10,
-    ("-1", "0.4", "0.4"): 5.315282593777606e-09,
-    ("0.5", "0.3", "0.5"): 1.2759950331046683e-11,
+    ("0.5", "0.5", "0.5"): 1.2825849888670826e-11,
+    ("0.5", "0.4", "0.3"): 5.751127346769017e-12,
+    ("2", "0.5", "0.5"): 2.556262786380207e-10,
+    ("-1", "0.4", "0.4"): 5.315282593408057e-09,
+    ("0.5", "0.3", "0.5"): 1.2759949930364283e-11,
 }
 
 
@@ -568,30 +568,30 @@ def test_vetted_residuals_pinned(tmp_path, a, u0, v0):
 # real data (_real_field, seed n, t = 0.0123): (n, a, cutoffs) -> digest
 CUT02 = CutoffParams(delta_u=0.2, delta_v=0.2)
 ROW_DIGESTS = {
-    (64, -1.0, "default"): "13db30e9cfae2374",
-    (64, -1.0, "0.2"): "73d16103a5e08bc5",
-    (64, 0.5, "default"): "93f6d320cdcc28ab",
-    (64, 0.5, "0.2"): "aaa67e2b24bf2b48",
-    (64, 2.0, "default"): "818ddbdec7532701",
-    (64, 2.0, "0.2"): "33f384c28ae22c57",
-    (128, -1.0, "default"): "9301dfd9842c8009",
-    (128, -1.0, "0.2"): "d1e927ef18544d1a",
-    (128, 0.5, "default"): "22878257aa3c76f3",
-    (128, 0.5, "0.2"): "88466a94211ade01",
-    (128, 2.0, "default"): "a5f94bcb5c20a8b3",
-    (128, 2.0, "0.2"): "b10fb8a884c4532b",
-    (256, -1.0, "default"): "92212fd960c95773",
-    (256, -1.0, "0.2"): "50698c2488f7f43f",
-    (256, 0.5, "default"): "370f9f55b1214a92",
-    (256, 0.5, "0.2"): "16a55f908a91abd0",
-    (256, 2.0, "default"): "121aa19c6802d40c",
-    (256, 2.0, "0.2"): "46ae8502ad9da032",
-    (512, -1.0, "default"): "06704488340c2ef2",
-    (512, -1.0, "0.2"): "9773072686d058d2",
-    (512, 0.5, "default"): "5539a15525279cc0",
-    (512, 0.5, "0.2"): "6cdd5033c42745de",
-    (512, 2.0, "default"): "55bd8f2ff8b16dd2",
-    (512, 2.0, "0.2"): "8e4c86d6c57afa0c",
+    (64, -1.0, "default"): "c3cab204e66f6a1c",
+    (64, -1.0, "0.2"): "084a10df074cbe66",
+    (64, 0.5, "default"): "762b100846db6444",
+    (64, 0.5, "0.2"): "156f3473a3cf88f8",
+    (64, 2.0, "default"): "b1daf29b36cd82e6",
+    (64, 2.0, "0.2"): "5a6e004875090b74",
+    (128, -1.0, "default"): "ac4c772a00695829",
+    (128, -1.0, "0.2"): "20a056dc4f43c6d8",
+    (128, 0.5, "default"): "e07ffcd7a844888e",
+    (128, 0.5, "0.2"): "eab70aa2acf418dd",
+    (128, 2.0, "default"): "7c255cac0d21fc96",
+    (128, 2.0, "0.2"): "7f760df1bb071060",
+    (256, -1.0, "default"): "7ca36f65503db15d",
+    (256, -1.0, "0.2"): "9ae55b3c87e0ebd2",
+    (256, 0.5, "default"): "e08bd11825c21877",
+    (256, 0.5, "0.2"): "927548103973269a",
+    (256, 2.0, "default"): "f627b18fd4088606",
+    (256, 2.0, "0.2"): "94807d47aa61b813",
+    (512, -1.0, "default"): "9fdb393ff34080a0",
+    (512, -1.0, "0.2"): "9a7a8e7490ce0c58",
+    (512, 0.5, "default"): "35774c44bc9092a3",
+    (512, 0.5, "0.2"): "8ad52869e4244b81",
+    (512, 2.0, "default"): "82467639863d4afb",
+    (512, 2.0, "0.2"): "ba42d51e9377fc90",
 }
 
 
