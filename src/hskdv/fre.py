@@ -256,7 +256,8 @@ def fre_sup(spec, a, alpha, M, lam):
     returned, each equal to the scalar call). A 1-D sequence of
     cutoffs lam adds a leading axis whose rows each equal (==) the
     single-cutoff call. A cutoff outside (0, LAM_MAX] raises ValueError
-    before any fit. Each distinct fixed frequency w of the grids'
+    before any fit, and so does a uvx cutoff (a != 1) at which the root
+    finder would take the level sets' cube term for zero. Each distinct fixed frequency w of the grids'
     union is fitted once; one array pass then root-finds every pair's
     two level-set cubics, tests the segments between the roots for
     every (cutoff, w, pair) and integrates each distinct (w, lo, hi)
@@ -279,9 +280,20 @@ def fre_sup(spec, a, alpha, M, lam):
             and np.all(np.isfinite(np.r_[lams, alphas, Ms, a]))):
         raise ValueError("lam (scalar or 1-D) must be finite and positive, "
                          "M finite and positive, alpha and a finite")
-    if lams.max() > LAM_MAX:
+    top = lams.max()
+    if top > LAM_MAX:
         raise ValueError("cutoff lam = %g exceeds %g, past which the phase "
-                         "fit overflows" % (lams.max(), LAM_MAX))
+                         "fit overflows" % (top, LAM_MAX))
+    # Phiv at fixed xi = w is (a-1) x^3 + 3w x^2 - 3w^2 x in x = xi1, and
+    # _cubic_roots drops a coefficient of at most 1e-14 times its row's
+    # largest, so past the bound it solves the uvx level sets as
+    # quadratics; the leading case is |a - 1| <= 1e-14 * 3 lam^2
+    if spec.phase == "Phiv" and a != 1 and abs(a - 1.0) <= 1e-14 * max(
+            3.0 * top, 3.0 * top * top, np.max(np.abs(alphas) + Ms)):
+        raise ValueError("cutoff lam = %g is too large for the uvx scan at "
+                         "a = %g: the root finder drops the level-set cube "
+                         "term a - 1 once |a - 1| <= 1e-14 * 3 lam^2"
+                         % (top, a))
     ws, held = _fixed_grid(lams)
     coeffs = _phase_cubic_coeffs(spec, a, ws)
     nj, nw, npair = len(lams), len(ws), len(alphas)

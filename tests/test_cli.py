@@ -381,6 +381,19 @@ def test_fre_scan_cutoff_past_lam_max_is_config_error(tmp_path, capfd):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_uvx_fre_scan_past_the_cube_term_bound_is_config_error(tmp_path,
+                                                               capfd):
+    code = cli.main(["fre-scan", "--form", "uvx", "--a", "0.5", "--k", "1",
+                     "--s", "0.5", "--lams", "100,1000,1e7",
+                     "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cutoff lam = 1e+07 is too large "
+                          "for the uvx scan at a = 0.5")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["picard", "--iterate", "second_u", "--a", "2", "--t", "nan",
      "--window_lo", "1", "--window_hi", "2", "--v_boxes", "1:2"],

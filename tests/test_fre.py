@@ -525,8 +525,40 @@ def test_fre_sup_fits_up_to_lam_max(batched, monkeypatch):
     spec = make_fre_spec("uvx", 1.0, 0.5)
     coeffs = fre._phase_cubic_coeffs(spec, 0.5, [-fre.LAM_MAX, fre.LAM_MAX])
     assert coeffs[:, 0] == pytest.approx([-0.5, -0.5], rel=1e-9)
-    got = fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], [100.0, fre.LAM_MAX])
+    # the uvx root finder loses that coefficient long before LAM_MAX
+    with pytest.raises(ValueError, match="too large for the uvx scan"):
+        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], [100.0, fre.LAM_MAX])
+    # the exactly quadratic dxv2 phase scans up to LAM_MAX
+    got = fre_sup(make_fre_spec("dxv2", 1.0, 0.5), 0.5, [0.0, 1.0],
+                  [1.0, 4.0], [100.0, fre.LAM_MAX])
     assert np.all(np.isfinite(got)) and np.all(got[1] >= got[0])
+
+
+@pytest.mark.parametrize("a", [0.5, 3.0, -1.0])
+def test_uvx_scan_stops_where_the_root_finder_drops_the_cube(a,
+                                                             monkeypatch):
+    # Phiv at fixed xi = w has the cube term a - 1 beside 3w and -3w^2;
+    # _cubic_roots drops it once |a - 1| <= 1e-14 * 3 w^2
+    bound = math.sqrt(abs(a - 1.0) / 3e-14)
+    spec = make_fre_spec("uvx", 1.0, 0.5)
+    w = 0.98 * bound
+    row = fre._phase_cubic_coeffs(spec, a, [w])[0] - [0.0, 0.0, 0.0, 1.0]
+    expect = sorted(r.real for r in np.roots(row)
+                    if abs(r.imag) <= 1e-9 * abs(r))
+    assert _real_cubic_roots(row) == pytest.approx(expect, rel=1e-9)
+    assert fre_sup(spec, a, 0.0, 1.0, [100.0, w]).shape == (2,)
+    # a = 1 makes Phiv quadratic, and dropping its zero cube is right
+    assert np.isfinite(fre_sup(spec, 1.0, 0.0, 1.0, 1e12))
+
+    def fit(*args):
+        raise AssertionError("fitted past the bound")
+
+    monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
+    for lam in (1.02 * bound, [100.0, 1.02 * bound, 1e3]):
+        with pytest.raises(ValueError, match=re.escape(
+                "cutoff lam = %g is too large for the uvx scan at a = %g"
+                % (1.02 * bound, a))):
+            fre_sup(spec, a, 0.0, 1.0, lam)
 
 
 @pytest.mark.parametrize("a, alpha, M", [
