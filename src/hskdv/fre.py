@@ -13,6 +13,8 @@ import math
 import warnings
 
 import numpy as np
+# the stacked LAPACK solve that np.linalg.lstsq makes per matrix
+from numpy.linalg._umath_linalg import lstsq as _lstsq
 
 from .phases import PHASES, eval_phase
 from .picard import GL_RULE
@@ -170,12 +172,6 @@ def _freqs_from(spec, w, free):
     return xi, xi1, xi - xi1
 
 
-try:  # the stacked LAPACK solve that np.linalg.lstsq makes per matrix
-    from numpy.linalg._umath_linalg import lstsq as _lstsq
-except ImportError:  # numpy 1.x splits it into lstsq_m and lstsq_n
-    _lstsq = None
-
-
 def _raise_lstsq(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge in Linear Least "
                                 "Squares")
@@ -192,14 +188,12 @@ def _phase_cubic_coeffs(spec, a, ws):
     call of the gufunc that np.linalg.lstsq calls for one matrix, then
     the unscaling. The gufunc copies each matrix into the same workspace
     and runs LAPACK's dgelsd on it as on a lone matrix, so no row sees
-    its neighbours. Without that gufunc, np.polyfit is called per row.
+    its neighbours.
     """
     ws = np.asarray(ws, dtype=float)
     nodes = np.maximum(1.0, np.abs(ws))[:, None] * [-2.0, -0.5, 0.5, 2.0]
     xi, xi1, xi2 = _freqs_from(spec, ws[:, None], nodes)
     vals = eval_phase(spec.phase, a, (xi1, xi2))
-    if _lstsq is None:
-        return np.array([np.polyfit(x, v, 3) for x, v in zip(nodes, vals)])
     lhs = np.empty(nodes.shape + (4,))
     pows = lhs[..., ::-1]  # np.vander(x, 4) per row
     pows[..., 0] = 1.0

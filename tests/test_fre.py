@@ -433,6 +433,19 @@ def test_ratio_scan_fits_each_fixed_frequency_once(monkeypatch):
     assert sorted(fitted[0]) == sorted(union)
 
 
+def _fit(spec, a, ws, batched=True):
+    """The phase fit's (W, 4) rows: the batched fit, or (batched=False)
+    np.polyfit of each frequency's nodes and phase values alone, the
+    reference each batched row equals."""
+    if batched:
+        return fre._phase_cubic_coeffs(spec, a, ws)
+    rows = []
+    for w in ws:
+        x = max(1.0, abs(w)) * np.array([-2.0, -0.5, 0.5, 2.0])
+        rows.append(np.polyfit(x, eval_phase(spec.phase, a, (x, w - x)), 3))
+    return np.array(rows)
+
+
 def test_phase_fit_rows_match_single_frequency_fits():
     # each row of a batched fit is the fit of its frequency alone and
     # np.polyfit on that frequency's nodes and phase values
@@ -443,45 +456,26 @@ def test_phase_fit_rows_match_single_frequency_fits():
         for a in (-1.0, 0.5, 2.0, 3.0):
             got = fre._phase_cubic_coeffs(spec, a, ws)
             assert got.shape == (len(ws), 4)
+            assert got.tolist() == _fit(spec, a, ws, batched=False).tolist()
             for w, row in zip(ws, got):
                 assert row.tolist() == fre._phase_cubic_coeffs(
                     spec, a, [w])[0].tolist()
-                x = max(1.0, abs(w)) * np.array([-2.0, -0.5, 0.5, 2.0])
-                v = eval_phase(spec.phase, a, (x, w - x))
-                assert row.tolist() == np.polyfit(x, v, 3).tolist()
 
 
-def test_phase_fit_fallback_rows_match_the_batched_rows(monkeypatch):
-    if fre._lstsq is None:
-        pytest.skip("numpy without the stacked least-squares gufunc")
-    ws, _ = fre._fixed_grid(np.array([1e2, 1e3, 1e4]))
-    cases = [(make_fre_spec(kind, 1.0, s), a) for kind in ("dxv2", "uvx")
-             for s in (0.5, -1.0) for a in (-1.0, 0.5, 2.0, 3.0)]
-    batched = [fre._phase_cubic_coeffs(spec, a, ws) for spec, a in cases]
-    monkeypatch.setattr(fre, "_lstsq", None)
-    for (spec, a), rows in zip(cases, batched):
-        assert fre._phase_cubic_coeffs(spec, a, ws).tolist() == rows.tolist()
-
-
+# batched: the fit itself; otherwise np.polyfit, the reference it equals
 @pytest.mark.parametrize("batched", [True, False])
-def test_phase_fit_raises_as_polyfit_does(batched, monkeypatch):
-    if not batched:
-        monkeypatch.setattr(fre, "_lstsq", None)
+def test_phase_fit_raises_as_polyfit_does(batched):
     # nodes near 1e120 overflow their cube: the SVD cannot converge
     with pytest.raises(np.linalg.LinAlgError), np.errstate(all="ignore"):
-        fre._phase_cubic_coeffs(make_fre_spec("dxv2", 1.0, 0.5), 2.0,
-                                [1.0, 1e120])
+        _fit(make_fre_spec("dxv2", 1.0, 0.5), 2.0, [1.0, 1e120], batched)
 
 
 @pytest.mark.parametrize("batched", [True, False])
-def test_phase_fit_warns_on_rank_loss(batched, monkeypatch):
-    if not batched:
-        monkeypatch.setattr(fre, "_lstsq", None)
+def test_phase_fit_warns_on_rank_loss(batched):
     # past |w| ~ 3e51 the cube column's squared norm overflows, its scale
     # is inf and the column drops out
     with pytest.warns(np.exceptions.RankWarning), np.errstate(all="ignore"):
-        got = fre._phase_cubic_coeffs(make_fre_spec("uvx", 1.0, 0.5), 2.0,
-                                      [1.0, 1e60])
+        got = _fit(make_fre_spec("uvx", 1.0, 0.5), 2.0, [1.0, 1e60], batched)
     assert got[1, 0] == 0.0
 
 
@@ -516,15 +510,15 @@ def test_fre_sup_rejects_cutoffs_past_lam_max_before_fitting(lam, named,
 
 
 @pytest.mark.parametrize("batched", [True, False])
-def test_fre_sup_fits_up_to_lam_max(batched, monkeypatch):
-    # at LAM_MAX both fits keep uvx's cube coefficient a - 1, with no
-    # overflow or rank warning (warnings are errors in the tests); the
-    # scan runs, but its value there is not checked
-    if not batched:
-        monkeypatch.setattr(fre, "_lstsq", None)
+def test_fre_sup_fits_up_to_lam_max(batched):
+    # at LAM_MAX the fit and np.polyfit keep uvx's cube coefficient
+    # a - 1, with no overflow or rank warning (warnings are errors in the
+    # tests); the scan runs, but its value there is not checked
     spec = make_fre_spec("uvx", 1.0, 0.5)
-    coeffs = fre._phase_cubic_coeffs(spec, 0.5, [-fre.LAM_MAX, fre.LAM_MAX])
+    coeffs = _fit(spec, 0.5, [-fre.LAM_MAX, fre.LAM_MAX], batched)
     assert coeffs[:, 0] == pytest.approx([-0.5, -0.5], rel=1e-9)
+    if not batched:
+        return
     # the uvx root finder loses that coefficient long before LAM_MAX
     with pytest.raises(ValueError, match="too large for the uvx scan"):
         fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], [100.0, fre.LAM_MAX])

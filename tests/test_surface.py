@@ -5,6 +5,7 @@ import glob
 import importlib
 import os
 import re
+import sys
 
 import pytest
 
@@ -13,6 +14,8 @@ from hskdv import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEMOS = sorted(glob.glob(os.path.join(HERE, os.pardir, "demos", "*.py")))
+SOURCES = sorted(glob.glob(os.path.join(HERE, os.pardir, "src", "hskdv",
+                                        "*.py")))
 
 
 def _cli_functions():
@@ -88,3 +91,18 @@ def test_demo_names_exist(path):
     for module, name, attr in refs:
         obj = _imported(module, name)
         assert attr is None or hasattr(obj, attr), (module, name, attr)
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml declares numpy alone; scipy and pytest serve the tests
+    found = set()
+    for path in SOURCES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found |= {al.name.split(".")[0] for al in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert len(SOURCES) == 10 and "numpy" in found
+    assert found - {"numpy"} - set(sys.stdlib_module_names) == set()
