@@ -272,8 +272,6 @@ class _StateTerms:
     products overwrite. Calling it at a state returns a new (12, n)
     array: the TERM_TAGS terms in order, then the u and v sides of
     coupling_terms, each in profile coordinates at the state's time.
-    The classical sides are the solver's right side, mirrored. The
-    region pairs, their sums and the complements run over all n rows.
     The dealias mask is applied to every row, so the partition
     N0 + (region part) reproduces exactly the solver's coupling term.
     """
@@ -306,9 +304,8 @@ class _StateTerms:
         nl, (u, v) = self.nonlinear(np.array((uh[:m], vh[:m])))
         cl_u, cl_v = _mirror(nl, self._cl)
         np.multiply(-1j, cl_v, out=src[4])         # w = conv(uhat, xi vhat)
-        sq = np.fft.rfft(np.array((u * u, v * v)), norm="forward")
-        sq *= self.nonlinear.mask
-        _mirror(sq, src[1:3])
+        _mirror(np.fft.rfft(np.array((u * u, v * v)), norm="forward")
+                * self.nonlinear.mask, src[1:3])
         # complements: every valid pair minus the region's pairs
         full_u, full_v = _valid_conv(np.array((vh, uh, ixv)), [0, 1],
                                      [0, 2])
