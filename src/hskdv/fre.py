@@ -251,17 +251,18 @@ def fre_sup(spec, a, alpha, M, lam):
     cutoffs lam adds a leading axis whose rows each equal (==) the
     single-cutoff call. A cutoff outside (0, LAM_MAX] raises ValueError
     before any fit, and so does a uvx cutoff (a != 1) at which the root
-    finder would take the level sets' cube term for zero. Each distinct fixed frequency w of the grids'
-    union is fitted once; one array pass then root-finds every pair's
-    two level-set cubics, tests the segments between the roots for
-    every (cutoff, w, pair) and integrates each distinct (w, lo, hi)
-    once. That is bit-identical to a loop over cutoffs, w and pairs with
-    the scalar root finder: a shared w is the same double in every grid;
-    the batched finder repeats the scalar branches and float operations
-    row by row; roots outside (-10 lam, 10 lam), or missing, clamped to
-    -+10 lam only add zero-length segments, which the length test drops;
-    an integral depends on (w, lo, hi) alone; bincount adds each pair's
-    parts in interval order from 0.0; and the max is exact.
+    finder would take the level sets' cube term for zero. Each distinct
+    fixed frequency w of the grids' union is fitted once; one array pass
+    then root-finds every pair's two level-set cubics, tests the
+    segments between the roots for every (cutoff, w, pair) and
+    integrates each distinct (w, lo, hi) once. That is bit-identical to
+    a loop over cutoffs, w and pairs with the scalar root finder: a
+    shared w is the same double in every grid; the batched finder
+    repeats the scalar branches and float operations row by row; roots
+    outside (-10 lam, 10 lam), or missing, clamped to -+10 lam only add
+    zero-length segments, which the length test drops; an integral
+    depends on (w, lo, hi) alone; bincount adds each pair's parts in
+    interval order from 0.0; and the max is exact.
     """
     scalar = np.ndim(alpha) == 0 and np.ndim(M) == 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
@@ -280,9 +281,8 @@ def fre_sup(spec, a, alpha, M, lam):
                          "fit overflows" % (top, LAM_MAX))
     # Phiv at fixed xi = w is (a-1) x^3 + 3w x^2 - 3w^2 x in x = xi1, and
     # _cubic_roots drops a coefficient of at most 1e-14 times its row's
-    # largest, so past the bound it solves the uvx level sets as
-    # quadratics; the leading case is |a - 1| <= 1e-14 * 3 lam^2
-    if spec.phase == "Phiv" and a != 1 and abs(a - 1.0) <= 1e-14 * max(
+    # largest: past this bound, the uvx cube term
+    if spec.phase == "Phiv" and 0 < abs(a - 1.0) <= 1e-14 * max(
             3.0 * top, 3.0 * top * top, np.max(np.abs(alphas) + Ms)):
         raise ValueError("cutoff lam = %g is too large for the uvx scan at "
                          "a = %g: the root finder drops the level-set cube "

@@ -289,9 +289,9 @@ def step(state, cfg, prop=None):
     """One integrating-factor RK4 step; the linear flow is exact.
 
     u and v are stacked as rows w over the half space, and N is the
-    propagator's NonlinearTerms. The RK4 stages on the profiles exp(-rate tau) w
-    are written relative to the step start t, so they use only
-    eh = exp(rate dt/2):
+    propagator's NonlinearTerms. The RK4 stages on the profiles
+    exp(-rate tau) w are written relative to the step start t, so they
+    use only eh = exp(rate dt/2):
 
         n1 = N(w),  n2 = N(eh w + dt/2 eh n1),  n3 = N(eh w + dt/2 n2),
         n4 = N(eh (eh w + dt n3)),

@@ -410,12 +410,10 @@ def _ref_eval_term(tag, state, a, cut):
 
 def _full_space_sides(state, mask):
     """The classical right sides (i xi (u^2 + v^2)^hat, (u v_x)^hat) on
-    all n modes with complex transforms, the operations of the
-    full-space evaluator the IBPS check used before it shared the
-    solver's half space; kept as that evaluator's oracle. With a complex
-    Nyquist coefficient, ifft gives u and v an imaginary part that irfft
-    drops, so the two agree only to rounding on real data whose Nyquist
-    coefficient is real."""
+    all n modes with complex transforms: the full-space oracle of the
+    half-space rows. With a complex Nyquist coefficient, ifft gives u
+    and v an imaginary part that irfft drops, so the two agree to
+    rounding only on real data whose Nyquist coefficient is real."""
     ixi = 1j * state.grid.xi
     uh, vh = state.uhat.coeffs, state.vhat.coeffs
     u, v, vx = np.fft.ifft(np.array((uh, vh, ixi * vh)), norm="forward")
