@@ -11,26 +11,22 @@ and the integrated-by-parts reconstructions of the profiles agree.
 
 Each region is kept per grid as the index lists of its (xi, xi1)
 pairs with the real kernels on them, so B, N1, N2 and N3v are sums
-over the region's pairs only. The lists are found over blocks of
-output rows, so no n x n array is ever made. region_kernels builds
-and caches them; the phase-floor check runs there, so a caller can
-run it before a solve. A complement N0 is the convolution over every
-pair whose xi2 is a grid frequency, by one zero-padded FFT product,
-minus the region's part of it.
+over the region's pairs only. The states are real, so every term is
+conjugate-symmetric, and the pairs, sums, complements and carriers run
+only on the output rows with xi >= 0 inside the dealias mask.
+region_kernels builds and caches the lists; the phase-floor check runs
+there, so a caller can run it before a solve. A complement N0 is the
+convolution over every pair whose xi2 is a grid frequency, by one
+zero-padded real FFT product, minus the region's part of it.
 
 One evaluator (_StateTerms) forms all ten terms and both classical
-right sides of a state together; eval_term and coupling_terms select
-rows of it, and ibps_residual builds it once and calls it once per
-state. The states are real, and its classical sides are the solver's
-own right side: spectral.NonlinearTerms on the half space of n/2+1
-modes, built once with the evaluator, mirrored to all n modes. Per
-state it makes five FFT calls (the batched irfft and rfft of
-NonlinearTerms, one rfft of (u^2, v^2), and one zero-padded length-2n
-forward and inverse pair for both complements), one exp call for the
-two carriers and two gathers per region into scratch the evaluator
-allocates once, each region's rows summed by one np.add.reduceat. The
-region pairs, sums and complements run over all n output rows. At
-n = 256 a state's evaluation allocates no array larger than 128 KB.
+right sides of a state on those rows; eval_term and coupling_terms
+mirror its rows to all n modes, and ibps_residual builds it once and
+calls it once per state. Its classical sides are the solver's own
+right side, spectral.NonlinearTerms on the half space. Per state it
+makes five FFT calls (NonlinearTerms' two, one for (u^2, v^2) and two
+of length 2n for both complements), one exp call and two gathers per
+region into scratch, each region's rows summed by one np.add.reduceat.
 
 All formulas use the normalized coupling beta = gamma = theta = 1.
 
@@ -125,124 +121,116 @@ class _GridKernels:
     order: pair p has first input xi1 = xi[j[p]] and xi2 = xi - xi1 at
     grid index j2[p]; the pairs of output frequency xi[rows[r]] begin at
     starts[r]. A pair whose xi2 is not a grid frequency lies in no
-    region. The pairs are found over blocks of output rows, about
-    _BLOCK_PAIRS pairs a block, and the blocks' lists are joined in row
-    order, so no n x n array is ever made (1.1 MB traced for the build
-    at n = 256, L = 2 pi, default cutoffs). The phase-floor check runs
-    once per region on every pair of U and V; then the pairs whose
-    output row lies outside the dealias mask outmask are dropped (54%
-    of them there), since the dealiased carriers zero those rows. A
-    kept row keeps all its pairs in order, so its sum is unchanged. The
-    kernels are real arrays over the kept pairs of their region: ku =
-    xi/Phi1u on U, kv2 = xi2/Phiv and kv12 = xi1 xi2/Phiv on V.
+    region. The pairs are found over blocks of the rows with xi >= 0,
+    about _BLOCK_PAIRS pairs a block, so no n x n array is ever made
+    (0.53 MB traced for the build at n = 256, L = 2 pi, default cutoffs).
+    The phase-floor check runs once per region on every pair of those
+    rows, then on the pairs with no mirror there, those with xi, xi1 or
+    xi2 = -n/2 (50 in U and 25 in V at a = 1/2). Phi1u and Phiv are odd
+    (eval_phase to 6e-16 relative on region pairs), so every other pair
+    is checked through its mirror, and the pair named is the first below
+    the floor in row-major order over all n rows.
+    Then only the pairs of the nrows kept rows (grid indices 0, ...,
+    nrows-1, inside the dealias mask outmask) stay, all of a row's in
+    order: 1470 in U and 735 in V at n = 256, a = 1/2, 45% of those
+    checked. The kernels are real arrays over the kept pairs of
+    their region: ku = xi/Phi1u on U, kv2 = xi2/Phiv and kv12 =
+    xi1 xi2/Phiv on V.
     """
 
     def __init__(self, grid, a, cut):
         self.grid = grid
-        n = grid.n
-        xi = grid.xi
-        XI1 = xi[None, :]         # first input frequency
-        dxi = 2.0 * np.pi / grid.L
-        half = n // 2
-        found = ([], [])          # (i, j, j2) of U and of V, per block
+        n, xi, half = grid.n, grid.xi, grid.n // 2
+        self.outmask = grid.dealias_mask()
+        self.nrows = int(np.count_nonzero(self.outmask[:half]))
         step = max(1, _BLOCK_PAIRS // n)
-        for r0 in range(0, n, step):
-            XI = xi[r0:r0 + step, None]     # output frequency
+        blocks = [(np.arange(r0, min(r0 + step, half))[:, None],
+                   np.arange(n)[None, :]) for r0 in range(0, half, step)]
+        # the pairs without a mirror on the rows with xi >= 0
+        r = np.arange(half + 1, n)
+        blocks.append(np.divmod(np.sort(np.concatenate((
+            half * n + np.arange(n), r * n + half, r * n + r - half))), n))
+        found = ([], [])          # (i, j, j2) of U and of V, per block
+        for i, j in blocks:
+            XI, XI1 = xi[i], xi[j]    # output and first input frequency
             XI2 = XI - XI1        # forced by the convolution constraint
             # keep only pairs whose xi2 is a representable grid frequency
-            idx2 = np.rint(XI2 / dxi).astype(int)
+            idx2 = np.rint(XI2 / (2.0 * np.pi / grid.L)).astype(int)
             valid = (idx2 >= -half) & (idx2 <= half - 1)
-            for blocks, mask in zip(found, (in_U(a, XI, XI1, XI2, cut),
-                                            in_V(XI, XI1, XI2, cut))):
-                i, j = np.nonzero(mask & valid)
-                blocks.append((i + r0, j, idx2[i, j] % n))
-        (iu, ju, j2u), (iv, jv, j2v) = (
-            [np.concatenate(c) for c in zip(*blocks)] for blocks in found)
-
-        self.outmask = grid.dealias_mask()
-        xi_u, xi1_u = xi[iu], xi[ju]
-        phi1u = eval_phase("Phi1u", a, (xi1_u, xi_u - xi1_u))
-        self._check_floor("Phi1u", phi1u, xi_u, xi1_u,
-                          u_phase_floor_constant(a, cut.eta_sim))
-        self.U, (self.ku,) = _region(iu, ju, j2u, (xi_u / phi1u,),
-                                     self.outmask)
-
-        xi_v, xi1_v = xi[iv], xi[jv]
-        xi2_v = xi_v - xi1_v
-        phiv = eval_phase("Phiv", a, (xi1_v, xi2_v))
-        self._check_floor("Phiv", phiv, xi_v, xi1_v,
-                          v_phase_floor_constant(a, cut.eta_sim))
-        kv2 = xi2_v / phiv
-        self.V, (self.kv2, self.kv12) = _region(
-            iv, jv, j2v, (kv2, xi1_v * kv2), self.outmask)
-
-    @staticmethod
-    def _check_floor(name, phi, xi, xi1, c):
-        bad = np.flatnonzero(np.abs(phi) < 0.5 * c * np.abs(xi) ** 3)
-        if bad.size:
-            k = bad[0]
-            raise PhaseFloorError(
-                "%s below its floor inside the region at (xi, xi1) = "
-                "(%g, %g)" % (name, xi[k], xi1[k]))
+            i, j = np.broadcast_arrays(i, j)
+            for lists, mask in zip(found, (in_U(a, XI, XI1, XI2, cut),
+                                           in_V(XI, XI1, XI2, cut))):
+                on = np.nonzero(mask & valid)
+                lists.append((i[on], j[on], idx2[on] % n))
+        keep = np.arange(n) < self.nrows
+        floors = (u_phase_floor_constant(a, cut.eta_sim),
+                  v_phase_floor_constant(a, cut.eta_sim))
+        regions = []
+        for name, c, lists in zip(("Phi1u", "Phiv"), floors, found):
+            i, j, j2 = (np.concatenate(x) for x in zip(*lists))
+            x, x1 = xi[i], xi[j]
+            x2 = x - x1
+            phi = eval_phase(name, a, (x1, x2))
+            bad = np.flatnonzero(np.abs(phi) < 0.5 * c * np.abs(x) ** 3)
+            if bad.size:
+                raise PhaseFloorError(
+                    "%s below its floor inside the region at (xi, xi1) = "
+                    "(%g, %g)" % (name, x[bad[0]], x1[bad[0]]))
+            k2 = x2 / phi
+            kernels = (x / phi,) if name == "Phi1u" else (k2, x1 * k2)
+            # the pairs of the kept rows, in row-major order
+            on = keep[i]
+            rows, starts = np.unique(i[on], return_index=True)
+            regions.append(((rows, starts, j[on], j2[on]),
+                            [k[on] for k in kernels]))
+        (self.U, (self.ku,)), (self.V, (self.kv2, self.kv12)) = regions
 
     def sums(self, region, prods):
         """Row sums of prods (..., pairs) over the region's pairs.
 
-        Returns (..., n) arrays that are zero off the region's rows.
+        Returns (..., nrows) arrays that are zero off the region's rows.
         """
         rows, starts = region[:2]
-        out = np.zeros(prods.shape[:-1] + (self.grid.n,), dtype=complex)
+        out = np.zeros(prods.shape[:-1] + (self.nrows,), dtype=complex)
         out[..., rows] = np.add.reduceat(prods, starts, axis=-1)
         return out
 
     def pair_sum(self, region, k, f1, f2):
         """sum over the region's pairs at xi of k f1(xi1) f2(xi - xi1).
 
-        k is a real kernel over the region's pairs, or a scalar.
+        k is a real kernel over the region's pairs, or a scalar; f1 and
+        f2 hold all n modes.
         """
         j, j2 = region[2:]
         return self.sums(region, k * f1[j] * f2[j2])
 
 
-def _region(i, j, j2, kernels, keep):
-    """(rows, starts, j, j2) and kernels of the pairs (i, j) whose output
-    row i is kept (keep[i]), in row-major order."""
-    on = keep[i]
-    i, j, j2 = i[on], j[on], j2[on]
-    rows, starts = np.unique(i, return_index=True)
-    return (rows, starts, j, j2), [k[on] for k in kernels]
-
-
-def _valid_conv(rows, left, right):
+def _valid_conv(rows, k):
     """sum over every xi1 with xi - xi1 on the grid of f1(xi1) f2(xi - xi1)
-    for f1 = rows[l], f2 = rows[r] and each (l, r) in zip(left, right).
+    for (f1, f2) = (f, f) and (g, h), where rows = (f, g, h), on the
+    output rows 0, ..., k-1.
 
-    Linear (non-circular) convolutions of coefficient arrays in FFT
-    order, by FFT products zero-padded to length 2n, so that no wrapped
-    pair enters. Each row is transformed once, and one batched inverse
-    gives every convolution.
+    rows hold the modes 0, ..., n/2-1 of real fields; the Nyquist mode
+    has no partner xi - xi1 on the grid for xi >= 0. One irfft and one
+    rfft zero-padded to length 2n give the linear (non-circular)
+    convolutions, so no wrapped pair enters.
     """
-    n = rows.shape[-1]
-    h = n // 2                    # frequency index k sits at k mod 2n
-    pad = np.zeros((len(rows), 2 * n), dtype=complex)
-    pad[:, :h], pad[:, n + h:] = rows[:, :h], rows[:, h:]
-    spec = np.fft.fft(pad)
-    conv = np.fft.ifft(spec[left] * spec[right])
-    return np.concatenate((conv[:, :h], conv[:, n + h:]), axis=1)
+    n = 2 * rows.shape[-1]
+    f = np.fft.irfft(rows, 2 * n, norm="forward")
+    return np.fft.rfft(f[:2] * f[::2], norm="forward")[:, :k]
 
 
-def region_kernels(grid, a, cut, cache={}):
+def region_kernels(grid, a, cut, last=[None, None]):
     """The _GridKernels of grid, a and cut, built once and cached.
 
     The build runs the phase-floor check, so PhaseFloorError comes from
-    here. The cache holds the kernels of up to nine (grid, a, cut).
+    here. The cache holds the last (grid, a, cut) only: a grid's kernels
+    serve its run, and a new grid replaces them.
     """
-    key = (id(grid), float(a), cut.delta_u, cut.delta_v, cut.eta_sim)
-    if key not in cache:
-        if len(cache) > 8:
-            cache.clear()
-        cache[key] = _GridKernels(grid, a, cut)
-    return cache[key]
+    key = (float(a), cut.delta_u, cut.delta_v, cut.eta_sim)
+    if last[0] is None or last[0].grid is not grid or last[1] != key:
+        last[:] = _GridKernels(grid, a, cut), key
+    return last[0]
 
 
 def _gather(region, at_j, at_j2, out):
@@ -255,9 +243,21 @@ def _gather(region, at_j, at_j2, out):
     return out
 
 
+def _all_modes(rows, n):
+    """Rows over the output rows 0, ..., k-1 as rows over all n modes:
+    their conjugate mirror on xi < 0 and zero off the dealias mask."""
+    k = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (n,), dtype=complex)
+    out[..., :k] = rows
+    out[..., n - k + 1:] = np.conj(rows[..., k - 1:0:-1])
+    return out
+
+
 # rows of _StateTerms: TERM_TAGS, then the classical u and v sides; the
-# carrier of each row's equation (0: u, 1: v)
+# carrier of each row's equation (0: u, 1: v), and the cubic terms'
+# factor -i from the profile equations
 _EQUATION = [0, 0, 0, 0, 1, 1, 1, 1, 0, 1, 0, 1]
+_FACTOR = np.array([1, -1j, -1j, 1, 1, -1j, -1j, -1j, 1, 1, 1, 1])[:, None]
 
 
 class _StateTerms:
@@ -265,15 +265,14 @@ class _StateTerms:
 
     Built once per grid, a and cut: the region kernels, the solver's
     NonlinearTerms on the half space for the normalized coupling
-    (a, 1, 1, 1) and the dealias mask, xi^3, and the scratch of the
-    region sums (as NonlinearTerms holds its own): the two classical
-    rows mirrored to all n modes, the six coefficient rows the regions
-    read and their gathers at each region's j and j2, which the
-    products overwrite. Calling it at a state returns a new (12, n)
-    array: the TERM_TAGS terms in order, then the u and v sides of
-    coupling_terms, each in profile coordinates at the state's time.
-    The dealias mask is applied to every row, so the partition
-    N0 + (region part) reproduces exactly the solver's coupling term.
+    (a, 1, 1, 1), xi^3 on the kept rows, and scratch (as NonlinearTerms
+    holds its own): the classical rows mirrored to all n modes, the six
+    coefficient rows the regions read and their gathers at each region's
+    j and j2, which the products overwrite. Calling it at a state
+    returns a new (12, nrows) array over the kept rows (see
+    _GridKernels): the TERM_TAGS terms in order, then the u and v sides
+    of coupling_terms, in profile coordinates at the state's time. The
+    partition N0 + (region part) reproduces the solver's coupling term.
     """
 
     def __init__(self, grid, a, cut):
@@ -283,7 +282,7 @@ class _StateTerms:
         self.nonlinear = NonlinearTerms(grid, Coefficients(a),
                                         ker.outmask[:m])
         self.ixi = 1j * grid.xi
-        self.xi3 = grid.xi ** 3
+        self.xi3 = grid.xi[:ker.nrows] ** 3
         self._cl = np.empty((2, grid.n), dtype=complex)
         # rows uh, conv_uu, conv_vv, i xi vh, w, vh; each region's
         # products overwrite its gathers of them at its j and j2
@@ -292,23 +291,19 @@ class _StateTerms:
         self._pv = np.empty((2, 3, ker.V[2].size), dtype=complex)
 
     def __call__(self, state):
-        a, ker, m = self.a, self.ker, self.m
-        mask = ker.outmask
-        ixi = self.ixi
-        src = self._src
-        uh = state.uhat.coeffs
-        vh = state.vhat.coeffs
+        a, ker, m, k = self.a, self.ker, self.m, self.ker.nrows
+        ixi, src = self.ixi, self._src
+        uh, vh = state.uhat.coeffs, state.vhat.coeffs
         src[0], src[5] = uh, vh
-        ixv = np.multiply(ixi, vh, out=src[3])
+        np.multiply(ixi, vh, out=src[3])
         # the solver's right sides, dealiased, and the physical u and v
-        nl, (u, v) = self.nonlinear(np.array((uh[:m], vh[:m])))
-        cl_u, cl_v = _mirror(nl, self._cl)
-        np.multiply(-1j, cl_v, out=src[4])         # w = conv(uhat, xi vhat)
-        _mirror(np.fft.rfft(np.array((u * u, v * v)), norm="forward")
-                * self.nonlinear.mask, src[1:3])
+        nl, uv = self.nonlinear(np.array((uh[:m], vh[:m])))
+        cl_u, cl_v = _mirror(nl, self._cl)[:, :k]
+        np.multiply(-1j, self._cl[1], out=src[4])  # w = conv(uhat, xi vhat)
+        _mirror(np.fft.rfft(uv * uv, norm="forward") * self.nonlinear.mask,
+                src[1:3])
         # complements: every valid pair minus the region's pairs
-        full_u, full_v = _valid_conv(np.array((vh, uh, ixv)), [0, 1],
-                                     [0, 2])
+        full_u, full_v = _valid_conv(src[[5, 0, 3], :m - 1], k)
 
         # u region: the gathers (vh, w) at j and (w, vh) at j2 become
         # the rows Bu, N1u, N2u and the N0u part
@@ -316,8 +311,8 @@ class _StateTerms:
         np.multiply(p[0], p[2], out=p[2])
         np.multiply(p[1], p[3], out=p[1])
         np.multiply(p[0], p[3], out=p[3])
-        p[0] = p[3]
-        p[:3] *= ker.ku
+        np.multiply(p[3], ker.ku, out=p[0])
+        p[1:3] *= ker.ku
         su = ker.sums(ker.U, p)
         # v region: the gathers (uh, conv_uu, conv_vv) at j and (i xi vh,
         # w, vh) at j2 become the rows N2v, N1v, the N0v part, N3v, Bv
@@ -327,29 +322,27 @@ class _StateTerms:
         p[1:3] *= ker.kv12
         p[4:] *= ker.kv2
         sv = ker.sums(ker.V, p[1:])
-        # the cubic terms' factor -i, from the profile equations
-        su[1:3] *= -1j
-        sv[[0, 1, 3]] *= -1j
 
-        terms = np.array((ixi * (full_u - su[3]), su[1], su[2],
-                          ixi * src[1], full_v - sv[2], sv[1], sv[0],
+        ixk = ixi[:k]
+        terms = np.array((ixk * (full_u - su[3]), su[1], su[2],
+                          ixk * src[1, :k], full_v - sv[2], sv[1], sv[0],
                           sv[3], su[0], sv[4], cl_u, cl_v))
-        carriers = mask * np.exp(np.multiply.outer(
-            (-1j * a * state.t, -1j * state.t), self.xi3))
-        terms *= carriers[_EQUATION]
+        terms *= np.exp(np.multiply.outer((-1j * a * state.t, -1j * state.t),
+                                          self.xi3))[_EQUATION] * _FACTOR
         return terms
 
 
 def eval_term(tag, state, a, cut):
     """Evaluate one decomposition term on a spectral-grid state.
 
-    Returns the term as a coefficient array over the grid, in profile
+    Returns the term as a coefficient array over all n modes, in profile
     coordinates at the state's time, for the normalized coupling: the
-    tag's row of _StateTerms.
+    tag's row of _StateTerms, mirrored to xi < 0.
     """
     if tag not in TERM_TAGS:
         raise ValueError("unknown term tag %r" % (tag,))
-    return _StateTerms(state.grid, a, cut)(state)[TERM_TAGS.index(tag)]
+    return _all_modes(_StateTerms(state.grid, a, cut)(state)
+                      [TERM_TAGS.index(tag)], state.grid.n)
 
 
 def coupling_terms(state, a, cut):
@@ -358,10 +351,10 @@ def coupling_terms(state, a, cut):
     Equals (N0u + region part + N3u, N0v + region part). These are the
     solver's nonlinear terms (spectral.NonlinearTerms on the half space)
     at the normalized coupling, mirrored to all n modes and mapped to
-    profile coordinates: the last two rows of _StateTerms.
+    profile coordinates: the last two rows of _StateTerms, mirrored.
     """
-    cu, cv = _StateTerms(state.grid, a, cut)(state)[-2:]
-    return cu, cv
+    return tuple(_all_modes(_StateTerms(state.grid, a, cut)(state)[-2:],
+                            state.grid.n))
 
 
 def _simpson_weights(m, h):
@@ -383,13 +376,14 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
     call per state; the boundary terms come from the first and last
     states' rows. The return value is the maximum over modes (u and v
     alike) of |classical - integrated-by-parts| divided by the largest
-    profile coefficient magnitude.
+    classical profile coefficient magnitude, taken on the kept rows of
+    _StateTerms, which the rows with xi < 0 mirror, and off the dealias
+    mask, where both profiles are the initial one.
     """
     if len(trajectory) < 3 or len(trajectory) % 2 == 0:
         raise ValueError("need an odd number of equally spaced states "
                          "(even interval count) for Simpson quadrature")
-    t0 = trajectory[0].t
-    t1 = trajectory[-1].t
+    t0, t1 = trajectory[0].t, trajectory[-1].t
     m = len(trajectory) - 1
     h = (t1 - t0) / m
     steps = np.diff([st.t for st in trajectory])
@@ -410,7 +404,7 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
         return 0.0
 
     state_terms = _StateTerms(grid, a, cut)
-    acc = np.zeros((len(_EQUATION), grid.n), dtype=complex)
+    acc = np.zeros((len(_EQUATION), state_terms.ker.nrows), dtype=complex)
     for k, (wi, st) in enumerate(zip(_simpson_weights(m, h), trajectory)):
         terms = state_terms(st)
         acc += wi * terms
@@ -418,12 +412,16 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
             b0 = terms[8:10]
     b1 = terms[8:10]
 
-    xi3 = state_terms.xi3
+    xi3 = grid.xi ** 3
     s0 = trajectory[0]
     profile0 = np.array((np.exp(-1j * a * t0 * xi3) * s0.uhat.coeffs,
                          np.exp(-1j * t0 * xi3) * s0.vhat.coeffs))
-    rec_cl = profile0 + acc[10:]
+    k = acc.shape[1]
+    rec_cl = profile0[:, :k] + acc[10:]
     # rows 0-3 and 4-7: N0-N3 of the u and of the v equation
-    rec_ib = profile0 + (b1 - b0) + acc[:8].reshape(2, 4, -1).sum(axis=1)
-    scale = max(np.max(np.abs(rec_cl)), 1e-300)
+    rec_ib = (profile0[:, :k] + (b1 - b0)
+              + acc[:8].reshape(2, 4, -1).sum(axis=1))
+    # off the dealias mask both reconstructions are profile0
+    scale = max(np.max(np.abs(rec_cl)), 1e-300,
+                np.max(np.abs(profile0[:, ~state_terms.ker.outmask])))
     return float(np.max(np.abs(rec_cl - rec_ib)) / scale)

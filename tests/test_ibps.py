@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from hskdv import cli, ibps
 from hskdv.ibps import (TERM_TAGS, CutoffParams, coupling_terms, eval_term,
@@ -15,7 +16,7 @@ from hskdv.phases import Coefficients, PhaseFloorError, eval_phase
 from hskdv.spectral import (Grid, SimState, SolverConfig,
                             SpectralField, make_state, run,
                             spectral_product)
-from hskdv.spectral import _Propagator
+from hskdv.spectral import NonlinearTerms, _mirror, _Propagator
 
 CUT10 = CutoffParams(delta_u=0.1, delta_v=0.1, eta_sim=0.1)
 
@@ -330,35 +331,76 @@ def test_residual_zero_data():
 
 
 @pytest.mark.parametrize("a", [-1.0, 2.0])
-def test_output_row_filter_keeps_every_term(monkeypatch, a):
-    # the regions keep only pairs whose output row is dealiased; every
-    # term must equal the one summed over the unfiltered regions
+def test_output_row_filter_keeps_every_term(a):
+    # the regions keep only the pairs of the dealiased rows with xi >= 0;
+    # mirrored, every term must equal the one summed over every pair of
+    # every output row
     cut = CutoffParams(delta_u=0.2, delta_v=0.2)
     rng = np.random.default_rng(5)
     g = Grid(2.0 * np.pi, 64)
     st = SimState(0.002, _real_field(g, rng), _real_field(g, rng),
                   _norm_params(a))
-    filtered = {tag: eval_term(tag, st, a, cut) for tag in TERM_TAGS}
     ker = region_kernels(g, a, cut)
-
-    keep_all = ibps._region
-    monkeypatch.setattr(ibps, "_region", lambda i, j, j2, ks, keep:
-                        keep_all(i, j, j2, ks, np.ones_like(keep)))
-    g2 = Grid(2.0 * np.pi, 64)  # a fresh grid, so the kernel cache misses
-    st2 = SimState(st.t, SpectralField(g2, st.uhat.coeffs),
-                   SpectralField(g2, st.vhat.coeffs), st.params)
-    full = region_kernels(g2, a, cut)
+    every = _full_row_kernels(g, a, cut, every_row=True)
     for region in ("U", "V"):
-        kept = getattr(ker, region)[2].size
-        assert 0 < kept < getattr(full, region)[2].size
-        assert np.all(ker.outmask[getattr(ker, region)[0]])
-    for tag in TERM_TAGS:
-        assert np.array_equal(filtered[tag], eval_term(tag, st2, a, cut)), tag
+        rows = getattr(ker, region)[0]
+        assert 0 < getattr(ker, region)[2].size < getattr(every,
+                                                          region)[2].size
+        assert np.all(ker.outmask[rows]) and np.all(g.xi[rows] >= 0)
+    want = _FullRowStateTerms(g, a, cut, every_row=True)(st)
+    for k, tag in enumerate(TERM_TAGS):
+        got = eval_term(tag, st, a, cut)
+        assert np.max(np.abs(got - want[k])) <= 1e-13 * np.max(
+            np.abs(want[k])), tag
 
 
 # Per-term reference: every term on its own, with its own transforms and
-# region sum, written out from the formulas. ibps._StateTerms forms all
-# of them together and must agree row by row.
+# region sum over every output row, written out from the formulas.
+# ibps._StateTerms forms all of them together on the dealiased rows with
+# xi >= 0, and eval_term's mirror of them must agree row by row.
+
+def _cube(xi):
+    """xi^3 as sign(xi)|xi|^3, exactly odd, and equal to xi**3 on
+    xi >= 0. numpy's xi**3 is not odd: at n = 256, L = 2 pi it differs
+    from -(-xi)**3 in the last place at 3 of the 127 negative
+    frequencies, which puts up to 6e-13 relative asymmetry into a
+    carrier exp(-i t xi^3) at t = 0.0123."""
+    return np.sign(xi) * np.abs(xi) ** 3
+
+
+class _FullRowKernels:
+    """The regions of _dense_regions on the output rows in keep, with
+    row sums over all n rows: the kernels before the half-row build."""
+
+    def __init__(self, grid, a, cut, keep):
+        self.n, self.outmask = grid.n, grid.dealias_mask()
+        (self.U, (self.ku,)), (self.V, (self.kv2, self.kv12)) = (
+            _dense_regions(grid, a, cut, keep))
+
+    def sums(self, region, prods):
+        rows, starts = region[:2]
+        out = np.zeros(prods.shape[:-1] + (self.n,), dtype=complex)
+        out[..., rows] = np.add.reduceat(prods, starts, axis=-1)
+        return out
+
+    def pair_sum(self, region, k, f1, f2):
+        j, j2 = region[2:]
+        return self.sums(region, k * f1[j] * f2[j2])
+
+
+_FULL_ROW_KERNELS = {}
+
+
+def _full_row_kernels(grid, a, cut, every_row=False):
+    """_FullRowKernels on the dealiased rows (every row if every_row),
+    cached by grid size, a and cutoffs."""
+    key = (grid.L, grid.n, a, cut.delta_u, cut.delta_v, cut.eta_sim,
+           every_row)
+    if key not in _FULL_ROW_KERNELS:
+        keep = np.ones(grid.n, bool) if every_row else grid.dealias_mask()
+        _FULL_ROW_KERNELS[key] = _FullRowKernels(grid, a, cut, keep)
+    return _FULL_ROW_KERNELS[key]
+
 
 def _ref_valid_conv(f1, f2):
     n = f1.size
@@ -372,14 +414,14 @@ def _ref_valid_conv(f1, f2):
 
 def _ref_eval_term(tag, state, a, cut):
     grid = state.grid
-    ker = region_kernels(grid, a, cut)
+    ker = _full_row_kernels(grid, a, cut)
     xi = grid.xi
     uh = state.uhat.coeffs
     vh = state.vhat.coeffs
     mask = ker.outmask
     U, V = ker.U, ker.V
     speed = a if tag.endswith("u") else 1.0
-    carrier = mask * np.exp(-1j * speed * state.t * xi ** 3)
+    carrier = mask * np.exp(-1j * speed * state.t * _cube(xi))
     if tag == "N3u":
         return carrier * (1j * xi) * spectral_product(uh, uh, grid, mask)
     if tag == "N0u":
@@ -424,9 +466,8 @@ def _full_space_sides(state, mask):
 
 
 def _ref_coupling_terms(state, a, cut):
-    xi3 = state.grid.xi ** 3
-    nu, nv = _full_space_sides(state, region_kernels(state.grid, a,
-                                                     cut).outmask)
+    xi3 = _cube(state.grid.xi)
+    nu, nv = _full_space_sides(state, state.grid.dealias_mask())
     return (np.exp(-1j * a * state.t * xi3) * nu,
             np.exp(-1j * state.t * xi3) * nv)
 
@@ -459,6 +500,73 @@ def _ref_residual(trajectory, a, cut):
     return diff / scale
 
 
+class _FullRowStateTerms:
+    """ibps._StateTerms before the half-row build, kept as the oracle of
+    its mirror: the region pairs, sums, complements and carriers run over
+    all n output rows, and a call returns (12, n) rows. The complements
+    are complex zero-padded FFT products (_ref_valid_conv), the classical
+    sides the solver's half-space right side mirrored, and xi^3 is
+    _cube(xi), so the rows are conjugate-symmetric to rounding. On the
+    rows with xi >= 0 they equal the evaluator's rows before the change
+    bit for bit (checked at n = 64 and 256, a = -1, 1/2, 2, both
+    cutoffs)."""
+
+    def __init__(self, grid, a, cut, every_row=False):
+        self.a = a
+        self.ker = ker = _full_row_kernels(grid, a, cut, every_row)
+        self.m = m = grid.n // 2 + 1
+        self.nonlinear = NonlinearTerms(grid, _norm_params(a),
+                                        ker.outmask[:m])
+        self.ixi = 1j * grid.xi
+        self.xi3 = _cube(grid.xi)
+
+    def __call__(self, state):
+        a, ker, m, n = self.a, self.ker, self.m, self.ker.n
+        ixi = self.ixi
+        uh = state.uhat.coeffs
+        vh = state.vhat.coeffs
+        # rows uh, conv_uu, conv_vv, i xi vh, w, vh
+        src = np.empty((6, n), dtype=complex)
+        src[0], src[5] = uh, vh
+        ixv = np.multiply(ixi, vh, out=src[3])
+        nl, (u, v) = self.nonlinear(np.array((uh[:m], vh[:m])))
+        cl_u, cl_v = _mirror(nl, np.empty((2, n), dtype=complex))
+        np.multiply(-1j, cl_v, out=src[4])
+        _mirror(np.fft.rfft(np.array((u * u, v * v)), norm="forward")
+                * self.nonlinear.mask, src[1:3])
+        full_u, full_v = _ref_valid_conv(vh, vh), _ref_valid_conv(uh, ixv)
+
+        # u region: (vh, w) at j and (w, vh) at j2 become Bu, N1u, N2u
+        # and the N0u part
+        j, j2 = ker.U[2:]
+        p = np.array((src[5, j], src[4, j], src[4, j2], src[5, j2]))
+        np.multiply(p[0], p[2], out=p[2])
+        np.multiply(p[1], p[3], out=p[1])
+        np.multiply(p[0], p[3], out=p[3])
+        p[0] = p[3]
+        p[:3] *= ker.ku
+        su = ker.sums(ker.U, p)
+        # v region: (uh, conv_uu, conv_vv) at j and (i xi vh, w, vh) at
+        # j2 become N2v, N1v, the N0v part, N3v, Bv
+        j, j2 = ker.V[2:]
+        p = np.concatenate((src[:3, j], src[3:, j2]))
+        np.multiply(p[1:3], p[5], out=p[1:3])
+        np.multiply(p[0], p[3:], out=p[3:])
+        p[1:3] *= ker.kv12
+        p[4:] *= ker.kv2
+        sv = ker.sums(ker.V, p[1:])
+        su[1:3] *= -1j
+        sv[[0, 1, 3]] *= -1j
+
+        terms = np.array((ixi * (full_u - su[3]), su[1], su[2],
+                          ixi * src[1], full_v - sv[2], sv[1], sv[0],
+                          sv[3], su[0], sv[4], cl_u, cl_v))
+        carriers = ker.outmask * np.exp(np.multiply.outer(
+            (-1j * a * state.t, -1j * state.t), self.xi3))
+        terms *= carriers[ibps._EQUATION]
+        return terms
+
+
 @pytest.mark.parametrize("n", [64, 256])
 @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
 def test_state_terms_match_per_term_reference(n, a):
@@ -471,17 +579,46 @@ def test_state_terms_match_per_term_reference(n, a):
     st = SimState(0.0123, _real_field(g, rng), _real_field(g, rng),
                   _norm_params(a))
     got = ibps._StateTerms(g, a, cut)(st)
+    k = region_kernels(g, a, cut).nrows
+    assert got.shape == (12, k)
     ref = ([_ref_eval_term(tag, st, a, cut) for tag in TERM_TAGS]
            + list(_ref_coupling_terms(st, a, cut)))
-    assert got.shape == (12, n)
-    for row, (x, y) in enumerate(zip(got, ref)):
+    full = ([eval_term(tag, st, a, cut) for tag in TERM_TAGS]
+            + list(coupling_terms(st, a, cut)))
+    for row, (x, y) in enumerate(zip(full, ref)):
         scale = np.max(np.abs(y))
         assert scale > 0.0, row
         assert np.max(np.abs(x - y)) <= 1e-13 * scale, row
-    for k, tag in enumerate(TERM_TAGS):
-        assert np.array_equal(eval_term(tag, st, a, cut), got[k]), tag
-    cu, cv = coupling_terms(st, a, cut)
-    assert np.array_equal(cu, got[10]) and np.array_equal(cv, got[11])
+        assert np.array_equal(x[:k], got[row]), row
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=hst.sampled_from([32, 64, 128, 256]),
+       a=hst.sampled_from([-1.0, 0.5, 2.0]),
+       delta=hst.sampled_from([0.05, 0.2]),
+       seed=hst.integers(0, 2 ** 32 - 1), t=hst.floats(0.0, 0.02),
+       nyquist=hst.sampled_from([0.0, 0.3, -0.7]))
+def _check_mirrored_rows(n, a, delta, seed, t, nyquist):
+    # the Nyquist mode pairs only on rows with xi < 0, where it has no
+    # mirror: with a nonzero one only the rows with xi >= 0 must agree
+    g = Grid(2.0 * np.pi, n)
+    cut = CutoffParams(delta_u=delta, delta_v=delta)
+    rng = np.random.default_rng(seed)
+    st = SimState(t, _real_field(g, rng, nyquist),
+                  _real_field(g, rng, nyquist), _norm_params(a))
+    got = ibps._all_modes(ibps._StateTerms(g, a, cut)(st), n)
+    want = _FullRowStateTerms(g, a, cut)(st)
+    rows = slice(None) if nyquist == 0.0 else slice(0, n // 2)
+    for row, (x, y) in enumerate(zip(got, want)):
+        scale = np.max(np.abs(y))
+        assert np.max(np.abs(x[rows] - y[rows])) <= 1e-13 * scale, row
+
+
+def test_mirrored_rows_equal_the_full_row_oracle():
+    # called, not collected: the hypothesis pytest plugin would import
+    # libcst to report a failing example, whose DeprecationWarning the
+    # warnings filter turns into an internal error of the whole session
+    _check_mirrored_rows()
 
 
 @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
@@ -541,11 +678,11 @@ def test_residual_rejects_other_systems(short_trajectory):
 # T = 0.01024, every 2nd of 512 steps kept, width 0.25): (a, u0, v0) ->
 # residual, pinned bit for bit.
 VETTED_RESIDUALS = {
-    ("0.5", "0.5", "0.5"): 1.2825849888670826e-11,
-    ("0.5", "0.4", "0.3"): 5.751127346769017e-12,
-    ("2", "0.5", "0.5"): 2.556262786380207e-10,
-    ("-1", "0.4", "0.4"): 5.315282593408057e-09,
-    ("0.5", "0.3", "0.5"): 1.2759949930364283e-11,
+    ("0.5", "0.5", "0.5"): 1.2825849887510479e-11,
+    ("0.5", "0.4", "0.3"): 5.751127349667795e-12,
+    ("2", "0.5", "0.5"): 2.5562627854038387e-10,
+    ("-1", "0.4", "0.4"): 5.315282593655408e-09,
+    ("0.5", "0.3", "0.5"): 1.2759949753817529e-11,
 }
 
 
@@ -562,34 +699,35 @@ def test_vetted_residuals_pinned(tmp_path, a, u0, v0):
     assert report["residual"] == VETTED_RESIDUALS[(a, u0, v0)]
 
 
-# sha256 prefixes of the bytes of the (12, n) _StateTerms rows at random
-# real data (_real_field, seed n, t = 0.0123): (n, a, cutoffs) -> digest
+# sha256 prefixes of the bytes of the (12, nrows) _StateTerms rows at
+# random real data (_real_field, seed n, t = 0.0123): (n, a, cutoffs) ->
+# digest
 CUT02 = CutoffParams(delta_u=0.2, delta_v=0.2)
 ROW_DIGESTS = {
-    (64, -1.0, "default"): "c3cab204e66f6a1c",
-    (64, -1.0, "0.2"): "084a10df074cbe66",
-    (64, 0.5, "default"): "762b100846db6444",
-    (64, 0.5, "0.2"): "156f3473a3cf88f8",
-    (64, 2.0, "default"): "b1daf29b36cd82e6",
-    (64, 2.0, "0.2"): "5a6e004875090b74",
-    (128, -1.0, "default"): "ac4c772a00695829",
-    (128, -1.0, "0.2"): "20a056dc4f43c6d8",
-    (128, 0.5, "default"): "e07ffcd7a844888e",
-    (128, 0.5, "0.2"): "eab70aa2acf418dd",
-    (128, 2.0, "default"): "7c255cac0d21fc96",
-    (128, 2.0, "0.2"): "7f760df1bb071060",
-    (256, -1.0, "default"): "7ca36f65503db15d",
-    (256, -1.0, "0.2"): "9ae55b3c87e0ebd2",
-    (256, 0.5, "default"): "e08bd11825c21877",
-    (256, 0.5, "0.2"): "927548103973269a",
-    (256, 2.0, "default"): "f627b18fd4088606",
-    (256, 2.0, "0.2"): "94807d47aa61b813",
-    (512, -1.0, "default"): "9fdb393ff34080a0",
-    (512, -1.0, "0.2"): "9a7a8e7490ce0c58",
-    (512, 0.5, "default"): "35774c44bc9092a3",
-    (512, 0.5, "0.2"): "8ad52869e4244b81",
-    (512, 2.0, "default"): "82467639863d4afb",
-    (512, 2.0, "0.2"): "ba42d51e9377fc90",
+    (64, -1.0, "default"): "e9bf8be8668a504e",
+    (64, -1.0, "0.2"): "7d5ebdefd1f9a465",
+    (64, 0.5, "default"): "7f74dd07b6a2748e",
+    (64, 0.5, "0.2"): "c44979c64f2046c5",
+    (64, 2.0, "default"): "5347eb2b2dbd261c",
+    (64, 2.0, "0.2"): "5f7ad84db2234851",
+    (128, -1.0, "default"): "6cfa50c05de5bba4",
+    (128, -1.0, "0.2"): "e89f626acff25b48",
+    (128, 0.5, "default"): "64691de3a2b6b121",
+    (128, 0.5, "0.2"): "5d799ec708bf5f85",
+    (128, 2.0, "default"): "977ee19844ec297b",
+    (128, 2.0, "0.2"): "c4dd0a5b403e946a",
+    (256, -1.0, "default"): "adeb2aead36de4f7",
+    (256, -1.0, "0.2"): "a9356665f246edb9",
+    (256, 0.5, "default"): "e9e7b5c48d02272e",
+    (256, 0.5, "0.2"): "89981f145c057c23",
+    (256, 2.0, "default"): "947dc3b9ce124df0",
+    (256, 2.0, "0.2"): "044e8b8bbd199d12",
+    (512, -1.0, "default"): "d6b6320207629264",
+    (512, -1.0, "0.2"): "ef9339ed599b61ce",
+    (512, 0.5, "default"): "a7ce56ae12e7077b",
+    (512, 0.5, "0.2"): "0e05500c6bc2fc6e",
+    (512, 2.0, "default"): "bcfb34cb23455424",
+    (512, 2.0, "0.2"): "598f0aa5dea1eff4",
 }
 
 
@@ -605,24 +743,35 @@ def test_state_term_rows_pinned(n, a, cut):
     assert digest == ROW_DIGESTS[(n, a, cut)]
 
 
-def _dense_regions(grid, a, cut):
-    """((rows, starts, j, j2), kernels) of U and of V from n x n frequency
-    arrays: the construction _GridKernels used before its row blocks,
-    kept as the oracle of the blocked build."""
+def _dense_pairs(grid, name, a, cut):
+    """(i, j, j2) of every pair of U (name Phi1u) or V (Phiv) whose xi2 is
+    on the grid, in row-major order over all n output rows, from n x n
+    frequency arrays, and the phase (ibps.eval_phase) on them."""
     n, xi = grid.n, grid.xi
     XI, XI1 = xi[:, None], xi[None, :]
     XI2 = XI - XI1
     idx2 = np.rint(XI2 / (2.0 * np.pi / grid.L)).astype(int)
     valid = (idx2 >= -(n // 2)) & (idx2 <= n // 2 - 1)
-    keep = grid.dealias_mask()
+    member = (in_U(a, XI, XI1, XI2, cut) if name == "Phi1u"
+              else in_V(XI, XI1, XI2, cut))
+    i, j = np.nonzero(member & valid)
+    return i, j, idx2[i, j] % n, ibps.eval_phase(name, a,
+                                                 (xi[j], xi[i] - xi[j]))
+
+
+def _dense_regions(grid, a, cut, keep=None):
+    """((rows, starts, j, j2), kernels) of U and of V on the output rows
+    in keep, by default the dealiased rows with xi >= 0 that
+    _GridKernels keeps: the construction _GridKernels used before its
+    row blocks, kept as the oracle of the blocked build."""
+    xi = grid.xi
+    if keep is None:
+        keep = grid.dealias_mask() & (xi >= 0)
     out = []
-    for tag, mask in (("Phi1u", in_U(a, XI, XI1, XI2, cut)),
-                      ("Phiv", in_V(XI, XI1, XI2, cut))):
-        i, j = np.nonzero(mask & valid)
-        j2 = idx2[i, j] % n
+    for tag in ("Phi1u", "Phiv"):
+        i, j, j2, phi = _dense_pairs(grid, tag, a, cut)
         x, x1 = xi[i], xi[j]
         x2 = x - x1
-        phi = eval_phase(tag, a, (x1, x2))
         if tag == "Phi1u":
             kernels = (x / phi,)
         else:
@@ -674,6 +823,54 @@ def test_phase_floor_error_from_a_later_block(monkeypatch):
                               "(xi, xi1) = (100, 0)")
 
 
+def _first_below_floor(grid, name, a, cut):
+    """(xi, xi1) of the first pair of the region of name, in row-major
+    order over all n output rows, whose phase is below its floor: the
+    check over every pair that the build made before its half rows."""
+    i, j, _, phi = _dense_pairs(grid, name, a, cut)
+    c = (ibps.u_phase_floor_constant if name == "Phi1u"
+         else ibps.v_phase_floor_constant)(a, cut.eta_sim)
+    xi = grid.xi
+    k = np.flatnonzero(np.abs(phi) < 0.5 * c * np.abs(xi[i]) ** 3)[0]
+    return xi[i[k]], xi[j[k]]
+
+
+@pytest.mark.parametrize("case", ["mirror", "nyquist"])
+@pytest.mark.parametrize("name", ["Phi1u", "Phiv"])
+def test_phase_floor_guard_covers_every_row(monkeypatch, name, case):
+    # the build checks the rows with xi >= 0, then the pairs with no
+    # mirror there. mirror: one bad pair on a kept row with xi < 0 (and
+    # its mirror, as the phases are odd); nyquist: every pair with xi,
+    # xi1 or xi2 = -n/2. Either way the message must name the first bad
+    # pair over all n rows, as the check of every pair did.
+    g = Grid(2.0 * np.pi, 256)
+    a, cut = 0.5, CutoffParams()
+    xi, half = g.xi, 2.0 * np.pi / g.L / 2.0
+    nyq = xi[g.n // 2]
+    if case == "mirror":
+        i, j, _, _ = _dense_pairs(g, name, a, cut)
+        p = np.flatnonzero((xi[i] < 0) & g.dealias_mask()[i])[-1]
+        x1, x2 = xi[j[p]], xi[i[p]] - xi[j[p]]
+        bad = lambda f1, f2: (((f1 == x1) & (f2 == x2))
+                              | ((f1 == -x1) & (f2 == -x2)))
+    else:
+        bad = lambda f1, f2: ((np.abs(f1 - nyq) < half)
+                              | (np.abs(f2 - nyq) < half)
+                              | (np.abs(f1 + f2 - nyq) < half))
+    phase = ibps.eval_phase
+    monkeypatch.setattr(ibps, "eval_phase", lambda tag, a, freqs: np.where(
+        (tag == name) & bad(*freqs), 0.0, phase(tag, a, freqs)))
+    first = _first_below_floor(g, name, a, cut)
+    if case == "mirror":
+        assert first == (-xi[i[p]], -x1)
+    else:
+        assert min(abs(f - nyq) for f in (*first, first[0] - first[1])) < half
+    with pytest.raises(PhaseFloorError) as err:
+        ibps._GridKernels(g, a, cut)
+    assert str(err.value) == ("%s below its floor inside the region at "
+                              "(xi, xi1) = (%g, %g)" % (name, *first))
+
+
 def _traced_peak(fn):
     """Bytes of the tracemalloc peak of fn() above what was traced before."""
     tracemalloc.start()
@@ -687,20 +884,22 @@ def _traced_peak(fn):
 
 def test_region_build_memory():
     # an n x n float array alone is 0.5 MB at n = 256; the dense build
-    # peaked at 2.8 MB
+    # peaked at 2.8 MB, the blocked build over all n rows at 1.1 MB, and
+    # the build over the rows with xi >= 0 at 0.53 MB
     g = Grid(2.0 * np.pi, 256)
     assert _traced_peak(lambda: ibps._GridKernels(g, 0.5,
-                                                  CutoffParams())) <= 1.5e6
+                                                  CutoffParams())) <= 0.75e6
 
 
 def test_state_terms_call_memory():
     # the gathers and products live in the evaluator's scratch; per-call
-    # gathers peaked at 0.6 MB
+    # gathers peaked at 0.6 MB, the scratch over all n rows at 0.16 MB,
+    # over the kept rows with xi >= 0 at 0.11 MB
     g = Grid(2.0 * np.pi, 256)
     rng = np.random.default_rng(3)
     st = SimState(0.0123, _real_field(g, rng), _real_field(g, rng),
                   _norm_params(0.5))
     terms = ibps._StateTerms(g, 0.5, CutoffParams())
     first = terms(st)
-    assert _traced_peak(lambda: terms(st)) <= 0.25e6
+    assert _traced_peak(lambda: terms(st)) <= 0.15e6
     assert np.array_equal(terms(st), first)

@@ -130,3 +130,44 @@ def test_traced_passes_count_the_same_gauss_legendre_rules():
         assert counts["picard.second_iterate.calls"] == 3
         rules.append(counts["picard.gl_rules"])
     assert rules == [1, 1]
+
+
+def test_traced_ibps_residual_makes_five_ffts_per_state():
+    # one ibps_residual span and five FFT calls per state (the solver's
+    # irfft/rfft pair, the squares' rfft and the complements' padded
+    # irfft/rfft); every patched name comes back, and the ibps names the
+    # tracer wraps are still there to patch
+    tracing = _tracing()
+    g = spectral.Grid(2.0 * np.pi, 64)
+    st = spectral.make_state(g, lambda x: 0.5 * np.exp(-(x - np.pi) ** 2),
+                             lambda x: 0.4 * np.exp(-(x - np.pi) ** 2),
+                             Coefficients(0.5))
+    _, stored = spectral.run(st, spectral.SolverConfig(dt=1e-4), 0.0008,
+                             store_every=2)
+    assert len(stored) == 5
+    cut = ibps.CutoffParams(delta_u=0.2, delta_v=0.2)
+    tr = tracing.Tracer()
+    try:
+        tracing.install(tr, MODULES)
+        patched = list(tr._saved)
+        ibps.ibps_residual(stored, 0.5, cut)
+        residual_ffts = tr.counts["spectral.fft.calls"]
+        ibps.eval_term("Bu", stored[0], 0.5, cut)
+        ibps.coupling_terms(stored[0], 0.5, cut)
+        ker = ibps.region_kernels(g, 0.5, cut)
+        ker.pair_sum(ker.U, ker.ku, st.uhat.coeffs, st.vhat.coeffs)
+    finally:
+        tr.restore()
+    for owner, attr, orig in patched:
+        assert getattr(owner, attr) is orig, attr
+    assert {(ibps, "eval_term"), (ibps, "coupling_terms"),
+            (ibps, "spectral_product"), (ibps._GridKernels, "pair_sum")
+            } <= {(owner, attr) for owner, attr, _ in patched}
+    layers = tracing.Layers(tr.spans)
+    assert layers.calls["ibps.ibps_residual"] == 1
+    assert residual_ffts == 5 * len(stored)
+    counts = tracing.pass_counts(layers, tr.counts, 0)
+    assert counts["ibps.eval_term.calls"] == 1
+    assert layers.calls["ibps.coupling_terms"] == 1
+    assert counts["spectral.fft.calls"] == 5 * (len(stored) + 2)
+    assert counts["ibps.kernel_bytes"] == 16 * g.n ** 2
