@@ -129,13 +129,12 @@ class _GridKernels:
     xi2 = -n/2 (50 in U and 25 in V at a = 1/2). Phi1u and Phiv are odd
     (eval_phase to 6e-16 relative on region pairs), so every other pair
     is checked through its mirror, and the pair named is the first below
-    the floor in row-major order over all n rows.
-    Then only the pairs of the nrows kept rows (grid indices 0, ...,
-    nrows-1, inside the dealias mask outmask) stay, all of a row's in
-    order: 1470 in U and 735 in V at n = 256, a = 1/2, 45% of those
-    checked. The kernels are real arrays over the kept pairs of
-    their region: ku = xi/Phi1u on U, kv2 = xi2/Phiv and kv12 =
-    xi1 xi2/Phiv on V.
+    the floor in row-major order over all n rows. Then only the pairs of
+    the nrows kept rows (grid indices 0, ..., nrows-1, inside the dealias
+    mask outmask) stay, all of a row's in order: 1470 in U and 735 in V
+    at n = 256, a = 1/2, 45% of those checked. The kernels are real
+    arrays over the kept pairs of their region: ku = xi/Phi1u on U,
+    kv2 = xi2/Phiv and kv12 = xi1 xi2/Phiv on V.
     """
 
     def __init__(self, grid, a, cut):
