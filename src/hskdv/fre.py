@@ -73,16 +73,12 @@ def _cubic_roots(c):
     Analytic solution of the depressed cubic (trigonometric form for
     three real roots, Cardano otherwise) followed by a Newton polish;
     degenerate leading coefficients fall through to the quadratic and
-    linear cases. Returns an (n, 3) array, NaN past a row's roots. Each
-    row takes the branches and float operations of the scalar algorithm
-    in Python floats (libm powers, acos and cos; first-wins max/min).
+    linear cases. Returns an (n, 3) array, NaN past a row's roots. The
+    powers, acos and cos are libm's (Python floats), not numpy's SIMD.
     """
     c = np.asarray(c, dtype=float).reshape(-1, 4)
     mag = np.abs(c)
-    scale = mag[:, 0]
-    for col in mag.T[1:]:
-        scale = np.where(col > scale, col, scale)
-    small = mag <= (1e-14 * scale)[:, None]
+    small = mag <= (1e-14 * mag.max(axis=1))[:, None]
     roots = np.full((len(c), 3), np.nan)
     i = np.flatnonzero(small[:, 0] & small[:, 1] & ~small[:, 2])
     roots[i, 0] = -c[i, 3] / c[i, 2]
@@ -165,7 +161,7 @@ def make_fre_spec(kind, k, s):
     raise ValueError("unknown FRE kind %r" % (kind,))
 
 
-def _freqs_from(spec, w, free):
+def _freqs_from(w, free):
     """(xi, xi1, xi2) arrays given the fixed xi = w and free xi1 samples."""
     xi1 = np.asarray(free, dtype=float)
     xi = np.full_like(xi1, w)
@@ -192,7 +188,7 @@ def _phase_cubic_coeffs(spec, a, ws):
     """
     ws = np.asarray(ws, dtype=float)
     nodes = np.maximum(1.0, np.abs(ws))[:, None] * [-2.0, -0.5, 0.5, 2.0]
-    xi, xi1, xi2 = _freqs_from(spec, ws[:, None], nodes)
+    xi, xi1, xi2 = _freqs_from(ws[:, None], nodes)
     vals = eval_phase(spec.phase, a, (xi1, xi2))
     lhs = np.empty(nodes.shape + (4,))
     pows = lhs[..., ::-1]  # np.vander(x, 4) per row
@@ -211,7 +207,7 @@ def _phase_cubic_coeffs(spec, a, ws):
     return c[..., 0] / scale
 
 
-def _weight_integrand(spec, a, xi, xi1, xi2):
+def _weight_integrand(spec, xi, xi1, xi2):
     s_out, s1, s2 = spec.weights
     m2 = xi ** 2 if spec.multiplier == "xi" else xi2 ** 2
     return (m2 * _bracket(xi) ** (2 * s_out)
@@ -237,43 +233,33 @@ def _fixed_grid(lams):
             np.concatenate([held[:, ::-1], held], axis=1))
 
 
-def fre_sup(spec, a, alpha, M, lam):
+def fre_sup(spec, a, alphas, Ms, lams):
     """Sup over the fixed frequency of the restricted weight integral.
 
-    For each fixed value on a signed log grid up to lam, the level set
-    {|Phi - alpha| < M} in the free variable is isolated by cubic root
-    finding and the weight integrand is integrated over it with
-    Gauss-Legendre nodes; the maximum over the grid is returned.
+    For each fixed value on a signed log grid up to a cutoff lam, the
+    level set {|Phi - alpha| < M} in the free variable is isolated by
+    cubic root finding and the weight integrand is integrated over it
+    with Gauss-Legendre nodes; the maximum over the grid is the sup.
 
-    alpha and M are scalars (a float is returned) or equal-length 1-D
-    sequences of (alpha, M) pairs (an array of per-pair sups is
-    returned, each equal to the scalar call). A 1-D sequence of
-    cutoffs lam adds a leading axis whose rows each equal (==) the
-    single-cutoff call. A cutoff outside (0, LAM_MAX] raises ValueError
-    before any fit, and so does a uvx cutoff (a != 1) at which the root
-    finder would take the level sets' cube term for zero. Each distinct
-    fixed frequency w of the grids' union is fitted once; one array pass
-    then root-finds every pair's two level-set cubics, tests the
-    segments between the roots for every (cutoff, w, pair) and
-    integrates each distinct (w, lo, hi) once. That is bit-identical to
-    a loop over cutoffs, w and pairs with the scalar root finder: a
-    shared w is the same double in every grid; the batched finder
-    repeats the scalar branches and float operations row by row; roots
-    outside (-10 lam, 10 lam), or missing, clamped to -+10 lam only add
-    zero-length segments, which the length test drops; an integral
-    depends on (w, lo, hi) alone; bincount adds each pair's parts in
-    interval order from 0.0; and the max is exact.
+    alphas and Ms are nonempty, equal-length 1-D sequences of (alpha, M)
+    pairs and lams a nonempty 1-D sequence of cutoffs; returns the
+    (len(lams), len(alphas)) array of sups. A cutoff outside
+    (0, LAM_MAX] raises ValueError before any fit, and so does a uvx
+    cutoff (a != 1) at which the root finder would take the level sets'
+    cube term for zero. Each distinct fixed frequency w of the grids'
+    union is fitted once, and a shared w is the same double in every
+    grid; one array pass then root-finds every pair's two level-set
+    cubics, tests the segments between the roots (clamped to
+    [-10 lam, 10 lam]) for every (cutoff, w, pair) and integrates each
+    distinct (w, lo, hi) once.
     """
-    scalar = np.ndim(alpha) == 0 and np.ndim(M) == 0
-    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-    Ms = np.atleast_1d(np.asarray(M, dtype=float))
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    if alphas.ndim != 1 or alphas.shape != Ms.shape:
-        raise ValueError("alpha and M must be scalars or 1-D sequences "
-                         "of equal length")
+    alphas, Ms, lams = (np.asarray(x, dtype=float) for x in (alphas, Ms, lams))
+    if alphas.ndim != 1 or alphas.shape != Ms.shape or not alphas.size:
+        raise ValueError("alphas and Ms must be nonempty 1-D sequences of "
+                         "equal length")
     if not (lams.ndim == 1 and lams.size and np.all(np.r_[lams, Ms] > 0)
             and np.all(np.isfinite(np.r_[lams, alphas, Ms, a]))):
-        raise ValueError("lam (scalar or 1-D) must be finite and positive, "
+        raise ValueError("lams (nonempty, 1-D) must be finite and positive, "
                          "M finite and positive, alpha and a finite")
     top = lams.max()
     if top > LAM_MAX:
@@ -317,16 +303,13 @@ def fre_sup(spec, a, alpha, M, lam):
     for s in range(0, len(ivs), _CHUNK):
         w, lo, hi = ivs[s:s + _CHUNK].T[..., None]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xi, xi1, xi2 = _freqs_from(spec, w, mid + half * gx)
+        xi, xi1, xi2 = _freqs_from(w, mid + half * gx)
         part[s:s + _CHUNK] = half[:, 0] * np.sum(
-            gw * _weight_integrand(spec, a, xi, xi1, xi2), axis=1)
+            gw * _weight_integrand(spec, xi, xi1, xi2), axis=1)
     # bincount sums each (cutoff, w, pair)'s parts in interval order
-    # from 0.0: the same additions as integrating that pair alone
     best = np.bincount((hj[k] * nw + hw[k]) * npair + pair,
                        weights=part[inv], minlength=nj * nw * npair)
-    best = best.reshape(nj, nw, npair).max(axis=1)
-    best = best[:, 0] if scalar else best
-    return best if np.ndim(lam) else (float(best[0]) if scalar else best[0])
+    return best.reshape(nj, nw, npair).max(axis=1)
 
 
 class ScanReport:

@@ -40,7 +40,7 @@ Problematic regions (with f ~= g meaning |f-g| <= eta*max(|f|,|g|)):
 
 import numpy as np
 
-from .phases import Coefficients, PhaseFloorError, eval_phase
+from .phases import Coefficients, PhaseFloorError, eval_phase, phase_floor
 # spectral_product is bound here too, unused, so that the benchmark's
 # tracer (perfbench/tracing.py) finds it in every module it patches
 from .spectral import NonlinearTerms, _mirror, spectral_product  # noqa: F401
@@ -95,12 +95,13 @@ def in_V(xi, xi1, xi2, cut):
 def u_phase_floor_constant(a, eta):
     """Conservative c with |Phi1u| >= c|xi|^3 on U.
 
-    For a < 1/4 the global vertex bound 1/4 - a applies; for a >= 1/4
+    For a < 1/4 the global vertex bound phase_floor(a) = 1/4 - a applies
+    (a = 0 raises ValueError there); for a >= 1/4
     membership in U2 forces the small factor |xi_j| <= eta|xi|, leaving
     |1-a| - 3 eta - 3 eta^2 of the quadratic factor.
     """
     if a < 0.25:
-        return 0.25 - a
+        return phase_floor(a)
     return max(abs(1.0 - a) - 3.0 * eta - 3.0 * eta ** 2, 0.0)
 
 

@@ -215,10 +215,10 @@ def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
     The outer xi2 integral runs over each box and its nodes, in blocks
     of nodes; for a block the inner xi1 -> (xi11, xi12) integral is the
     box-pair core of the second iterate, applied to the (node, sample)
-    grid xi1 = xi - xi2. The accumulators take each (node, box pair,
-    sample) term in the order of a loop over nodes, then box pairs,
-    then samples, and a PhaseFloorError names the first point of that
-    loop whose check fails (the inner check before the outer one).
+    grid xi1 = xi - xi2. Blocks run in order and, within a block, the
+    box pairs in order: each pair checks its inner phase, then its outer
+    phase (a PhaseFloorError names the pair's first failing point), and
+    adds its terms to the accumulators.
     """
     if a == 0:
         raise ValueError("a must be nonzero")
@@ -231,58 +231,41 @@ def third_iterate_v(v0, a, t, out_window, gl_nodes=GL_NODES_DEFAULT,
         mapped = [_map_rule(rule, b.lo, b.hi) for b in boxes]
         xi2s = np.concatenate([x for x, _ in mapped])[:, None]
         w2s = np.concatenate([w for _, w in mapped])[:, None]
-        # each box's amplitude at one scalar node at a time, as in the
-        # per-node loop (scalar powers round differently from arrays)
-        amp2s = np.array([b.amplitude(x) for b, (xs, _) in zip(boxes, mapped)
-                          for x in xs])[:, None]
+        amp2s = np.concatenate([b.amplitude(x) for b, (x, _)
+                                in zip(boxes, mapped)])[:, None]
         block = max(1, _BLOCK_POINTS // (N_OUT * len(rule[0])))
         for q in range(0, len(xi2s), block):
             xi2, w2, amp2 = (v[q:q + block] for v in (xi2s, w2s, amp2s))
             xi1 = xi_s - xi2
             phi_v = eval_phase("Phiv", a, (xi1, xi2))
             ker_v = duhamel_kernel(phi_v, t)
-            hits, terms = [], []
-            for pair, (idx, y1, x11, x12, w11, amp) in enumerate(_box_pairs(
-                    xi1, boxes, boxes, rule)):
+            for idx, y1, x11, x12, w11, amp in _box_pairs(xi1, boxes, boxes,
+                                                          rule):
                 node, row = idx
                 phi_u1 = eval_phase("Phi1u", a, (x11, x12))
                 inner = np.abs(phi_u1) < min_phase
+                if np.any(inner):
+                    j, k = np.argwhere(inner)[0]
+                    raise PhaseFloorError(
+                        "inner phase below floor at (xi, xi1, xi11)=(%g, %g, "
+                        "%g)" % (xi_s[row[j]], y1[j, 0], x11[j, k]))
                 outer = np.abs(phi_v[idx]) < min_phase
-                if np.any(outer) or np.any(inner):
-                    hits.append(_floor_hit(xi_s, pair, node, row, y1, x11,
-                                           inner, outer))
-                if hits:
-                    continue
+                if np.any(outer):
+                    j = np.argmax(outer)
+                    raise PhaseFloorError(
+                        "outer phase below floor at (xi, xi1)=(%g, %g)"
+                        % (xi_s[row[j]], y1[j, 0]))
                 den = 1j * phi_u1
                 g1 = duhamel_kernel(phi_v[idx][:, None] + phi_u1, t) / den
                 g2 = -ker_v[idx][:, None] / den
                 common = w2[node] * y1 * xi2[node] * (amp * amp2[node])
-                terms.append((node, row, np.sum(w11 * common * g1, axis=1),
-                              np.sum(w11 * common * g2, axis=1)))
-            if hits:
-                raise PhaseFloorError(min(hits)[2])
-            if terms:
-                n, r, s1, s2 = (np.concatenate(c) for c in zip(*terms))
-                order = np.argsort(n, kind="stable")  # node, pair, sample
-                np.add.at(acc1, r[order], s1[order])
-                np.add.at(acc2, r[order], s2[order])
+                np.add.at(acc1, row, np.sum(w11 * common * g1, axis=1))
+                np.add.at(acc2, row, np.sum(w11 * common * g2, axis=1))
     carrier = -np.exp(1j * t * xi_s ** 3)
     part1 = PicardOutput(xi_s, carrier * acc1, t)
     part2 = PicardOutput(xi_s, carrier * acc2, t)
     out = PicardOutput(xi_s, part1.values + part2.values, t)
     return (out, part1, part2) if return_parts else out
-
-
-def _floor_hit(xi_s, pair, node, row, y1, x11, inner, outer):
-    """(node, pair, message) of one box pair's first failing node."""
-    first = node == node[np.argmax(inner.any(axis=1) | outer)]
-    if np.any(inner[first]):
-        j, k = np.argwhere(inner & first[:, None])[0]
-        return (node[j], pair, "inner phase below floor at (xi, xi1, xi11)"
-                "=(%g, %g, %g)" % (xi_s[row[j]], y1[j, 0], x11[j, k]))
-    j = np.argmax(outer & first)
-    return (node[j], pair, "outer phase below floor at (xi, xi1)=(%g, %g)"
-            % (xi_s[row[j]], y1[j, 0]))
 
 
 def hs_norm_window(out, s, window):

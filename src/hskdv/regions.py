@@ -46,9 +46,6 @@ class RegularityPoint:
     def __repr__(self):
         return "RegularityPoint(k=%s, s=%s)" % (self.k, self.s)
 
-    def __iter__(self):
-        return iter((self.k, self.s))
-
 
 class Verdict:
     """Classification of one (a, k, s) triple.

@@ -2,6 +2,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,6 +50,33 @@ def test_cubic_roots_against_numpy():
             assert g == pytest.approx(e, abs=1e-7)
 
 
+def test_cubic_roots_against_mpmath():
+    # every 86th level-set cubic of the default uvx scans at five a (200
+    # of 17200 rows) and 100 uniform[-5, 5] cubics, against the roots of
+    # mp.polyroots at 50 digits: same real-root count, <= 1e-13 relative
+    spec = make_fre_spec("uvx", 1.0, 0.5)
+    ws = fre._fixed_grid(np.array([1e2, 1e3, 1e4]))[0]
+    shifts = [[0.0, 0.0, 0.0, alpha + sign * M]
+              for alpha in fre.DEFAULT_ALPHA_GRID for M in fre.DEFAULT_M_GRID
+              for sign in (1.0, -1.0)]
+    level = np.concatenate([
+        (fre._phase_cubic_coeffs(spec, a, ws)[:, None] - shifts)
+        .reshape(-1, 4) for a in (0.5, 0.75, 2.0, 3.0, -1.0)])
+    assert len(level) == 17200
+    rows = np.r_[level[::86],
+                 np.random.default_rng(3).uniform(-5.0, 5.0, (100, 4))]
+    with mpmath.workdps(50):
+        for row, got in zip(rows, fre._cubic_roots(rows)):
+            roots = mpmath.polyroots(row.tolist(), maxsteps=100,
+                                     extraprec=50)
+            scale = max(abs(r) for r in roots)
+            want = sorted(float(r.real) for r in roots
+                          if abs(r.imag) <= 1e-40 * scale)
+            got = np.sort(got[~np.isnan(got)])
+            assert len(got) == len(want), row
+            assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want)), row
+
+
 def test_cubic_roots_degenerate():
     assert _real_cubic_roots((0.0, 0.0, 2.0, -4.0)) == [2.0]
     assert _real_cubic_roots((0.0, 1.0, 0.0, -4.0)) == [-2.0, 2.0]
@@ -72,7 +100,7 @@ def test_spec_validation():
 def test_fre_sup_against_dense_bruteforce():
     spec = make_fre_spec("dxv2", 1.0, 0.5)
     a, alpha, M, lam = 0.5, 1.0, 2.0, 6.0
-    got = fre_sup(spec, a, alpha, M, lam)
+    got = fre_sup(spec, a, [alpha], [M], [lam])[0, 0]
 
     mags = [0.1]
     while mags[-1] < lam:
@@ -97,7 +125,7 @@ def test_fre_sup_against_dense_bruteforce():
 
 def test_fre_sup_monotone_in_lam():
     spec = make_fre_spec("uvx", 1.0, 0.25)
-    vals = [fre_sup(spec, 0.5, 1.0, 1.0, lam)
+    vals = [fre_sup(spec, 0.5, [1.0], [1.0], [lam])[0, 0]
             for lam in (1.0, 10.0, 100.0, 1000.0)]
     for lo, hi in zip(vals, vals[1:]):
         assert hi >= lo - 1e-12
@@ -105,19 +133,29 @@ def test_fre_sup_monotone_in_lam():
 
 def test_fre_sup_input_validation():
     spec = make_fre_spec("dxv2", 1.0, 0.5)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, 0.0, 1.0, -1.0)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, 0.0, -1.0, 10.0)
-    # array inputs: any nonpositive M, lam <= 0, unequal lengths
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 0.0], 10.0)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], 0.0)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, [0.0, 1.0, -1.0], [1.0, 4.0], 10.0)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, [0.0, 1.0], 1.0, 10.0)
+    positive = "must be finite and positive"
+    with pytest.raises(ValueError, match=positive):
+        fre_sup(spec, 0.5, [0.0], [1.0], [-1.0])
+    with pytest.raises(ValueError, match=positive):
+        fre_sup(spec, 0.5, [0.0], [-1.0], [10.0])
+    # any nonpositive M, lam <= 0
+    with pytest.raises(ValueError, match=positive):
+        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 0.0], [10.0])
+    with pytest.raises(ValueError, match=positive):
+        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], [10.0, 0.0])
+    # unequal lengths, no pairs, and scalars in place of 1-D sequences
+    shape = "nonempty 1-D sequences of equal length"
+    with pytest.raises(ValueError, match=shape):
+        fre_sup(spec, 0.5, [0.0, 1.0, -1.0], [1.0, 4.0], [10.0])
+    with pytest.raises(ValueError, match=shape):
+        fre_sup(spec, 0.5, [0.0, 1.0], 1.0, [10.0])
+    with pytest.raises(ValueError, match=shape):
+        fre_sup(spec, 0.5, 0.0, 1.0, [10.0])
+    for kind in ("dxv2", "uvx"):
+        with pytest.raises(ValueError, match=shape):
+            fre_sup(make_fre_spec(kind, 1.0, 0.5), 0.5, [], [], [10.0])
+    with pytest.raises(ValueError, match=r"lams \(nonempty, 1-D\)"):
+        fre_sup(spec, 0.5, [0.0], [1.0], 10.0)
 
 
 def _reference_level_set_intervals(coeffs, roots, alpha, M, clip):
@@ -165,9 +203,9 @@ def _reference_ratio_scan(spec, a, lams):
                         coeffs, next(roots) + next(roots), alpha, M,
                         10.0 * lam):
                     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-                    xi, xi1, xi2 = fre._freqs_from(spec, w, mid + half * gx)
+                    xi, xi1, xi2 = fre._freqs_from(w, mid + half * gx)
                     total += half * float(np.sum(
-                        gw * fre._weight_integrand(spec, a, xi, xi1, xi2)))
+                        gw * fre._weight_integrand(spec, xi, xi1, xi2)))
                 best = max(best, total)
             norm = float(fre._bracket(alpha)) ** fre.ALPHA_EXPONENT * M
             worst = max(worst, best / norm)
@@ -339,15 +377,16 @@ def test_batched_finder_names_the_diverging_cubic():
 
 
 def test_fre_sup_pairs_match_scalar_calls():
+    # each pair's sup equals the call with that (alpha, M) pair alone
     alphas = [0.0, 1.0, -1.0, 10.0, -10.0, 3.0]
     Ms = [1.0, 4.0, 1.0, 4.0, 0.5, 2.0]
     for kind, a in (("dxv2", -1.0), ("uvx", 3.0)):
         spec = make_fre_spec(kind, 1.0, 0.5)
-        got = fre_sup(spec, a, alphas, Ms, 100.0)
-        assert isinstance(got, np.ndarray) and got.shape == (6,)
-        want = [fre_sup(spec, a, al, M, 100.0) for al, M in zip(alphas, Ms)]
-        assert all(isinstance(x, float) for x in want)
-        assert got.tolist() == want
+        got = fre_sup(spec, a, alphas, Ms, [100.0])
+        assert isinstance(got, np.ndarray) and got.shape == (1, 6)
+        want = [fre_sup(spec, a, [al], [M], [100.0])[0, 0]
+                for al, M in zip(alphas, Ms)]
+        assert got[0].tolist() == want
 
 
 def test_ratio_scan_dichotomy():
@@ -409,10 +448,7 @@ def test_fre_sup_cutoff_rows_match_single_calls(kind, a):
     got = fre_sup(spec, a, alphas, Ms, lams)
     assert isinstance(got, np.ndarray) and got.shape == (3, 3)
     for row, lam in zip(got.tolist(), lams):
-        assert row == fre_sup(spec, a, alphas, Ms, lam).tolist()
-    got = fre_sup(spec, a, 1.0, 4.0, lams)
-    assert isinstance(got, np.ndarray) and got.shape == (3,)
-    assert got.tolist() == [fre_sup(spec, a, 1.0, 4.0, lam) for lam in lams]
+        assert row == fre_sup(spec, a, alphas, Ms, [lam])[0].tolist()
 
 
 def test_ratio_scan_fits_each_fixed_frequency_once(monkeypatch):
@@ -488,10 +524,10 @@ def test_fre_sup_rejects_bad_cutoffs_before_fitting(lam, monkeypatch):
 
     monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
     spec = make_fre_spec("dxv2", 1.0, 0.5)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, 0.0, 1.0, lam)
-    with pytest.raises(ValueError):
-        fre_sup(spec, 0.5, [0.0, 1.0], [1.0, 4.0], lam)
+    lams = np.atleast_1d(lam)
+    for alphas, Ms in (([0.0], [1.0]), ([0.0, 1.0], [1.0, 4.0])):
+        with pytest.raises(ValueError, match=r"lams \(nonempty, 1-D\)"):
+            fre_sup(spec, 0.5, alphas, Ms, lams)
 
 
 @pytest.mark.parametrize("lam, named", [
@@ -503,10 +539,10 @@ def test_fre_sup_rejects_cutoffs_past_lam_max_before_fitting(lam, named,
 
     monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
     spec = make_fre_spec("uvx", 1.0, 0.5)
-    for alpha, M in ((0.0, 1.0), ([0.0, 1.0], [1.0, 4.0])):
+    for alphas, Ms in (([0.0], [1.0]), ([0.0, 1.0], [1.0, 4.0])):
         with pytest.raises(ValueError, match=re.escape(
                 "cutoff lam = %s exceeds 1e+51" % named)):
-            fre_sup(spec, 0.5, alpha, M, lam)
+            fre_sup(spec, 0.5, alphas, Ms, np.atleast_1d(lam))
 
 
 @pytest.mark.parametrize("batched", [True, False])
@@ -540,19 +576,19 @@ def test_uvx_scan_stops_where_the_root_finder_drops_the_cube(a,
     expect = sorted(r.real for r in np.roots(row)
                     if abs(r.imag) <= 1e-9 * abs(r))
     assert _real_cubic_roots(row) == pytest.approx(expect, rel=1e-9)
-    assert fre_sup(spec, a, 0.0, 1.0, [100.0, w]).shape == (2,)
+    assert fre_sup(spec, a, [0.0], [1.0], [100.0, w]).shape == (2, 1)
     # a = 1 makes Phiv quadratic, and dropping its zero cube is right
-    assert np.isfinite(fre_sup(spec, 1.0, 0.0, 1.0, 1e12))
+    assert np.isfinite(fre_sup(spec, 1.0, [0.0], [1.0], [1e12])[0, 0])
 
     def fit(*args):
         raise AssertionError("fitted past the bound")
 
     monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
-    for lam in (1.02 * bound, [100.0, 1.02 * bound, 1e3]):
+    for lams in ([1.02 * bound], [100.0, 1.02 * bound, 1e3]):
         with pytest.raises(ValueError, match=re.escape(
                 "cutoff lam = %g is too large for the uvx scan at a = %g"
                 % (1.02 * bound, a))):
-            fre_sup(spec, a, 0.0, 1.0, lam)
+            fre_sup(spec, a, [0.0], [1.0], lams)
 
 
 @pytest.mark.parametrize("a, alpha, M", [
@@ -567,7 +603,7 @@ def test_fre_sup_rejects_non_finite_inputs_before_fitting(a, alpha, M,
     monkeypatch.setattr(fre, "_phase_cubic_coeffs", fit)
     spec = make_fre_spec("dxv2", 1.0, 0.5)
     with pytest.raises(ValueError, match="finite"):
-        fre_sup(spec, a, alpha, M, 100.0)
+        fre_sup(spec, a, [alpha], [M], [100.0])
     with pytest.raises(ValueError, match="finite"):
         fre_sup(spec, a, [1.0, alpha], [1.0, M], [10.0, 100.0])
 

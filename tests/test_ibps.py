@@ -598,7 +598,8 @@ def test_state_terms_match_per_term_reference(n, a):
        delta=hst.sampled_from([0.05, 0.2]),
        seed=hst.integers(0, 2 ** 32 - 1), t=hst.floats(0.0, 0.02),
        nyquist=hst.sampled_from([0.0, 0.3, -0.7]))
-def _check_mirrored_rows(n, a, delta, seed, t, nyquist):
+def test_mirrored_rows_equal_the_full_row_oracle(n, a, delta, seed, t,
+                                                 nyquist):
     # the Nyquist mode pairs only on rows with xi < 0, where it has no
     # mirror: with a nonzero one only the rows with xi >= 0 must agree
     g = Grid(2.0 * np.pi, n)
@@ -612,13 +613,6 @@ def _check_mirrored_rows(n, a, delta, seed, t, nyquist):
     for row, (x, y) in enumerate(zip(got, want)):
         scale = np.max(np.abs(y))
         assert np.max(np.abs(x[rows] - y[rows])) <= 1e-13 * scale, row
-
-
-def test_mirrored_rows_equal_the_full_row_oracle():
-    # called, not collected: the hypothesis pytest plugin would import
-    # libcst to report a failing example, whose DeprecationWarning the
-    # warnings filter turns into an internal error of the whole session
-    _check_mirrored_rows()
 
 
 @pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])

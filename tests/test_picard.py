@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from hskdv import picard
 from hskdv.phases import eval_phase
 from hskdv.picard import (BoxData, FrequencyBox, PhaseFloorError,
                           duhamel_kernel, hs_norm_window, second_iterate_u,
@@ -189,17 +190,43 @@ def test_third_iterate_phase_floor():
                         min_phase=6000.0)
 
 
-def test_third_iterate_floor_error_names_the_first_point_in_loop_order():
-    # the outer xi2 nodes run box by box, and at each node the box pairs
-    # (xi11, xi12) in order, inner check before outer. Here the first hit
-    # is an outer-only one at the 4th node (pair (2:3, 2:3)); at the 5th
-    # node pair (-9:-8, 2:3), earlier in pair order, trips the inner check
-    v0 = BoxData([FrequencyBox(-9.0, -8.0), FrequencyBox(2.0, 3.0)])
+def _one_node_per_block(monkeypatch):
+    monkeypatch.setattr(picard, "_BLOCK_POINTS", 1)
+
+
+def test_third_iterate_floor_error_names_the_first_point_in_loop_order(
+        monkeypatch):
+    # blocks of outer xi2 nodes run in order, and in each block the box
+    # pairs (xi11, xi12) in order, inner check before outer. All 8 nodes
+    # fit one default block, where pair (-9:-8, -9:-8) trips the inner
+    # check first; with one node per block the first hit is an
+    # outer-only one at the 4th node (pair (2:3, 2:3))
+    args = (BoxData([FrequencyBox(-9.0, -8.0), FrequencyBox(2.0, 3.0)]),
+            2.0, 0.005, (-5.0, -1.0))
     with pytest.raises(PhaseFloorError) as err:
-        third_iterate_v(v0, 2.0, 0.005, (-5.0, -1.0), gl_nodes=4,
-                        min_phase=100.0)
+        third_iterate_v(*args, gl_nodes=4, min_phase=100.0)
+    assert str(err.value) == ("inner phase below floor at (xi, xi1, xi11)="
+                              "(-4.92157, -6.991, -8.99938)")
+    monkeypatch.setattr(picard, "_BLOCK_POINTS", 1)
+    with pytest.raises(PhaseFloorError) as err:
+        third_iterate_v(*args, gl_nodes=4, min_phase=100.0)
     assert str(err.value) == ("outer phase below floor at (xi, xi1)="
                               "(-2.1451, 5.92433)")
+
+
+def test_third_iterate_block_size_does_not_change_the_parts(monkeypatch):
+    args = (BoxData([FrequencyBox(8.0, 9.0, 0.75), FrequencyBox(-3.5, -2.0)]),
+            2.0, 0.005, (10.0, 16.0))
+    floor = (BoxData([FrequencyBox(8.0, 9.0)]), 2.0, 0.005, (24.0, 26.0))
+    runs = []
+    for block_points in (picard._BLOCK_POINTS, 1):  # one node per block
+        monkeypatch.setattr(picard, "_BLOCK_POINTS", block_points)
+        runs.append(third_iterate_v(*args, gl_nodes=8, return_parts=True))
+        with pytest.raises(PhaseFloorError, match="outer phase below floor"):
+            third_iterate_v(*floor, gl_nodes=8, min_phase=6000.0)
+    for got, want in zip(*runs):
+        scale = np.max(np.abs(want.values))
+        assert np.max(np.abs(got.values - want.values)) <= 1e-14 * scale
 
 
 def _digest(outputs):
@@ -214,14 +241,15 @@ _N, _W = 64.0, 64.0 ** -0.5
 # the picard_third_v items of the certify workload (the L68 datum at
 # N = 64, gl_nodes = 6), and two boxes, one weighted, at gl_nodes = 8
 THIRD_PINS = [
-    (-1.0, "5ab165ee186f6dcdb1e6d79fba47a5bf"),
-    (-0.5, "f1941e56de7812fe6dda2dc54f6a9ff8"),
-    (-2.0, "f22ee4fbfe98aa467858448a4de7eb05"),
-    (-0.25, "7268202b1ce4edaefefc8f542d178ace"),
+    (-1.0, "ef6ea25456e694d1129e71a7884a72b2"),
+    (-0.5, "65c7834ff588ccc00cab73adbc63f288"),
+    (-2.0, "bcc6c5bb7e1143750f8c63b290f0757e"),
+    (-0.25, "5fac29debbaaebfe4574fd0f592cefbe"),
 ]
 
 
-@pytest.mark.parametrize("a, digest", THIRD_PINS)
+@pytest.mark.parametrize("a, digest", THIRD_PINS,
+                         ids=[str(a) for a, _ in THIRD_PINS])
 def test_third_iterate_vetted_parts_pinned(a, digest):
     v0 = BoxData([FrequencyBox(_N, _N + _W),
                   FrequencyBox(-_N + 1.25 * _W, -_N + 1.5 * _W)])
@@ -235,7 +263,7 @@ def test_third_iterate_two_box_parts_pinned():
     parts = third_iterate_v(v0, 2.0, 0.005, (10.0, 16.0), gl_nodes=8,
                             return_parts=True)
     assert np.count_nonzero(parts[0].values) == 147
-    assert _digest(parts) == "2a85d2506036a0da48f8a54ccc8a6096"
+    assert _digest(parts) == "575169ee35993ecdd4548ac489fdc57d"
 
 
 def test_hs_norm_window_checks():

@@ -363,8 +363,8 @@ REPORT_PINS = [
         1.6626953270363494e-07, 4.156738317537256e-08,
         1.039184579385091e-08]),
     ("L68", dict(s=-0.5, a=-1.0), (-2.75, None, 0.2, -1.0, True), [
-        4.745376510334317e-09, 7.036694170925593e-10,
-        1.0462772071434609e-10]),
+        4.745376510334317e-09, 7.036694170925594e-10,
+        1.046277207143461e-10]),
 ]
 
 
