@@ -30,8 +30,5 @@ print("  in_V(30, 29, 1)       =", ibps.in_V(30.0, 29.0, 1.0, cut))
 
 for step in (8, 4, 2, 1):
     traj = stored[::step]
-    res = ibps.ibps_residual(traj, 0.5, cut)
+    res = ibps.ibps_residual(traj, cut)
     print("states=%4d  residual=%.3e" % (len(traj), res))
-
-print("linear run:",
-      ibps.ibps_residual(stored[::4], 0.5, cut, nonlinear_enabled=False))

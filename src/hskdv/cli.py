@@ -49,9 +49,8 @@ KEY_TYPES = {
     "n": ("int", ("simulate", "ibps-check")),
     "dt": ("float", ("simulate", "ibps-check")),
     "T": ("float", ("simulate", "ibps-check")),
-    # ibps-check keeps the 2/3 rule its decomposition is built on
-    "dealias_fraction": ("float", ("simulate",)),
-    "nonlinear": ("bool", ("simulate", "ibps-check")),
+    # ibps-check solves the nonlinear system its decomposition describes
+    "nonlinear": ("bool", ("simulate",)),
     "store_every": ("int", ("simulate", "ibps-check")),
     "u0_amp": ("float", ("simulate", "ibps-check")),
     "v0_amp": ("float", ("simulate", "ibps-check")),
@@ -313,7 +312,6 @@ def _run_simulate(cfg, art):
     state, grid = _gaussian_state(cfg)
     scfg = spectral.SolverConfig(
         dt=cfg.get("dt", 1e-4),
-        dealias_fraction=cfg.get("dealias_fraction", 2.0 / 3.0),
         nonlinear_enabled=cfg.get("nonlinear", True))
     final, stored = spectral.run(state, scfg, cfg.get("T", 0.5),
                                  store_every=cfg.get("store_every", 100))
@@ -354,20 +352,19 @@ def _run_ibps(cfg, art):
     cut = ibps.CutoffParams(delta_u=cfg.get("delta_u", 0.05),
                             delta_v=cfg.get("delta_v", 0.05),
                             eta_sim=cfg.get("eta", 0.1))
-    scfg = spectral.SolverConfig(
-        dt=cfg.get("dt", 1e-4),
-        nonlinear_enabled=cfg.get("nonlinear", True))
-    if scfg.nonlinear_enabled:
-        # the kernels, and with them the phase-floor check, before the
-        # solve: a PhaseFloorError ends the run before any step, and the
-        # build's temporaries do not stack on the stored states
-        ibps.region_kernels(grid, a, cut)
-    _, stored = spectral.run(state, scfg, cfg.get("T", 0.1),
-                             store_every=cfg.get("store_every", 2))
-    if len(stored) % 2 == 0:
-        stored = stored[:-1]
-    res = ibps.ibps_residual(stored, a, cut,
-                             nonlinear_enabled=scfg.nonlinear_enabled)
+    scfg = spectral.SolverConfig(dt=cfg.get("dt", 1e-4))
+    T, every = cfg.get("T", 0.1), cfg.get("store_every", 2)
+    nsteps = round(T / scfg.dt)  # Simpson needs an even interval count
+    if every < 1 or nsteps < 1 or nsteps % (2 * every):
+        raise ConfigError("T=%r, dt=%r, store_every=%r: ibps-check needs "
+                          "round(T/dt) = %d to be a positive multiple of "
+                          "2*store_every" % (T, scfg.dt, every, nsteps))
+    # the kernels, and with them the phase-floor check, before the
+    # solve: a PhaseFloorError ends the run before any step, and the
+    # build's temporaries do not stack on the stored states
+    ibps.region_kernels(grid, a, cut)
+    _, stored = spectral.run(state, scfg, T, store_every=every)
+    res = ibps.ibps_residual(stored, cut)
     report = {
         "a": a,
         "delta_u": cut.delta_u,

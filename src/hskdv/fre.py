@@ -121,12 +121,6 @@ def _cubic_roots(c):
     return roots
 
 
-def _real_cubic_roots(c):
-    """Sorted real roots of c[0] x^3 + ... + c[3]: one row of _cubic_roots."""
-    r = _cubic_roots(c)[0]
-    return sorted(r[~np.isnan(r)].tolist())
-
-
 class FreSpec:
     """What to integrate: multiplier, Sobolev weights, phase.
 
@@ -334,23 +328,23 @@ DEFAULT_ALPHA_GRID = (0.0, 1.0, -1.0, 10.0, -10.0)
 DEFAULT_M_GRID = (1.0, 4.0)
 
 
-def ratio_scan(spec, a, lams=(1e2, 1e3, 1e4),
-               alpha_grid=DEFAULT_ALPHA_GRID, m_grid=DEFAULT_M_GRID):
+def ratio_scan(spec, a, lams=(1e2, 1e3, 1e4)):
     """Growth of the normalized FRE sup against the cutoff ladder.
 
     For each cutoff the worst ratio sup/( <alpha>^0.99 * M ) over the
-    (alpha, M) grid is recorded; the slope of log(ratio) vs log(cutoff)
-    is the report's growth_slope. Near-zero slope certifies a bounded
-    FRE (inside the validity region); a decisively positive slope
-    reproduces the failure outside it. The (at least 3 distinct)
-    cutoffs share one fre_sup call over all (alpha, M) pairs, so each
-    distinct fixed frequency is fitted and root-found once.
+    (alpha, M) grid DEFAULT_ALPHA_GRID x DEFAULT_M_GRID is recorded;
+    the slope of log(ratio) vs log(cutoff) is the report's
+    growth_slope. Near-zero slope certifies a bounded FRE (inside the
+    validity region); a decisively positive slope reproduces the
+    failure outside it. The (at least 3 distinct) cutoffs share one
+    fre_sup call over all (alpha, M) pairs, so each distinct fixed
+    frequency is fitted and root-found once.
     """
     lams = sorted(float(x) for x in lams)
     if len(set(lams)) < 3:
         raise ValueError("need at least 3 distinct cutoffs for a slope fit")
-    alphas = [al for al in alpha_grid for _ in m_grid]
-    Ms = [M for _ in alpha_grid for M in m_grid]
+    alphas = [al for al in DEFAULT_ALPHA_GRID for _ in DEFAULT_M_GRID]
+    Ms = [M for _ in DEFAULT_ALPHA_GRID for M in DEFAULT_M_GRID]
     norms = [float(_bracket(al)) ** ALPHA_EXPONENT * M
              for al, M in zip(alphas, Ms)]
     sups = [max(0.0, *(val / norm for val, norm in zip(row, norms)))

@@ -28,7 +28,9 @@ makes five FFT calls (NonlinearTerms' two, one for (u^2, v^2) and two
 of length 2n for both complements), one exp call and two gathers per
 region into scratch, each region's rows summed by one np.add.reduceat.
 
-All formulas use the normalized coupling beta = gamma = theta = 1.
+All formulas use the solver's 2/3 dealias rule and the normalized
+coupling beta = gamma = theta = 1, and take a from the states: every
+state must carry (a, 1, 1, 1) with one a.
 
 Problematic regions (with f ~= g meaning |f-g| <= eta*max(|f|,|g|)):
 
@@ -220,17 +222,20 @@ def _valid_conv(rows, k):
     return np.fft.rfft(f[:2] * f[::2], norm="forward")[:, :k]
 
 
-def region_kernels(grid, a, cut, last=[None, None]):
+_LAST = [None, None]  # the last region_kernels key and kernels
+
+
+def region_kernels(grid, a, cut):
     """The _GridKernels of grid, a and cut, built once and cached.
 
     The build runs the phase-floor check, so PhaseFloorError comes from
     here. The cache holds the last (grid, a, cut) only: a grid's kernels
     serve its run, and a new grid replaces them.
     """
-    key = (float(a), cut.delta_u, cut.delta_v, cut.eta_sim)
-    if last[0] is None or last[0].grid is not grid or last[1] != key:
-        last[:] = _GridKernels(grid, a, cut), key
-    return last[0]
+    key = (grid, float(a), cut.delta_u, cut.delta_v, cut.eta_sim)
+    if _LAST[0] != key:
+        _LAST[:] = key, _GridKernels(grid, a, cut)
+    return _LAST[1]
 
 
 def _gather(region, at_j, at_j2, out):
@@ -332,28 +337,44 @@ class _StateTerms:
         return terms
 
 
-def eval_term(tag, state, a, cut):
+def _state_terms(states, cut):
+    """The _StateTerms of states that share one grid and carry the system
+    (a, 1, 1, 1) that the decomposition describes; ValueError otherwise."""
+    grid, a = states[0].grid, states[0].params.a
+    for st in states:
+        if st.grid is not grid:
+            raise ValueError("trajectory states do not share one grid")
+        p = st.params
+        if (p.a, p.beta, p.gamma, p.theta) != (a, 1, 1, 1):
+            raise ValueError("the decomposition describes the system "
+                             "(a, beta, gamma, theta) = (%g, 1, 1, 1), not "
+                             "%r" % (a, p))
+    return _StateTerms(grid, a, cut)
+
+
+def eval_term(tag, state, cut):
     """Evaluate one decomposition term on a spectral-grid state.
 
     Returns the term as a coefficient array over all n modes, in profile
-    coordinates at the state's time, for the normalized coupling: the
-    tag's row of _StateTerms, mirrored to xi < 0.
+    coordinates at the state's time, for the state's system (a, 1, 1, 1):
+    the tag's row of _StateTerms, mirrored to xi < 0.
     """
     if tag not in TERM_TAGS:
         raise ValueError("unknown term tag %r" % (tag,))
-    return _all_modes(_StateTerms(state.grid, a, cut)(state)
+    return _all_modes(_state_terms([state], cut)(state)
                       [TERM_TAGS.index(tag)], state.grid.n)
 
 
-def coupling_terms(state, a, cut):
+def coupling_terms(state, cut):
     """Classical profile-equation right sides (u and v), dealiased.
 
     Equals (N0u + region part + N3u, N0v + region part). These are the
     solver's nonlinear terms (spectral.NonlinearTerms on the half space)
-    at the normalized coupling, mirrored to all n modes and mapped to
-    profile coordinates: the last two rows of _StateTerms, mirrored.
+    for the state's system (a, 1, 1, 1), mirrored to all n modes and
+    mapped to profile coordinates: the last two rows of _StateTerms,
+    mirrored.
     """
-    return tuple(_all_modes(_StateTerms(state.grid, a, cut)(state)[-2:],
+    return tuple(_all_modes(_state_terms([state], cut)(state)[-2:],
                             state.grid.n))
 
 
@@ -365,20 +386,21 @@ def _simpson_weights(m, h):
     return w * (h / 3.0)
 
 
-def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
+def ibps_residual(trajectory, cut):
     """Discrepancy between the two profile reconstructions at the final time.
 
     trajectory: equally spaced SimStates from the spectral module (an
-    even number of intervals) that share one grid and whose params are
-    (a, 1, 1, 1), the system the decomposition describes; anything else
-    raises ValueError. Both right sides are integrated in time with
-    composite Simpson over the stored states, from one _StateTerms
-    call per state; the boundary terms come from the first and last
-    states' rows. The return value is the maximum over modes (u and v
-    alike) of |classical - integrated-by-parts| divided by the largest
-    classical profile coefficient magnitude, taken on the kept rows of
-    _StateTerms, which the rows with xi < 0 mirror, and off the dealias
-    mask, where both profiles are the initial one.
+    even number of intervals) that share one grid and carry one system
+    (a, 1, 1, 1), the system the decomposition describes, and the check
+    takes its a from them; anything else raises ValueError. Both right
+    sides are integrated in time with composite Simpson over the stored
+    states, from one _StateTerms call per state; the boundary terms
+    come from the first and last states' rows. The return value is the
+    maximum over modes (u and v alike) of
+    |classical - integrated-by-parts| divided by the largest classical
+    profile coefficient magnitude, taken on the kept rows of
+    _StateTerms, which the rows with xi < 0 mirror, and off the
+    dealias mask, where both profiles are the initial one.
     """
     if len(trajectory) < 3 or len(trajectory) % 2 == 0:
         raise ValueError("need an odd number of equally spaced states "
@@ -389,21 +411,8 @@ def ibps_residual(trajectory, a, cut, nonlinear_enabled=True):
     steps = np.diff([st.t for st in trajectory])
     if np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1e-12):
         raise ValueError("trajectory states are not equally spaced")
-    grid = trajectory[0].grid
-    for st in trajectory:
-        if st.grid is not grid:
-            raise ValueError("trajectory states do not share one grid")
-        p = st.params
-        if (p.a, p.beta, p.gamma, p.theta) != (a, 1, 1, 1):
-            raise ValueError("the decomposition describes the system "
-                             "(a, beta, gamma, theta) = (%g, 1, 1, 1), not "
-                             "%r" % (a, p))
-
-    if not nonlinear_enabled:
-        # all coupling terms carry the switched-off coefficients
-        return 0.0
-
-    state_terms = _StateTerms(grid, a, cut)
+    state_terms = _state_terms(trajectory, cut)
+    a, grid = state_terms.a, state_terms.ker.grid
     acc = np.zeros((len(_EQUATION), state_terms.ker.nrows), dtype=complex)
     for k, (wi, st) in enumerate(zip(_simpson_weights(m, h), trajectory)):
         terms = state_terms(st)

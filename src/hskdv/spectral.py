@@ -11,8 +11,9 @@ RK4 on the profile variables
 
 so the stiff linear dispersion is removed exactly and only the
 nonlinear terms are integrated numerically. Quadratic products are
-dealiased with the 2/3 rule, which makes them equal to exact
-(non-circular) convolutions of the retained modes.
+dealiased with the 2/3 rule of Grid.dealias_mask, the one rule of
+every run, which makes them equal to exact (non-circular)
+convolutions of the retained modes.
 
 Fourier coefficients follow the "continuous coefficient" convention
 c_k = fft(samples)/n, so a pure cosine has two coefficients of 1/2.
@@ -22,7 +23,7 @@ conjugate-symmetric, c(-k) = conj(c(k)), and the solver works on one
 mode space, the half space: the m = n/2+1 modes of frequencies
 0, ..., n/2-1 and the Nyquist mode, transformed with irfft/rfft. The
 Nyquist mode keeps fftfreq's xi = -pi n/L, so its coefficient follows
-the linear flow of that frequency; it is outside every dealias mask,
+the linear flow of that frequency; it is outside the dealias mask,
 and irfft reads only its real part, which is why the imaginary part of
 the Nyquist coefficient is the one asymmetry a SpectralField may carry.
 A step makes 8 FFT calls, one inverse and one forward per RK4 stage,
@@ -61,8 +62,8 @@ class Grid:
         self.x = np.arange(n) * (self.L / n)
         self.xi = 2.0 * np.pi * np.fft.fftfreq(n, d=self.L / n)
 
-    def dealias_mask(self, fraction=2.0 / 3.0):
-        cutoff = fraction * (self.n // 2)
+    def dealias_mask(self):
+        cutoff = 2.0 / 3.0 * (self.n // 2)
         return np.abs(np.fft.fftfreq(self.n) * self.n) < cutoff
 
     def __repr__(self):
@@ -131,14 +132,10 @@ class SimState:
 
 
 class SolverConfig:
-    def __init__(self, dt, dealias_fraction=2.0 / 3.0,
-                 nonlinear_enabled=True):
+    def __init__(self, dt, nonlinear_enabled=True):
         if dt <= 0:
             raise ValueError("dt must be positive")
-        if not 0 < dealias_fraction <= 1:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
         self.dt = float(dt)
-        self.dealias_fraction = float(dealias_fraction)
         self.nonlinear_enabled = bool(nonlinear_enabled)
 
 
@@ -244,7 +241,7 @@ class _Propagator:
         grid, p = state.grid, state.params
         self.grid = grid
         m = grid.n // 2 + 1
-        self.mask = grid.dealias_mask(cfg.dealias_fraction)[:m]
+        self.mask = grid.dealias_mask()[:m]
         self.terms = NonlinearTerms(grid, p, self.mask)
         self.xi_max = np.abs(grid.xi).max()
         self.weights = np.full(m, 2.0)

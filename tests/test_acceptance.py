@@ -321,12 +321,8 @@ def test_criterion_6_ibps_consistency():
     cut = ibps.CutoffParams(delta_u=0.05, delta_v=0.05, eta_sim=0.1)
     _, stored = spectral.run(st, spectral.SolverConfig(dt=2e-5), 0.1,
                              store_every=2)
-    if len(stored) % 2 == 0:
-        stored = stored[:-1]
-    res = ibps.ibps_residual(stored, 0.5, cut)
+    res = ibps.ibps_residual(stored, cut)
     assert res <= 1e-4
-    assert ibps.ibps_residual(stored, 0.5, cut,
-                              nonlinear_enabled=False) == 0.0
 
 
 # --------------------------------------------------------------- 7

@@ -49,6 +49,20 @@ def test_parse_config_wrong_command_key():
     assert cli.main(["ibps-check", "--dealias_fraction", "0.5"]) == 2
 
 
+@pytest.mark.parametrize("command, key", [("simulate", "dealias_fraction"),
+                                          ("ibps-check", "nonlinear")])
+def test_removed_keys_are_config_errors(tmp_path, capsys, command, key):
+    # every run dealiases by the 2/3 rule, and ibps-check solves the
+    # nonlinear system its decomposition describes
+    out = tmp_path / "out"
+    assert cli.main([command, "--a", "0.5", "--n", "64", "--T", "0.004",
+                     "--dt", "1e-4", "--" + key, "0",
+                     "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parse_config_missing_command():
     with pytest.raises(ConfigError):
         parse_config("a=2\n")
@@ -190,7 +204,7 @@ def test_picard_bad_iterate(tmp_path, capsys):
 
 def test_ibps_acceptance_exit(tmp_path):
     code = cli.main(["ibps-check", "--a", "0.5", "--n", "128",
-                     "--T", "0.005", "--dt", "1e-4", "--store-every", "2",
+                     "--T", "0.004", "--dt", "1e-4", "--store-every", "2",
                      "--max-residual", "1e-30", "--out", str(tmp_path)])
     assert code == EXIT_ACCEPTANCE
     rep = json.loads((tmp_path / "ibps_report.json").read_text())
@@ -213,6 +227,30 @@ def test_ibps_check_floor_failure_ends_the_run_before_the_solve(
     err = capsys.readouterr().err
     assert err.startswith("numerical validity failure: Phi1u below its "
                           "floor") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("every", ["2", "3", "7"])
+def test_ibps_check_rejects_step_counts_simpson_cannot_use(
+        tmp_path, monkeypatch, capsys, every):
+    # 50 steps are no multiple of 2*store_every: Simpson over the kept
+    # states would have to leave out the end of the run (every 2nd or
+    # 3rd) or could not run (every 7th: unequal spacing). The run stops
+    # before the kernels and the solve.
+    def fail(*args, **kwargs):
+        raise AssertionError("built kernels or stepped before the check")
+
+    monkeypatch.setattr(ibps, "region_kernels", fail)
+    monkeypatch.setattr(spectral, "step", fail)
+    out = tmp_path / "out"
+    code = cli.main(["ibps-check", "--a", "0.5", "--n", "64",
+                     "--L", repr(2.0 * np.pi), "--T", "0.005", "--dt", "1e-4",
+                     "--store_every", every, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    for name in ("T=0.005", "dt=0.0001", "store_every=" + every):
+        assert name in err[0]
     assert list(tmp_path.iterdir()) == []
 
 

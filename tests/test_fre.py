@@ -8,8 +8,14 @@ import pytest
 
 from hskdv import fre
 from hskdv.fre import (FreSpec, fre_sup, level_set_measure, make_fre_spec,
-                       ratio_scan, _real_cubic_roots)
+                       ratio_scan)
 from hskdv.phases import eval_phase
+
+
+def _real_cubic_roots(c):
+    """Sorted real roots of c[0] x^3 + ... + c[3]: one row of _cubic_roots."""
+    r = fre._cubic_roots(c)[0]
+    return sorted(r[~np.isnan(r)].tolist())
 
 
 def test_level_set_measure_cases():

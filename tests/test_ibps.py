@@ -93,15 +93,15 @@ def test_bu_vanishes_without_v():
     g = Grid(2.0 * np.pi, 64)
     p = _norm_params(0.5)
     st = make_state(g, lambda x: 0.3 * np.cos(x), lambda x: 0.0 * x, p)
-    assert np.all(eval_term("Bu", st, 0.5, CUT10) == 0.0)
-    assert np.all(eval_term("N0u", st, 0.5, CUT10) == 0.0)
+    assert np.all(eval_term("Bu", st, CUT10) == 0.0)
+    assert np.all(eval_term("N0u", st, CUT10) == 0.0)
 
 
 def test_unknown_tag():
     g = Grid(2.0 * np.pi, 32)
     st = _gaussian_state(g, 0.5)
     with pytest.raises(ValueError):
-        eval_term("N4u", st, 0.5, CUT10)
+        eval_term("N4u", st, CUT10)
 
 
 def test_n3u_matches_quadratic_profile_term():
@@ -109,7 +109,7 @@ def test_n3u_matches_quadratic_profile_term():
     a = 0.5
     st = _gaussian_state(g, a)
     st.t = 0.013
-    got = eval_term("N3u", st, a, CutoffParams())
+    got = eval_term("N3u", st, CutoffParams())
     # independent route: physical-space square, transform, dealias
     mask = g.dealias_mask()
     uh = st.uhat.coeffs * mask
@@ -162,15 +162,15 @@ def test_partition_identity_u_and_v():
     cut = CutoffParams(delta_u=0.2, delta_v=0.2)  # threshold 5, inside band
     st = _gaussian_state(g, a, amp=0.4, width=0.8)
     st.t = 0.002
-    cu, cv = coupling_terms(st, a, cut)
+    cu, cv = coupling_terms(st, cut)
 
     comp_u, regn_u = _oracle_split(st, a, cut, "u")
-    n3u = eval_term("N3u", st, a, cut)
-    assert np.max(np.abs(eval_term("N0u", st, a, cut) - comp_u)) < 1e-10
+    n3u = eval_term("N3u", st, cut)
+    assert np.max(np.abs(eval_term("N0u", st, cut) - comp_u)) < 1e-10
     assert np.max(np.abs(cu - (comp_u + regn_u + n3u))) < 1e-10
 
     comp_v, regn_v = _oracle_split(st, a, cut, "v")
-    assert np.max(np.abs(eval_term("N0v", st, a, cut) - comp_v)) < 1e-10
+    assert np.max(np.abs(eval_term("N0v", st, cut) - comp_v)) < 1e-10
     assert np.max(np.abs(cv - (comp_v + regn_v))) < 1e-10
 
 
@@ -242,7 +242,7 @@ def test_every_term_matches_double_loop_oracle(a):
                   _norm_params(a))
     oracle = _oracle_terms(st, a, cut)
     for tag in TERM_TAGS:
-        got = eval_term(tag, st, a, cut)
+        got = eval_term(tag, st, cut)
         scale = np.max(np.abs(oracle[tag]))
         assert scale > 0.0, tag
         assert np.max(np.abs(got - oracle[tag])) <= 1e-12 * scale, tag
@@ -265,7 +265,7 @@ def test_phase_floor_guard_names_first_pair(monkeypatch, name, constant):
                  if -g.n // 2 <= round((x - x1) / dxi) <= g.n // 2 - 1
                  and member(x, x1))
     with pytest.raises(PhaseFloorError) as err:
-        eval_term("Bu", st, a, cut)
+        eval_term("Bu", st, cut)
     msg = str(err.value)
     assert msg.startswith(name + " below its floor")
     assert msg.endswith("(xi, xi1) = (%g, %g)" % first)
@@ -297,25 +297,20 @@ def short_trajectory():
 
 def test_residual_small_and_refines(short_trajectory):
     cut = CutoffParams()
-    res = ibps_residual(short_trajectory, 0.5, cut)
+    res = ibps_residual(short_trajectory, cut)
     assert res < 1e-4
-    coarse = ibps_residual(short_trajectory[::2], 0.5, cut)
+    coarse = ibps_residual(short_trajectory[::2], cut)
     # composite Simpson defect drops like h^4
     assert coarse / res >= 8.0
 
 
-def test_residual_linear_run_zero(short_trajectory):
-    assert ibps_residual(short_trajectory, 0.5, CutoffParams(),
-                         nonlinear_enabled=False) == 0.0
-
-
 def test_residual_input_validation(short_trajectory):
     with pytest.raises(ValueError):
-        ibps_residual(short_trajectory[:4], 0.5, CutoffParams())
+        ibps_residual(short_trajectory[:4], CutoffParams())
     bad = [short_trajectory[0], short_trajectory[1], short_trajectory[4]]
     assert len(bad) % 2 == 1
     with pytest.raises(ValueError):
-        ibps_residual(bad, 0.5, CutoffParams())
+        ibps_residual(bad, CutoffParams())
 
 
 def test_residual_zero_data():
@@ -327,7 +322,7 @@ def test_residual_zero_data():
         st = make_state(g, zero, zero, p)
         st.t = k * 0.01
         states.append(st)
-    assert ibps_residual(states, 0.5, CutoffParams()) == 0.0
+    assert ibps_residual(states, CutoffParams()) == 0.0
 
 
 @pytest.mark.parametrize("a", [-1.0, 2.0])
@@ -349,7 +344,7 @@ def test_output_row_filter_keeps_every_term(a):
         assert np.all(ker.outmask[rows]) and np.all(g.xi[rows] >= 0)
     want = _FullRowStateTerms(g, a, cut, every_row=True)(st)
     for k, tag in enumerate(TERM_TAGS):
-        got = eval_term(tag, st, a, cut)
+        got = eval_term(tag, st, cut)
         assert np.max(np.abs(got - want[k])) <= 1e-13 * np.max(
             np.abs(want[k])), tag
 
@@ -583,8 +578,8 @@ def test_state_terms_match_per_term_reference(n, a):
     assert got.shape == (12, k)
     ref = ([_ref_eval_term(tag, st, a, cut) for tag in TERM_TAGS]
            + list(_ref_coupling_terms(st, a, cut)))
-    full = ([eval_term(tag, st, a, cut) for tag in TERM_TAGS]
-            + list(coupling_terms(st, a, cut)))
+    full = ([eval_term(tag, st, cut) for tag in TERM_TAGS]
+            + list(coupling_terms(st, cut)))
     for row, (x, y) in enumerate(zip(full, ref)):
         scale = np.max(np.abs(y))
         assert scale > 0.0, row
@@ -632,14 +627,14 @@ def test_coupling_terms_are_the_solver_right_side(a):
     carriers = g.dealias_mask() * np.exp(np.multiply.outer(
         (-1j * a * st.t, -1j * st.t), g.xi ** 3))
     want = prop.full(nl) * carriers
-    cu, cv = coupling_terms(st, a, CutoffParams())
+    cu, cv = coupling_terms(st, CutoffParams())
     assert np.array_equal(cu, want[0]) and np.array_equal(cv, want[1])
 
 
 def test_residual_matches_per_term_reference(short_trajectory):
     cut = CutoffParams()
     ref = _ref_residual(short_trajectory, 0.5, cut)
-    got = ibps_residual(short_trajectory, 0.5, cut)
+    got = ibps_residual(short_trajectory, cut)
     assert ref > 0.0
     assert abs(got - ref) <= 1e-6 * ref
 
@@ -651,21 +646,39 @@ def test_residual_rejects_other_grids(short_trajectory):
     states[2] = SimState(st.t, SpectralField(g, st.uhat.coeffs),
                          SpectralField(g, st.vhat.coeffs), st.params)
     with pytest.raises(ValueError, match="share one grid"):
-        ibps_residual(states, 0.5, CutoffParams())
+        ibps_residual(states, CutoffParams())
 
 
 def test_residual_rejects_other_systems(short_trajectory):
-    # the decomposition describes (a, 1, 1, 1) only
-    with pytest.raises(ValueError, match="describes the system"):
-        ibps_residual(short_trajectory[:5], 2.0, CutoffParams())
+    # the decomposition describes (a, 1, 1, 1) with one a only: a
+    # trajectory that mixes a = 1/2 and a = 2 is none
     states = list(short_trajectory[:5])
+    st = states[-1]
+    states[-1] = SimState(st.t, st.uhat, st.vhat, _norm_params(2.0))
+    with pytest.raises(ValueError, match=r"describes the system "
+                       r"\(a, beta, gamma, theta\) = \(0\.5, 1, 1, 1\)"):
+        ibps_residual(states, CutoffParams())
+    states[-1] = st
     for key in ("beta", "gamma", "theta"):
         st = states[-1]
         states[-1] = SimState(st.t, st.uhat, st.vhat,
                               Coefficients(0.5, **{key: 2.0}))
         with pytest.raises(ValueError, match="describes the system"):
-            ibps_residual(states, 0.5, CutoffParams())
+            ibps_residual(states, CutoffParams())
         states[-1] = st
+
+
+@pytest.mark.parametrize("key", ["beta", "gamma", "theta"])
+def test_terms_reject_other_couplings(key):
+    # eval_term and coupling_terms read a from the state, and the state
+    # must carry the normalized coupling
+    g = Grid(2.0 * np.pi, 32)
+    st = make_state(g, lambda x: 0.3 * np.cos(x), lambda x: 0.2 * np.sin(x),
+                    Coefficients(0.5, **{key: 2.0}))
+    with pytest.raises(ValueError, match="describes the system"):
+        eval_term("Bu", st, CUT10)
+    with pytest.raises(ValueError, match="describes the system"):
+        coupling_terms(st, CUT10)
 
 
 # The five vetted ibps-check tuples (n = 256, L = 2 pi, dt = 2e-5,

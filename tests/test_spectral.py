@@ -116,7 +116,7 @@ def _per_product_step(state, cfg):
     """
     grid, p, dt, t = state.grid, state.params, cfg.dt, state.t
     xi = grid.xi
-    mask = grid.dealias_mask(cfg.dealias_fraction)
+    mask = grid.dealias_mask()
 
     def rhs(tau, util, vtil):
         eu = np.exp(1j * p.a * tau * xi ** 3)
@@ -170,7 +170,7 @@ def test_step_matches_per_product_step_at_large_t(case):
     # absolute ones; a = 0.3 makes a tau xi^3 depend on product order
     g = Grid(2.0 * np.pi, 128)
     st = _random_state(g, Coefficients(0.3, beta=0.5, gamma=-1.0))
-    cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
+    cfg = SolverConfig(dt=1e-3)
     st = ref = SimState(37.0, st.uhat, st.vhat, st.params)
     assert 37.0 * np.max(g.xi) ** 3 > 1e6
     for _ in range(20):
@@ -382,7 +382,7 @@ def test_run_matches_step_loop():
     # run() builds one propagator (mask, eh, exp memo) for all steps;
     # step() alone builds its own, and the results are bit-identical
     g = Grid(2.0 * np.pi, 64)
-    cfg = SolverConfig(dt=1e-3, dealias_fraction=0.5)
+    cfg = SolverConfig(dt=1e-3)
     st = _random_state(g, Coefficients(-1.0, beta=0.5, gamma=-1.0))
     fin, stored = run(st, cfg, 0.02, store_every=5)
     ref = [st]

@@ -3,6 +3,7 @@
 import ast
 import glob
 import importlib
+import inspect
 import os
 import re
 import sys
@@ -54,20 +55,27 @@ def test_all_names_resolve():
         assert hasattr(hskdv, name), name
 
 
+def _demo_imports(path):
+    """One demo's syntax tree and {local name: (module, name)} of its
+    imports from hskdv."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "hskdv"):
+            for al in node.names:
+                aliases[al.asname or al.name] = (node.module, al.name)
+    return tree, aliases
+
+
 def _demo_references(path):
     """(module, name, attribute) triples of hskdv that one demo uses.
 
     attribute is None for the imported name itself.
     """
-    with open(path) as fh:
-        tree = ast.parse(fh.read(), path)
-    refs, aliases = [], {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module and (
-                node.module.split(".")[0] == "hskdv"):
-            for al in node.names:
-                refs.append((node.module, al.name, None))
-                aliases[al.asname or al.name] = (node.module, al.name)
+    tree, aliases = _demo_imports(path)
+    refs = [imp + (None,) for imp in aliases.values()]
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
@@ -91,6 +99,48 @@ def test_demo_names_exist(path):
     for module, name, attr in refs:
         obj = _imported(module, name)
         assert attr is None or hasattr(obj, attr), (module, name, attr)
+
+
+def _demo_calls(path):
+    """(line, callee, positional count, keyword names, unpacked) of every
+    call in one demo to an hskdv name or an attribute of one; unpacked
+    is True if the call has a *args or **kwargs argument."""
+    tree, imports = _demo_imports(path)
+    aliases = {k: _imported(*imp) for k, imp in imports.items()}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in aliases:
+            callee = aliases[func.id]
+        elif (isinstance(func, ast.Attribute)
+              and isinstance(func.value, ast.Name)
+              and func.value.id in aliases):
+            callee = getattr(aliases[func.value.id], func.attr)
+        else:
+            continue
+        unpacked = (any(isinstance(a, ast.Starred) for a in node.args)
+                    or any(k.arg is None for k in node.keywords))
+        calls.append((node.lineno, callee, len(node.args),
+                      [k.arg for k in node.keywords if k.arg], unpacked))
+    return calls
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_calls_bind(path):
+    # a call the signature cannot bind fails only when the demo runs;
+    # with *args or **kwargs the unpacked part may supply the rest
+    calls = _demo_calls(path)
+    assert calls
+    for line, callee, npos, names, unpacked in calls:
+        sig = inspect.signature(callee)
+        bind = sig.bind_partial if unpacked else sig.bind
+        try:
+            bind(*[None] * npos, **dict.fromkeys(names))
+        except TypeError as err:
+            pytest.fail("%s line %d: %s" % (os.path.basename(path), line,
+                                             err))
 
 
 def test_package_imports_only_numpy_and_the_standard_library():

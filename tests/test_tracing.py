@@ -150,10 +150,10 @@ def test_traced_ibps_residual_makes_five_ffts_per_state():
     try:
         tracing.install(tr, MODULES)
         patched = list(tr._saved)
-        ibps.ibps_residual(stored, 0.5, cut)
+        ibps.ibps_residual(stored, cut)
         residual_ffts = tr.counts["spectral.fft.calls"]
-        ibps.eval_term("Bu", stored[0], 0.5, cut)
-        ibps.coupling_terms(stored[0], 0.5, cut)
+        ibps.eval_term("Bu", stored[0], cut)
+        ibps.coupling_terms(stored[0], cut)
         ker = ibps.region_kernels(g, 0.5, cut)
         ker.pair_sum(ker.U, ker.ku, st.uhat.coeffs, st.vhat.coeffs)
     finally:
