@@ -14,8 +14,7 @@ from .picard import (FrequencyBox, BoxData, PicardOutput, duhamel_kernel,
                      second_iterate_u, second_iterate_v, third_iterate_v,
                      hs_norm_window)
 from .ibps import CutoffParams, eval_term, coupling_terms, ibps_residual
-from .fre import (FreSpec, make_fre_spec, level_set_measure, fre_sup,
-                  ratio_scan)
+from .fre import make_fre_spec, level_set_measure, fre_sup, ratio_scan
 from .sharpness import (CounterexampleSpec, build, predicted_slope,
                         run_ladder, verdict, ladder_report)
 
@@ -32,8 +31,7 @@ __all__ = [
     "second_iterate_u", "second_iterate_v", "third_iterate_v",
     "hs_norm_window",
     "CutoffParams", "eval_term", "coupling_terms", "ibps_residual",
-    "FreSpec", "make_fre_spec", "level_set_measure", "fre_sup",
-    "ratio_scan",
+    "make_fre_spec", "level_set_measure", "fre_sup", "ratio_scan",
     "CounterexampleSpec", "build", "predicted_slope", "run_ladder",
     "verdict", "ladder_report",
     "__version__",

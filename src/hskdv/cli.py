@@ -287,7 +287,7 @@ def _run_classify(cfg, art):
     p = regions.RegularityPoint(cfg.require("k"), cfg.require("s"))
     a = cfg.require("a")
     verdict = regions.classify(a, p)
-    out = verdict.as_dict()
+    out = verdict._asdict()
     if verdict.supported:
         coeffs = _coeffs(cfg)
         out["gwp"] = regions.classify_gwp(coeffs, p)
@@ -391,7 +391,7 @@ def _run_fre(cfg, art):
     a = cfg.require("a")
     lams = tuple(cfg.get("lams", (1e2, 1e3, 1e4)))
     report = fre.ratio_scan(spec, a, lams=lams)
-    out = report.as_dict()
+    out = report._asdict()
     out["a"] = a
     out["form"] = cfg.require("form")
     out["k"] = k

@@ -11,12 +11,13 @@ growth outside).
 
 import math
 import warnings
+from collections import namedtuple
 
 import numpy as np
 # the stacked LAPACK solve that np.linalg.lstsq makes per matrix
 from numpy.linalg._umath_linalg import lstsq as _lstsq
 
-from .phases import PHASES, eval_phase
+from .phases import eval_phase
 from .picard import GL_RULE
 
 ALPHA_EXPONENT = 0.99  # numerical stand-in for the <alpha>^(1-) weight
@@ -121,38 +122,29 @@ def _cubic_roots(c):
     return roots
 
 
-class FreSpec:
-    """What to integrate: multiplier, Sobolev weights, phase.
+# What to integrate for one bilinear form: its multiplier ('xi', the
+# symbol of d/dx(v*v), or 'xi2', that of u v_x), weights = (s_out, s_1,
+# s_2) and phase, a tag of phases.PHASES in the two free frequencies
+# (xi1, xi2). The sup runs over the output frequency xi and the integral
+# over xi1, with xi2 = xi - xi1. Built by make_fre_spec only.
+FreSpec = namedtuple("FreSpec", "form multiplier weights phase")
 
-    multiplier: 'xi' (symbol of d/dx(v*v)) or 'xi2' (symbol of u v_x).
-    weights = (s_out, s_1, s_2). phase: a tag of phases.PHASES with the
-    two free frequencies (xi1, xi2). The sup runs over the output
-    frequency xi and the integral over xi1, with xi2 = xi - xi1.
-    """
-
-    def __init__(self, multiplier, weights, phase_tag):
-        if multiplier not in ("xi", "xi2"):
-            raise ValueError("unknown multiplier %r" % (multiplier,))
-        if phase_tag not in PHASES or len(PHASES[phase_tag][0]) != 2:
-            raise ValueError("FRE scans need a quadratic phase, got %r"
-                             % (phase_tag,))
-        self.multiplier = multiplier
-        self.weights = tuple(float(wq) for wq in weights)
-        self.phase = phase_tag
+# form -> (multiplier, which of k and s weighs xi, xi1 and xi2, phase)
+_FORMS = {"dxv2": ("xi", "kss", "Phi1u"), "uvx": ("xi2", "sks", "Phiv")}
 
 
-def make_fre_spec(kind, k, s):
-    """Canonical FreSpec for the two bilinear interactions.
+def make_fre_spec(form, k, s):
+    """The FreSpec of one of the two bilinear interactions.
 
-    kind 'dxv2': output u in H^k from v*v data in H^s (multiplier xi,
-    phase Phi1u); kind 'uvx': output v in H^s from u in H^k and v in
+    form 'dxv2': output u in H^k from v*v data in H^s (multiplier xi,
+    phase Phi1u); form 'uvx': output v in H^s from u in H^k and v in
     H^s (multiplier xi2, phase Phiv).
     """
-    if kind == "dxv2":
-        return FreSpec("xi", (k, s, s), "Phi1u")
-    if kind == "uvx":
-        return FreSpec("xi2", (s, k, s), "Phiv")
-    raise ValueError("unknown FRE kind %r" % (kind,))
+    if form not in _FORMS:
+        raise ValueError("unknown FRE form %r" % (form,))
+    multiplier, weights, phase = _FORMS[form]
+    index = {"k": float(k), "s": float(s)}
+    return FreSpec(form, multiplier, tuple(index[w] for w in weights), phase)
 
 
 def _freqs_from(w, free):
@@ -306,22 +298,11 @@ def fre_sup(spec, a, alphas, Ms, lams):
     return best.reshape(nj, nw, npair).max(axis=1)
 
 
-class ScanReport:
-    def __init__(self, sup_value, ratio, growth_slope, lams, sup_values):
-        self.sup_value = float(sup_value)
-        self.ratio = float(ratio)
-        self.growth_slope = float(growth_slope)
-        self.lams = list(lams)
-        self.sup_values = list(sup_values)
-
-    def as_dict(self):
-        return {
-            "sup_value": self.sup_value,
-            "ratio": self.ratio,
-            "growth_slope": self.growth_slope,
-            "lams": self.lams,
-            "sup_values": self.sup_values,
-        }
+# One ratio_scan: the worst normalized sup at the largest cutoff (as
+# sup_value and ratio), the log-log growth_slope, and the sorted cutoffs
+# lams with the normalized sup_values at each.
+ScanReport = namedtuple("ScanReport", ("sup_value", "ratio", "growth_slope",
+                                       "lams", "sup_values"))
 
 
 DEFAULT_ALPHA_GRID = (0.0, 1.0, -1.0, 10.0, -10.0)

@@ -131,11 +131,11 @@ class _GridKernels:
     rows, then on the pairs with no mirror there, those with xi, xi1 or
     xi2 = -n/2 (50 in U and 25 in V at a = 1/2). Phi1u and Phiv are odd
     (eval_phase to 6e-16 relative on region pairs), so every other pair
-    is checked through its mirror, and the pair named is the first below
-    the floor in row-major order over all n rows. Then only the pairs of
-    the nrows kept rows (grid indices 0, ..., nrows-1, inside the dealias
-    mask outmask) stay, all of a row's in order: 1470 in U and 735 in V
-    at n = 256, a = 1/2, 45% of those checked. The kernels are real
+    is checked through its mirror, and the pair named is the first at or
+    below the floor in row-major order over all n rows. Then only the
+    pairs of the nrows kept rows (grid indices 0, ..., nrows-1, inside
+    the dealias mask outmask) stay, all of a row's in order: 1470 in U
+    and 735 in V at n = 256, a = 1/2, 45% of those checked. The kernels are real
     arrays over the kept pairs of their region: ku = xi/Phi1u on U,
     kv2 = xi2/Phiv and kv12 = xi1 xi2/Phiv on V.
     """
@@ -173,7 +173,8 @@ class _GridKernels:
             x, x1 = xi[i], xi[j]
             x2 = x - x1
             phi = eval_phase(name, a, (x1, x2))
-            bad = np.flatnonzero(np.abs(phi) < 0.5 * c * np.abs(x) ** 3)
+            # <=: an exactly zero phase fails even where c = 0 (a = 1)
+            bad = np.flatnonzero(np.abs(phi) <= 0.5 * c * np.abs(x) ** 3)
             if bad.size:
                 raise PhaseFloorError(
                     "%s below its floor inside the region at (xi, xi1) = "

@@ -19,6 +19,7 @@ inequalities, so membership is evaluated in exact rational arithmetic
 floats through a bounded denominator.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 
@@ -47,37 +48,15 @@ class RegularityPoint:
         return "RegularityPoint(k=%s, s=%s)" % (self.k, self.s)
 
 
-class Verdict:
-    """Classification of one (a, k, s) triple.
-
-    lwp:    'DirectA0', 'IBPSOnly', or None
-    illposed: 'C2', 'C3', or None
-    gwp:    'Yes', 'No', or 'Unknown'
-    open_region: True on points the theory leaves open
-    supported: False exactly for a in {0, 1}
-    """
-
-    def __init__(self, lwp=None, illposed=None, gwp="Unknown",
-                 open_region=False, supported=True):
-        self.lwp = lwp
-        self.illposed = illposed
-        self.gwp = gwp
-        self.open_region = open_region
-        self.supported = supported
-
-    def as_dict(self):
-        return {
-            "lwp": self.lwp,
-            "illposed": self.illposed,
-            "gwp": self.gwp,
-            "open_region": self.open_region,
-            "supported": self.supported,
-        }
-
-    def __repr__(self):
-        return ("Verdict(lwp=%r, illposed=%r, gwp=%r, open_region=%r, "
-                "supported=%r)" % (self.lwp, self.illposed, self.gwp,
-                                   self.open_region, self.supported))
+# Classification of one (a, k, s) triple.
+#   lwp          'DirectA0', 'IBPSOnly', or None
+#   illposed     'C2', 'C3', or None
+#   gwp          'Yes', 'No', or 'Unknown'
+#   open_region  True on points the theory leaves open
+#   supported    False exactly for a in {0, 1}
+Verdict = namedtuple("Verdict", ("lwp", "illposed", "gwp", "open_region",
+                                 "supported"),
+                     defaults=(None, None, "Unknown", False, True))
 
 
 class HalfPlane:
@@ -248,7 +227,9 @@ def classify_gwp(coeffs, p):
     return "Unknown"
 
 
-class BoundarySegment:
+class BoundarySegment(namedtuple("BoundarySegment", (
+        "start", "end", "line_label", "start_included", "end_included",
+        "interior_included"))):
     """One straight piece of the boundary of A_a.
 
     Endpoints are (k, s) pairs as Fractions. Inclusion flags record
@@ -256,30 +237,12 @@ class BoundarySegment:
     to A_a (strict vs non-strict inequalities of the definition).
     """
 
-    def __init__(self, start, end, line_label, start_included,
-                 end_included, interior_included):
-        self.start = tuple(start)
-        self.end = tuple(end)
-        self.line_label = line_label
-        self.start_included = bool(start_included)
-        self.end_included = bool(end_included)
-        self.interior_included = bool(interior_included)
+    __slots__ = ()
 
     def as_dict(self):
-        return {
-            "start": [float(self.start[0]), float(self.start[1])],
-            "end": [float(self.end[0]), float(self.end[1])],
-            "line_label": self.line_label,
-            "start_included": self.start_included,
-            "end_included": self.end_included,
-            "interior_included": self.interior_included,
-        }
-
-    def __repr__(self):
-        return ("BoundarySegment(%s -> %s, %r, incl=%r/%r/%r)"
-                % (self.start, self.end, self.line_label,
-                   self.start_included, self.interior_included,
-                   self.end_included))
+        """The fields, with the Fraction endpoints as float lists."""
+        return dict(self._asdict(), start=[float(x) for x in self.start],
+                    end=[float(x) for x in self.end])
 
 
 def _corners(planes):

@@ -157,26 +157,13 @@ LEMMA_TAGS = tuple(FAMILIES)
 _SHORT = {t.split("_")[0]: t for t in LEMMA_TAGS}
 
 
-class CounterexampleSpec:
-    """Concrete ladder rung: box data, time, window, norm index.
-
-    Its iterate and phase regime are those of family = FAMILIES[lemma],
-    and the norm is taken over the iterate's window out_window. rho is
-    None unless the family has a rho rule, as only L62's datum is weighted.
-    """
-
-    def __init__(self, lemma, a, N, u0, v0, t, out_window, norm_index,
-                 rho=None):
-        self.lemma = lemma
-        self.family = FAMILIES[lemma]
-        self.a = float(a)
-        self.N = float(N)
-        self.u0 = u0
-        self.v0 = v0
-        self.t = float(t)
-        self.out_window = tuple(out_window)
-        self.norm_index = float(norm_index)
-        self.rho = rho
+# Concrete ladder rung: box data, time, window, norm index. Its iterate
+# and phase regime are those of family = FAMILIES[lemma], and the norm
+# is taken over the iterate's window out_window. rho is None unless the
+# family has a rho rule, as only L62's datum is weighted.
+CounterexampleSpec = namedtuple("CounterexampleSpec", (
+    "lemma", "family", "a", "N", "u0", "v0", "t", "out_window",
+    "norm_index", "rho"))
 
 
 def _resolve(lemma, k, s, a, rho):
@@ -204,8 +191,9 @@ def build(lemma, N, k=0.0, s=0.0, a=None, rho=None):
     a, rho = _resolve(lemma, k, s, a, rho)
     u0, v0, win = fam.geometry(N, a, rho)
     t = TIME_CONSTANT * N ** -3.0 if fam.t is None else fam.t
-    return CounterexampleSpec(lemma, a, N, u0, v0, t, win,
-                              _norm_index(fam, k, s), rho)
+    return CounterexampleSpec(lemma, fam, float(a), float(N), u0, v0,
+                              float(t), tuple(win),
+                              float(_norm_index(fam, k, s)), rho)
 
 
 def predicted_slope(lemma, k=0.0, s=0.0, rho=None):
@@ -300,13 +288,10 @@ def evaluate_rung(spec):
     return picard.hs_norm_window(out, spec.norm_index, spec.out_window)
 
 
-class ExponentFit:
-    def __init__(self, slope, intercept, r2, Ns, norms):
-        self.slope = float(slope)
-        self.intercept = float(intercept)
-        self.r2 = float(r2)
-        self.Ns = list(Ns)
-        self.norms = list(norms)
+# The log-log fit of one ladder: slope, intercept and r2 of
+# log(norm) against log(N), over the sorted Ns and their norms.
+ExponentFit = namedtuple("ExponentFit", ("slope", "intercept", "r2", "Ns",
+                                         "norms"))
 
 
 def run_ladder(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None):
@@ -329,7 +314,7 @@ def run_ladder(lemma, Ns=DEFAULT_NS, k=0.0, s=0.0, a=None, rho=None):
     ss_res = float(np.sum((logn - fitted) ** 2))
     ss_tot = float(np.sum((logn - np.mean(logn)) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-    return ExponentFit(slope, intercept, r2, Ns, norms)
+    return ExponentFit(float(slope), float(intercept), r2, Ns, norms)
 
 
 def verdict(fit, predicted, tol=DEFAULT_TOL):

@@ -133,8 +133,8 @@ class SimState:
 
 class SolverConfig:
     def __init__(self, dt, nonlinear_enabled=True):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (dt > 0 and np.isfinite(dt)):
+            raise ValueError("dt must be positive and finite")
         self.dt = float(dt)
         self.nonlinear_enabled = bool(nonlinear_enabled)
 

@@ -230,6 +230,26 @@ def test_ibps_check_floor_failure_ends_the_run_before_the_solve(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_ibps_check_zero_phase_at_a_1_ends_the_run_before_the_solve(
+        tmp_path, monkeypatch, capsys):
+    # a = 1 has floor constants 0; the zero phase of a region pair must
+    # stop the run, not give a NaN residual after the whole solve
+    def step(*args, **kwargs):
+        raise AssertionError("stepped before the phase-floor check")
+
+    monkeypatch.setattr(spectral, "step", step)
+    out = tmp_path / "out"
+    code = cli.main(["ibps-check", "--a", "1", "--n", "64",
+                     "--L", repr(2.0 * np.pi), "--width", "0.25",
+                     "--T", "0.004", "--dt", "1e-4", "--store_every", "1",
+                     "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err == ("numerical validity failure: Phi1u below its floor "
+                   "inside the region at (xi, xi1) = (21, 0)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("every", ["2", "3", "7"])
 def test_ibps_check_rejects_step_counts_simpson_cannot_use(
         tmp_path, monkeypatch, capsys, every):

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from hskdv import fre
-from hskdv.fre import (FreSpec, fre_sup, level_set_measure, make_fre_spec,
-                       ratio_scan)
+from hskdv.fre import fre_sup, level_set_measure, make_fre_spec, ratio_scan
 from hskdv.phases import eval_phase
 
 
@@ -92,15 +91,13 @@ def test_cubic_roots_degenerate():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        FreSpec("bad", (0, 0, 0), "Phi1u")
-    with pytest.raises(ValueError):
-        FreSpec("xi", (0, 0, 0), "Psi1u")  # cubic phase not allowed
-    with pytest.raises(ValueError):
         make_fre_spec("nope", 1.0, 0.5)
     sp = make_fre_spec("dxv2", 1.0, 0.5)
-    assert sp.multiplier == "xi"
+    assert sp.multiplier == "xi" and sp.phase == "Phi1u"
+    assert sp.weights == (1.0, 0.5, 0.5)
     sp = make_fre_spec("uvx", 1.0, 0.5)
     assert sp.multiplier == "xi2" and sp.phase == "Phiv"
+    assert sp.weights == (0.5, 1.0, 0.5)
 
 
 def test_fre_sup_against_dense_bruteforce():
@@ -402,7 +399,7 @@ def test_ratio_scan_dichotomy():
     assert abs(inside.growth_slope) <= 0.05
     outside = ratio_scan(make_fre_spec("dxv2", 1.0, 0.25), 0.5)
     assert outside.growth_slope >= 0.2
-    d = inside.as_dict()
+    d = inside._asdict()
     assert set(d) == {"sup_value", "ratio", "growth_slope", "lams",
                       "sup_values"}
     assert len(d["lams"]) == len(d["sup_values"]) == 3

@@ -830,15 +830,27 @@ def test_phase_floor_error_from_a_later_block(monkeypatch):
                               "(xi, xi1) = (100, 0)")
 
 
+def test_phase_floor_guard_catches_a_zero_phase_where_the_floor_is_0():
+    # at a = 1 both floor constants are 0, so only a phase of exactly 0
+    # fails the check; Phi1u is 0 on region pairs there, and its kernel
+    # would divide by it
+    assert u_phase_floor_constant(1.0, 0.1) == 0.0
+    assert v_phase_floor_constant(1.0, 0.1) == 0.0
+    with pytest.raises(PhaseFloorError) as err:
+        ibps._GridKernels(Grid(2.0 * np.pi, 64), 1.0, CutoffParams())
+    assert str(err.value) == ("Phi1u below its floor inside the region at "
+                              "(xi, xi1) = (21, 0)")
+
+
 def _first_below_floor(grid, name, a, cut):
     """(xi, xi1) of the first pair of the region of name, in row-major
-    order over all n output rows, whose phase is below its floor: the
-    check over every pair that the build made before its half rows."""
+    order over all n output rows, whose phase is at or below its floor:
+    the check over every pair that the build made before its half rows."""
     i, j, _, phi = _dense_pairs(grid, name, a, cut)
     c = (ibps.u_phase_floor_constant if name == "Phi1u"
          else ibps.v_phase_floor_constant)(a, cut.eta_sim)
     xi = grid.xi
-    k = np.flatnonzero(np.abs(phi) < 0.5 * c * np.abs(xi[i]) ** 3)[0]
+    k = np.flatnonzero(np.abs(phi) <= 0.5 * c * np.abs(xi[i]) ** 3)[0]
     return xi[i[k]], xi[j[k]]
 
 

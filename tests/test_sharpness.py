@@ -206,12 +206,12 @@ def test_l62_rung_against_adaptive_quadrature(N):
 def test_phase_regime_checks():
     spec = build("L64", 64)
     check_phase_regime(spec)        # fine at the designed time
-    spec.t = 10.0
+    spec = spec._replace(t=10.0)
     with pytest.raises(HypothesisError):
         check_phase_regime(spec)
     spec = build("L61", 64, a=2.0)
     check_phase_regime(spec)
-    spec.t = 1.0                    # phase no longer coherent
+    spec = spec._replace(t=1.0)  # phase no longer coherent
     with pytest.raises(HypothesisError):
         check_phase_regime(spec)
 
@@ -410,13 +410,13 @@ def test_guard_messages_pinned(args, kwargs, message):
 
 def test_phase_regime_messages_pinned():
     spec = build("L64", 64)
-    spec.t = 10.0
+    spec = spec._replace(t=10.0)
     with pytest.raises(HypothesisError) as exc:
         check_phase_regime(spec)
     assert str(exc.value) == ("L64_quarter_s: bounded-phase check failed, "
                               "max|t*Phi|=15 > 0.1")
     spec = build("L61", 64, a=2.0)
-    spec.t = 1.0
+    spec = spec._replace(t=1.0)
     with pytest.raises(HypothesisError) as exc:
         check_phase_regime(spec)
     assert str(exc.value) == ("L61_s_le_k3: large-phase coherence failed, "

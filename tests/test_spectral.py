@@ -334,6 +334,13 @@ def test_run_rejects_a_T_that_is_not_whole_steps(T):
     assert fin.t == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("dt", [np.inf, np.nan, 0.0])
+def test_solver_config_rejects_a_dt_that_is_not_positive_and_finite(dt):
+    # dt = inf would run no step and return the initial state
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        SolverConfig(dt=dt)
+
+
 def test_run_rejects_a_negative_store_every_before_stepping(monkeypatch):
     def no_step(*args):
         raise AssertionError("stepped before store_every was checked")

@@ -1,4 +1,5 @@
-"""Static guards against dead config keys and dangling public names."""
+"""Guards against dead config keys, dangling public names and demos that
+no longer run."""
 
 import ast
 import glob
@@ -6,6 +7,8 @@ import importlib
 import inspect
 import os
 import re
+import shutil
+import subprocess
 import sys
 
 import pytest
@@ -15,8 +18,8 @@ from hskdv import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 DEMOS = sorted(glob.glob(os.path.join(HERE, os.pardir, "demos", "*.py")))
-SOURCES = sorted(glob.glob(os.path.join(HERE, os.pardir, "src", "hskdv",
-                                        "*.py")))
+SRC = os.path.abspath(os.path.join(HERE, os.pardir, "src"))
+SOURCES = sorted(glob.glob(os.path.join(SRC, "hskdv", "*.py")))
 
 
 def _cli_functions():
@@ -141,6 +144,17 @@ def test_demo_calls_bind(path):
         except TypeError as err:
             pytest.fail("%s line %d: %s" % (os.path.basename(path), line,
                                              err))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path, tmp_path):
+    # a copy run from tmp_path writes its files (demo 01's SVGs) there;
+    # -W error makes any warning a failure
+    script = shutil.copy(path, tmp_path)
+    proc = subprocess.run([sys.executable, "-W", "error", script],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_package_imports_only_numpy_and_the_standard_library():
