@@ -30,9 +30,12 @@ A step makes 8 FFT calls, one inverse and one forward per RK4 stage,
 and returns all n coefficients.
 
 A run builds its constant data once, in a _Propagator: the linear-flow
-factors and the NonlinearTerms, which hold i xi, the transform pair,
-the couplings and scratch arrays. The IBPS check (ibps.py) builds a
-NonlinearTerms of its own, so its classical right sides are the
+factors, the RK4 stage buffers and the NonlinearTerms, which hold the
+dealias and derivative scale rows, the transform pair, the couplings
+and scratch arrays. The stages run in that scratch with the operations
+and operand order of the RK4 formulas, so the states are bit for bit
+those of the formulas on new arrays. The IBPS check (ibps.py) builds
+a NonlinearTerms of its own, so its classical right sides are the
 solver's. Each step leaves its result's coefficient rows and norm in
 the propagator, and the next step of the run starts from them.
 """
@@ -52,9 +55,9 @@ class StabilityError(RuntimeError):
 
 class Grid:
     def __init__(self, L, n):
-        n = int(n)
-        if n < 8 or n % 2 != 0:
+        if not (float(n).is_integer() and n >= 8 and n % 2 == 0):
             raise ValueError("mode count n must be even and >= 8")
+        n = int(n)
         if not (L > 0 and np.isfinite(L)):
             raise ValueError("period L must be positive and finite")
         self.L = float(L)
@@ -169,19 +172,21 @@ class NonlinearTerms:
     """The nonlinear right sides of the system on the half space.
 
     mask is the dealias mask over the m = n/2+1 modes of the half space
-    (module docstring). i xi, the transform pair irfft/rfft (read from
-    np.fft here, so that a tracer patching np.fft sees them), the
-    couplings and the scratch arrays are set up here, once, and every
-    call reuses them.
+    (module docstring). The complex (2, m) scale rows (mask i xi, mask),
+    the transform pair irfft/rfft (read from np.fft here, so that a
+    tracer patching np.fft sees them), the couplings and the scratch
+    arrays are set up here, once, and every evaluation reuses them.
 
-    Calling it at coefficient rows w = (uhat, vhat), shape (2, m),
-    returns (N, uv): N is the new (2, m) array with rows
+    into(out), which step() uses, evaluates N at the rows (uhat, vhat)
+    written into w, shape (2, m): it writes into out the (2, m) rows
     i xi (beta u^2 + gamma v^2)^hat and theta (u v_x)^hat, dealiased by
-    mask, and uv the real physical rows (u, v). One batched inverse FFT
-    of (uhat, vhat, i xi vhat) gives u, v and v_x, and one batched
-    forward FFT transforms both products. uv is scratch that the next
-    call overwrites. The quadratic products of the solver and of the
-    IBPS check are formed here and nowhere else.
+    mask, and leaves in uv the real physical rows (u, v). One batched
+    inverse FFT of (uhat, vhat, i xi vhat) gives u, v and v_x, and one
+    batched forward FFT transforms both products into out. Calling the
+    object at rows w, as the IBPS check does, copies them into w and
+    returns (N, uv) with N a new array. uv is scratch that the next
+    evaluation overwrites. The quadratic products of the solver and of
+    the IBPS check are formed here and nowhere else.
     """
 
     def __init__(self, grid, params, mask):
@@ -189,34 +194,36 @@ class NonlinearTerms:
         self.n = n
         self.mask = mask
         self.ixi = 1j * grid.xi[:m]
+        self._scale = np.array((mask * self.ixi, mask))
         self._inv, self._fwd = np.fft.irfft, np.fft.rfft
-        self._c = (params.beta, params.gamma, params.theta)
+        self._bg = np.array(((params.beta,), (params.gamma,)))
+        self._theta = params.theta
         self._in = np.empty((3, m), dtype=complex)
         self._phys = np.empty((3, n))
         self._prod = np.empty((2, n))
-        # views of the scratch rows, so that a call makes none
-        self._uv_in, self._ivx_in = self._in[:2], self._in[2]
-        self._uv = self._phys[:2]
-        self._u, self._v, self._vx = self._phys
+        # views of the scratch rows, so that an evaluation makes none
+        self.w, (_, self._v_in, self._ivx_in) = self._in[:2], self._in
+        self.uv = self._phys[:2]
+        self._u, _, self._vx = self._phys
         self._p, self._q = self._prod
 
-    def __call__(self, w):
-        u, v, vx, p, q = self._u, self._v, self._vx, self._p, self._q
-        beta, gamma, theta = self._c
-        self._uv_in[...] = w
-        np.multiply(self.ixi, w[1], out=self._ivx_in)
+    def into(self, out):
+        prod, p, q = self._prod, self._p, self._q
+        np.multiply(self.ixi, self._v_in, out=self._ivx_in)
         self._inv(self._in, self.n, norm="forward", out=self._phys)
-        np.multiply(beta, u, out=p)
-        p *= u
-        np.multiply(gamma, v, out=q)
-        q *= v
-        p += q
-        np.multiply(theta, u, out=q)
-        q *= vx
-        nl = self._fwd(self._prod, norm="forward")
-        nl *= self.mask
-        nl[0] *= self.ixi
-        return nl, self._uv
+        np.multiply(self._bg, self.uv, out=prod)  # beta u, gamma v
+        prod *= self.uv
+        p += q  # beta u^2 + gamma v^2
+        np.multiply(self._theta, self._u, out=q)
+        q *= self._vx
+        self._fwd(prod, norm="forward", out=out)
+        out *= self._scale
+
+    def __call__(self, w):
+        self.w[...] = w
+        nl = np.empty_like(self.w)
+        self.into(nl)
+        return nl, self.uv
 
 
 class _Propagator:
@@ -228,7 +235,8 @@ class _Propagator:
     (1, 2, ..., 2, 1) that turn sums of |c|^2 over the half space into
     sums over all n modes, the half-step factor
     eh = exp(rate dt/2) for the rates rate = (i a xi^3, i xi^3) as rows,
-    and a one-entry memo of exp(rate tau). Each exponent is formed as
+    the constant 2 conj(eh), a one-entry memo of exp(rate tau) and the
+    five (2, m) stage buffers of step(). Each exponent is formed as
     (i a tau) xi^3, the rounding of exp(1j * a * tau * xi**3); at
     tau xi^3 ~ 1e7 another product order moves high-mode phases by
     ~1e-9.
@@ -251,6 +259,8 @@ class _Propagator:
         self.dt = cfg.dt
         self._tau = None
         self.eh = self._exp(cfg.dt / 2)
+        self.eh2c = 2 * self.eh.conj()
+        self.stages = tuple(np.empty((2, m), dtype=complex) for _ in range(5))
         self.last = self.w = self.norm = None
 
     def _exp(self, tau):
@@ -304,9 +314,18 @@ def step(state, cfg, prop=None):
     (a few 1e-15 there). Step k's f1 is step k+1's f0 for the same
     float t, so with the propagator of run() a step makes one exp call.
 
+    Each stage input is written into the NonlinearTerms' input rows,
+    and each stage result into one of the propagator's buffers.
+
     The stability bound is checked on the stage-1 fields, before stages
-    2-4 run. The growth guard compares norms over all n modes, and the
-    new rows must be finite (ValueError otherwise, as for SimState).
+    2-4 run. The growth guard compares the largest norms over all n
+    modes, old and new. The new rows must be finite (ValueError
+    otherwise, as for SimState), which is checked on new alone: a norm
+    sums squares with weights 1 and 2, so a NaN coefficient makes new
+    NaN, which passes the guard and fails np.isfinite, and an inf
+    coefficient or an overflowing square makes new inf, which the guard
+    rejects first, unless old is inf too (a start state with
+    coefficients above ~1e154), which then gets the ValueError.
     prop is the _Propagator that run() builds once per call;
     step(state, cfg) builds its own. When state is the one that prop
     last returned, its rows and norm are taken from prop instead of
@@ -330,26 +349,42 @@ def step(state, cfg, prop=None):
         w = np.array((state.uhat.coeffs[:m], state.vhat.coeffs[:m]))
         old = prop.norms(w).max()
     if cfg.nonlinear_enabled:
-        rhs = prop.terms
-        n1, uv = rhs(w)
-        amp = np.abs(uv.real).max()
+        terms = prop.terms
+        x = terms.w  # the input rows of each stage's evaluation
+        n1, s, n3, ew, tmp = prop.stages
+        x[...] = w
+        terms.into(n1)
+        amp = np.abs(terms.uv).max()
         dt_max = STABILITY_C / (prop.xi_max * amp) if amp > 0 else np.inf
         if dt > dt_max:
             raise StabilityError(
                 "dt=%g violates the advective stability bound "
                 "dt <= C/(max|xi| * max(|u|,|v|)) = %g (C=%g)"
                 % (dt, dt_max, STABILITY_C))
+        # the formulas above with their operand order: numpy's complex
+        # array products are not commutative bit for bit
         eh = prop.eh
-        ew = eh * w
-        s = rhs(ew + dt / 2 * (eh * n1))[0]  # n2, then n2 + n3
-        n3 = rhs(ew + dt / 2 * s)[0]
+        np.multiply(eh, w, out=ew)
+        np.multiply(eh, n1, out=tmp)
+        np.multiply(dt / 2, tmp, out=tmp)
+        np.add(ew, tmp, out=x)
+        terms.into(s)  # n2, then n2 + n3
+        np.multiply(dt / 2, s, out=tmp)
+        np.add(ew, tmp, out=x)
+        terms.into(n3)
         s += n3
-        y4 = eh * (ew + dt * n3)
-        del ew, n3
-        # all but the n4 term, so that n1 and s are freed before stage 4
-        w_new = prop.across(t) * (w + dt / 6 * (n1 + 2 * eh.conj() * s))
-        del n1, s
-        w_new += dt / 6 * rhs(y4)[0]
+        np.multiply(dt, n3, out=tmp)
+        np.add(ew, tmp, out=tmp)
+        np.multiply(eh, tmp, out=x)
+        terms.into(n3)  # n4
+        np.multiply(prop.eh2c, s, out=s)
+        np.add(n1, s, out=s)
+        np.multiply(dt / 6, s, out=s)
+        np.add(w, s, out=s)
+        w_new = prop.across(t)
+        w_new *= s
+        np.multiply(dt / 6, n3, out=n3)
+        w_new += n3
     else:
         w_new = prop.across(t) * w
 
@@ -359,7 +394,7 @@ def step(state, cfg, prop=None):
         raise StabilityError(
             "instability detected: spectral norm grew %.3gx in one step "
             "at t=%g" % (new / old, t))
-    if not np.isfinite(w_new).all():
+    if not np.isfinite(new):
         raise ValueError("non-finite coefficients in state")
 
     u, v = (SpectralField._checked(prop.grid, c) for c in prop.full(w_new))
@@ -432,9 +467,9 @@ def invariants_eval(state):
 def run(state, cfg, T, store_every=0):
     """Integrate to time T; returns (final_state, stored_states).
 
-    ValueError unless T >= 0 and |round(T/dt)*dt - T| <= 1e-9*max(T, dt):
-    a run is never cut short or stretched silently. ValueError for
-    store_every < 0.
+    ValueError unless T >= 0, T/dt is finite and
+    |round(T/dt)*dt - T| <= 1e-9*max(T, dt): a run is never cut short or
+    stretched silently. ValueError for store_every < 0.
 
     With store_every=m > 0 every m-th state (including the initial and
     final ones) is kept, which the decomposition checks consume. The
@@ -450,8 +485,9 @@ def run(state, cfg, T, store_every=0):
     """
     if store_every < 0:
         raise ValueError("store_every=%r must be >= 0" % (store_every,))
-    nsteps = int(round(T / cfg.dt))
-    if T < 0 or abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
+    ratio = T / cfg.dt
+    nsteps = int(round(ratio)) if T >= 0 and np.isfinite(ratio) else -1
+    if nsteps < 0 or abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
         raise ValueError("end time T=%r is not a non-negative whole number "
                          "of steps dt=%r" % (T, cfg.dt))
     stored = [state.copy()] if store_every else []

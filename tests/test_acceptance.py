@@ -222,6 +222,106 @@ def test_criterion_3_energy_h(coeffs):
         assert np.isnan(got).all()
 
 
+# The travelling wave: with beta = a theta and (4a - 1) gamma theta < 0,
+# for any kappa > 0 and y = kappa (x - kappa^2 t),
+#     u = -(6 kappa^2/theta) sech^2(y),  v = B sech(y),
+#     B^2 = -6 kappa^4 (4a - 1)/(gamma theta),
+# solves the system exactly; B^2 changes sign at the threshold a = 1/4.
+WAVE_CASES = [(0.5, -1.0), (2.0, -1.0), (-1.0, 1.0)]  # (a, theta); gamma = 1
+
+
+def test_criterion_3_travelling_wave_is_exact():
+    sp = pytest.importorskip("sympy")
+    x, t = sp.symbols("x t", real=True)
+    a, theta, gamma, kappa = sp.symbols("a theta gamma kappa", real=True,
+                                        nonzero=True)
+    B = sp.Symbol("B")
+    y = kappa * (x - kappa ** 2 * t)
+    u = -6 * kappa ** 2 / theta * sp.sech(y) ** 2
+    v = B * sp.sech(y)
+    r_u = (sp.diff(u, t) + a * sp.diff(u, x, 3)
+           - a * theta * sp.diff(u ** 2, x) - gamma * sp.diff(v ** 2, x))
+    r_v = sp.diff(v, t) + sp.diff(v, x, 3) - theta * u * sp.diff(v, x)
+    r_u = r_u.subs(B ** 2, -6 * kappa ** 4 * (4 * a - 1) / (gamma * theta))
+    for r in (r_u, r_v):
+        assert sp.simplify(r.rewrite(sp.exp)) == 0
+
+
+def _tail_sum(kernel, L, K):
+    """Sum over |k| >= K of |f^(2 pi k/L)|/L for the unit-height profile
+    f with Fourier transform kernel(xi): the share of f's Fourier series
+    outside |k| < K, relative to max|f|."""
+    xi = 2.0 * np.pi * np.arange(K, K + 1000) / L
+    return 2.0 * np.sum(np.abs(kernel(xi))) / L
+
+
+@pytest.mark.parametrize("a, theta", WAVE_CASES)
+def test_criterion_3_solver_follows_the_travelling_wave(a, theta):
+    L, n, kappa, dt, T = 80.0, 256, 0.5, 1e-3, 1.0
+    gamma = 1.0
+    A = -6.0 * kappa ** 2 / theta
+    B = np.sqrt(-6.0 * kappa ** 4 * (4.0 * a - 1.0) / (gamma * theta))
+    p = Coefficients(a, beta=a * theta, gamma=gamma, theta=theta)
+    g = spectral.Grid(L, n)
+
+    def wave(t):
+        s = 1.0 / np.cosh(kappa * (g.x - L / 2 - kappa ** 2 * t))
+        return np.array((A * s ** 2, B * s))
+
+    st = spectral.make_state(g, *wave(0.0), p)
+    fin, _ = spectral.run(st, spectral.SolverConfig(dt=dt), T)
+    coarse, _ = spectral.run(st, spectral.SolverConfig(dt=2.0 * dt), T)
+
+    def physical(state):
+        c = np.array((state.uhat.coeffs, state.vhat.coeffs))
+        return np.fft.ifft(c * n).real
+
+    scale = np.array((abs(A), B))
+    got = physical(fin)
+    err = np.abs(got - wave(T)).max(axis=1) / scale
+    # Error budget, per field, relative to the wave's height:
+    # - truncation: modes outside the dealias mask (|k| >= K) get no
+    #   nonlinear forcing, so the solver turns them with the linear flow
+    #   alone; the wave's coefficients keep their moduli too, so each
+    #   differs by at most twice its modulus: 2 S, with S the series'
+    #   share at |k| >= K from the closed-form transforms
+    #   pi xi/(kappa^2 sinh(pi xi/(2 kappa))) of sech^2(kappa x) and
+    #   (pi/kappa) sech(pi xi/(2 kappa)) of sech(kappa x);
+    # - periodization: the run sees the wave's neighbours one period
+    #   away, whose height at the period's ends is that of the slower
+    #   tail, v's sech(kappa L/2) ~ 2 e^(-kappa L/2), once from each side;
+    # - time: RK4's global error goes as dt^4, so the runs at dt and 2 dt
+    #   differ by 15 times the error at dt.
+    K = int(np.ceil(2.0 / 3.0 * (n // 2)))
+    assert not g.dealias_mask()[K] and g.dealias_mask()[K - 1]
+    trunc = 2.0 * np.array((
+        _tail_sum(lambda xi: np.pi * xi / (kappa ** 2 * np.sinh(
+            np.pi * xi / (2.0 * kappa))), L, K),
+        _tail_sum(lambda xi: np.pi / kappa / np.cosh(
+            np.pi * xi / (2.0 * kappa)), L, K)))
+    images = 2.0 / np.cosh(kappa * L / 2.0)
+    time_err = np.abs(got - physical(coarse)).max(axis=1) / scale / 15.0
+    budget = trunc + images + time_err
+    assert np.all(err <= budget), (err, budget)
+    # the budget stays at the truncation's scale, where a 1e-6 relative
+    # change of beta, gamma or theta in the right side exceeds it in
+    # every case; a large time_err would hide such a change
+    assert np.all(budget <= 4e-8), budget
+
+    # mass and energy in closed form, from the integrals of sech^2,
+    # sech^4, sech^6 (2, 4/3, 16/15) and sech^2 tanh^2, sech^4 tanh^2
+    # (2/3, 4/15) over the line, each scaled by 1/kappa; the run
+    # conserves both to the 1e-10 of criterion 3's energy check
+    k = gamma / (a - 1.0)
+    M = 24.0 * (1.0 + 4.0 * a) * kappa ** 3 / theta
+    E = (8.0 / 15.0 * A ** 2 * kappa + 16.0 / 45.0 * theta * A ** 3 / kappa
+         + k * (2.0 * B ** 2 * kappa / theta + 4.0 / 3.0 * A * B ** 2 / kappa))
+    for s in (st, fin):
+        inv = spectral.invariants_eval(s)
+        assert inv["M"] == pytest.approx(M, rel=1e-10)
+        assert inv["E"] == pytest.approx(E, rel=1e-10)
+
+
 # --------------------------------------------------------------- 4
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from hskdv import spectral
+from hskdv import cli, spectral
 from hskdv.cli import _gaussian_state, parse_config
 from hskdv.phases import Coefficients
 from hskdv.spectral import (STABILITY_C, Grid, SimState, SolverConfig,
@@ -324,7 +325,16 @@ def test_grid_rejects_bad_period(L, recwarn):
     assert not recwarn.list
 
 
-@pytest.mark.parametrize("T", [0.25, -0.1])
+@pytest.mark.parametrize("n", [10.5, 8.000001, 7, 6, 9.0, np.nan, np.inf])
+def test_grid_rejects_a_mode_count_that_is_not_an_even_integer(n):
+    # int(10.5) would build n = 10
+    with pytest.raises(ValueError,
+                       match="mode count n must be even and >= 8"):
+        Grid(40.0, n)
+    assert Grid(40.0, 10.0).n == Grid(40.0, np.int64(10)).n == 10
+
+
+@pytest.mark.parametrize("T", [0.25, -0.1, np.inf, np.nan])
 def test_run_rejects_a_T_that_is_not_whole_steps(T):
     st = _cos_state(Grid(2.0 * np.pi, 16), Coefficients(0.5))
     with pytest.raises(ValueError, match="end time T"):
@@ -350,6 +360,55 @@ def test_run_rejects_a_negative_store_every_before_stepping(monkeypatch):
     for every in (-1, -3):
         with pytest.raises(ValueError, match="store_every"):
             run(st, SolverConfig(dt=0.1), 0.3, store_every=every)
+
+
+# sha256 prefixes of final.snap from the vetted simulate tuples of the
+# benchmark (perfbench/workloads.py: dt = 1e-4, the default L and
+# store_every) with T cut to 0.02 at n = 256 and 0.01 at n = 1024:
+# (n, a, u0_amp, v0_amp, width) -> digest
+SNAPSHOT_DIGESTS = {
+    ("256", "0.5", "0.5", "0.5", "2.0"): "c17207382252881a",
+    ("256", "0.5", "0.4", "0.3", "2.0"): "195b64074dcc58a4",
+    ("256", "2", "0.5", "0.5", "2.0"): "2b7dc45b8d52a413",
+    ("256", "-1", "0.3", "0.5", "1.5"): "86fe1ff634656728",
+    ("256", "0.5", "0.5", "0.4", "2.5"): "1c5a8c16c2d2514c",
+    ("1024", "0.5", "0.5", "0.5", "2.0"): "ae6e8a54c6c1cfe0",
+    ("1024", "0.5", "0.4", "0.3", "2.0"): "2da382b911b5f0ba",
+    ("1024", "2", "0.5", "0.5", "2.0"): "cd791bc5c7e33382",
+    ("1024", "-1", "0.3", "0.5", "1.5"): "c1e37fa87cd26429",
+    ("1024", "0.5", "0.5", "0.4", "2.5"): "d0a8abfdf42b04ac",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SNAPSHOT_DIGESTS), ids="-".join)
+def test_simulate_snapshots_pinned(tmp_path, key):
+    n, a, u0, v0, width = key
+    code = cli.main(["simulate", "--a", a, "--n", n,
+                     "--T", "0.02" if n == "256" else "0.01",
+                     "--dt", "1e-4", "--u0_amp", u0, "--v0_amp", v0,
+                     "--width", width, "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    raw = (tmp_path / "final.snap").read_bytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == SNAPSHOT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("params", [
+    Coefficients(0.5), Coefficients(2.0, beta=0.5, gamma=-1.0, theta=2.0)])
+def test_nonlinear_terms_call_equals_into(params):
+    # the IBPS check calls the object; step() writes its rows into w and
+    # evaluates with into()
+    g = Grid(2.0 * np.pi, 64)
+    st = _random_state(g, params)
+    m = g.n // 2 + 1
+    w = np.array((st.uhat.coeffs[:m], st.vhat.coeffs[:m]))
+    terms = spectral.NonlinearTerms(g, params, g.dealias_mask()[:m])
+    nl, uv = terms(w)
+    uv = uv.copy()
+    terms.w[...] = w
+    out = np.empty((2, m), dtype=complex)
+    terms.into(out)
+    assert np.array_equal(nl, out) and np.array_equal(uv, terms.uv)
+    assert np.abs(nl).max() > 0
 
 
 def test_trajectory_csv_header(tmp_path):
@@ -602,16 +661,25 @@ def test_growth_guard_fires_mid_run_as_in_a_fresh_step_chain(space):
 
 
 def test_non_finite_right_side_raises(monkeypatch):
-    from hskdv import spectral
-    orig = spectral.NonlinearTerms.__call__
+    # step() evaluates its four stages with NonlinearTerms.into
+    orig = spectral.NonlinearTerms.into
+    calls = []
 
-    def nan_terms(self, w):
-        nl, uv = orig(self, w)
-        return nl * np.nan, uv
+    def nan_terms(self, out):
+        orig(self, out)
+        out *= np.nan
 
-    monkeypatch.setattr(spectral.NonlinearTerms, "__call__", nan_terms)
+    def one_nan_in_stage_4(self, out):
+        orig(self, out)
+        calls.append(out)
+        if len(calls) % 4 == 0:
+            out[1, 5] = np.nan
+
     st = _cos_state(Grid(2.0 * np.pi, 32), Coefficients(0.5))
-    for s in (st, _full(st)):
-        with pytest.raises(ValueError,
-                           match="^non-finite coefficients in state$"):
-            step(s, SolverConfig(dt=1e-3))
+    for patch in (nan_terms, one_nan_in_stage_4):
+        monkeypatch.setattr(spectral.NonlinearTerms, "into", patch)
+        for s in (st, _full(st)):
+            with pytest.raises(ValueError,
+                               match="^non-finite coefficients in state$"):
+                step(s, SolverConfig(dt=1e-3))
+    assert len(calls) == 8
