@@ -21,12 +21,14 @@ zero-padded real FFT product, minus the region's part of it.
 
 One evaluator (_StateTerms) forms all ten terms and both classical
 right sides of a state on those rows; eval_term and coupling_terms
-mirror its rows to all n modes, and ibps_residual builds it once and
-calls it once per state. Its classical sides are the solver's own
-right side, spectral.NonlinearTerms on the half space. Per state it
+mirror its rows to all n modes. Its classical sides are the solver's
+own right side, spectral.NonlinearTerms on the half space. Per state it
 makes five FFT calls (NonlinearTerms' two, one for (u^2, v^2) and two
 of length 2n for both complements), one exp call and two gathers per
 region into scratch, each region's rows summed by one np.add.reduceat.
+The residual's Simpson sum (_SimpsonSum) calls it on each state as
+spectral.run makes it, so ibps-check keeps no trajectory;
+ibps_residual feeds a list of states to the same sum.
 
 All formulas use the solver's 2/3 dealias rule and the normalized
 coupling beta = gamma = theta = 1, and take a from the states: every
@@ -279,6 +281,8 @@ class _StateTerms:
     _GridKernels): the TERM_TAGS terms in order, then the u and v sides
     of coupling_terms, in profile coordinates at the state's time. The
     partition N0 + (region part) reproduces the solver's coupling term.
+    A state on another grid, or with a system other than (a, 1, 1, 1),
+    raises ValueError.
     """
 
     def __init__(self, grid, a, cut):
@@ -298,6 +302,13 @@ class _StateTerms:
 
     def __call__(self, state):
         a, ker, m, k = self.a, self.ker, self.m, self.ker.nrows
+        coef = state.params
+        if state.grid is not ker.grid:
+            raise ValueError("trajectory states do not share one grid")
+        if (coef.a, coef.beta, coef.gamma, coef.theta) != (a, 1, 1, 1):
+            raise ValueError("the decomposition describes the system "
+                             "(a, beta, gamma, theta) = (%g, 1, 1, 1), not "
+                             "%r" % (a, coef))
         ixi, src = self.ixi, self._src
         uh, vh = state.uhat.coeffs, state.vhat.coeffs
         src[0], src[5] = uh, vh
@@ -338,21 +349,6 @@ class _StateTerms:
         return terms
 
 
-def _state_terms(states, cut):
-    """The _StateTerms of states that share one grid and carry the system
-    (a, 1, 1, 1) that the decomposition describes; ValueError otherwise."""
-    grid, a = states[0].grid, states[0].params.a
-    for st in states:
-        if st.grid is not grid:
-            raise ValueError("trajectory states do not share one grid")
-        p = st.params
-        if (p.a, p.beta, p.gamma, p.theta) != (a, 1, 1, 1):
-            raise ValueError("the decomposition describes the system "
-                             "(a, beta, gamma, theta) = (%g, 1, 1, 1), not "
-                             "%r" % (a, p))
-    return _StateTerms(grid, a, cut)
-
-
 def eval_term(tag, state, cut):
     """Evaluate one decomposition term on a spectral-grid state.
 
@@ -362,8 +358,8 @@ def eval_term(tag, state, cut):
     """
     if tag not in TERM_TAGS:
         raise ValueError("unknown term tag %r" % (tag,))
-    return _all_modes(_state_terms([state], cut)(state)
-                      [TERM_TAGS.index(tag)], state.grid.n)
+    rows = _StateTerms(state.grid, state.params.a, cut)(state)
+    return _all_modes(rows[TERM_TAGS.index(tag)], state.grid.n)
 
 
 def coupling_terms(state, cut):
@@ -375,63 +371,94 @@ def coupling_terms(state, cut):
     mapped to profile coordinates: the last two rows of _StateTerms,
     mirrored.
     """
-    return tuple(_all_modes(_state_terms([state], cut)(state)[-2:],
-                            state.grid.n))
+    rows = _StateTerms(state.grid, state.params.a, cut)(state)
+    return tuple(_all_modes(rows[-2:], state.grid.n))
 
 
-def _simpson_weights(m, h):
-    # composite Simpson over m intervals (m even)
-    w = np.ones(m + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
+class _SimpsonSum:
+    """The IBPS residual of equally spaced states, summed as they come.
+
+    A list-like sink (append, len) for spectral.run, built from the
+    final time t_end, the even interval count and cut. The first state
+    fixes the grid, the system, t0 and h = (t_end - t0) / intervals;
+    every state is checked against them (ValueError), and its
+    _StateTerms rows are added at once with their composite Simpson
+    weight. No state is kept: only the sum, the initial profile and the
+    first and last boundary rows. value() closes the sum.
+    """
+
+    def __init__(self, t_end, intervals, cut):
+        if intervals < 2 or intervals % 2:
+            raise ValueError("need an odd number of equally spaced states "
+                             "(even interval count) for Simpson quadrature")
+        self.t_end, self.intervals, self.cut = t_end, intervals, cut
+        self._count = 0
+
+    def __len__(self):
+        return self._count
+
+    def append(self, state):
+        k = self._count
+        if k == 0:
+            t0, grid = state.t, state.grid
+            self._terms = st = _StateTerms(grid, state.params.a, self.cut)
+            xi3 = grid.xi ** 3
+            self._h = h = (self.t_end - t0) / self.intervals
+            w = np.full(self.intervals + 1, 2.0)
+            w[1::2], w[[0, -1]] = 4.0, 1.0
+            self._w = w * (h / 3.0)
+            self._profile0 = np.array(
+                (np.exp(-1j * st.a * t0 * xi3) * state.uhat.coeffs,
+                 np.exp(-1j * t0 * xi3) * state.vhat.coeffs))
+            self._acc = np.zeros((12, st.ker.nrows), dtype=complex)
+        elif k > self.intervals:
+            raise ValueError("the Simpson sum of %d intervals takes %d "
+                             "states, not more" % (self.intervals, k))
+        elif abs(state.t - self._t - self._h) > 1e-9 * max(abs(self._h),
+                                                            1e-12):
+            raise ValueError("trajectory states are not equally spaced")
+        terms = self._terms(state)
+        self._acc += self._w[k] * terms
+        if k == 0:
+            self._b0 = terms[8:10]
+        self._b1, self._t, self._count = terms[8:10], state.t, k + 1
+
+    def value(self):
+        """The residual; ValueError before the state at t_end is in."""
+        if self._count != self.intervals + 1:
+            raise ValueError("the Simpson sum holds %d of its %d states"
+                             % (self._count, self.intervals + 1))
+        if self._t != self.t_end:
+            raise ValueError("the last state's time %r is not the final "
+                             "time %r" % (self._t, self.t_end))
+        acc, profile0 = self._acc, self._profile0
+        k = acc.shape[1]
+        rec_cl = profile0[:, :k] + acc[10:]
+        # rows 0-3 and 4-7: N0-N3 of the u and of the v equation
+        rec_ib = (profile0[:, :k] + (self._b1 - self._b0)
+                  + acc[:8].reshape(2, 4, -1).sum(axis=1))
+        # off the dealias mask both reconstructions are profile0
+        scale = max(np.max(np.abs(rec_cl)), 1e-300,
+                    np.max(np.abs(profile0[:, ~self._terms.ker.outmask])))
+        return float(np.max(np.abs(rec_cl - rec_ib)) / scale)
 
 
 def ibps_residual(trajectory, cut):
     """Discrepancy between the two profile reconstructions at the final time.
 
-    trajectory: equally spaced SimStates from the spectral module (an
-    even number of intervals) that share one grid and carry one system
-    (a, 1, 1, 1), the system the decomposition describes, and the check
-    takes its a from them; anything else raises ValueError. Both right
-    sides are integrated in time with composite Simpson over the stored
-    states, from one _StateTerms call per state; the boundary terms
-    come from the first and last states' rows. The return value is the
-    maximum over modes (u and v alike) of
-    |classical - integrated-by-parts| divided by the largest classical
-    profile coefficient magnitude, taken on the kept rows of
-    _StateTerms, which the rows with xi < 0 mirror, and off the
-    dealias mask, where both profiles are the initial one.
+    trajectory: equally spaced SimStates (an even number of intervals)
+    on one grid, all with the system (a, 1, 1, 1) the decomposition
+    describes, whose a the check takes; anything else raises ValueError.
+    They feed one _SimpsonSum: both right sides integrated in time by
+    composite Simpson, the boundary terms from the first and last
+    states' rows. The return value is the maximum over modes (u and v
+    alike) of |classical - integrated-by-parts| over the largest
+    classical profile coefficient magnitude, on the kept rows of
+    _StateTerms, which the rows with xi < 0 mirror, and off the dealias
+    mask, where both profiles are the initial one.
     """
-    if len(trajectory) < 3 or len(trajectory) % 2 == 0:
-        raise ValueError("need an odd number of equally spaced states "
-                         "(even interval count) for Simpson quadrature")
-    t0, t1 = trajectory[0].t, trajectory[-1].t
-    m = len(trajectory) - 1
-    h = (t1 - t0) / m
-    steps = np.diff([st.t for st in trajectory])
-    if np.max(np.abs(steps - h)) > 1e-9 * max(abs(h), 1e-12):
-        raise ValueError("trajectory states are not equally spaced")
-    state_terms = _state_terms(trajectory, cut)
-    a, grid = state_terms.a, state_terms.ker.grid
-    acc = np.zeros((len(_EQUATION), state_terms.ker.nrows), dtype=complex)
-    for k, (wi, st) in enumerate(zip(_simpson_weights(m, h), trajectory)):
-        terms = state_terms(st)
-        acc += wi * terms
-        if k == 0:
-            b0 = terms[8:10]
-    b1 = terms[8:10]
-
-    xi3 = grid.xi ** 3
-    s0 = trajectory[0]
-    profile0 = np.array((np.exp(-1j * a * t0 * xi3) * s0.uhat.coeffs,
-                         np.exp(-1j * t0 * xi3) * s0.vhat.coeffs))
-    k = acc.shape[1]
-    rec_cl = profile0[:, :k] + acc[10:]
-    # rows 0-3 and 4-7: N0-N3 of the u and of the v equation
-    rec_ib = (profile0[:, :k] + (b1 - b0)
-              + acc[:8].reshape(2, 4, -1).sum(axis=1))
-    # off the dealias mask both reconstructions are profile0
-    scale = max(np.max(np.abs(rec_cl)), 1e-300,
-                np.max(np.abs(profile0[:, ~state_terms.ker.outmask])))
-    return float(np.max(np.abs(rec_cl - rec_ib)) / scale)
+    acc = _SimpsonSum(trajectory[-1].t if trajectory else 0.0,
+                      len(trajectory) - 1, cut)
+    for st in trajectory:
+        acc.append(st)
+    return acc.value()

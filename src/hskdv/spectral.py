@@ -464,19 +464,20 @@ def invariants_eval(state):
     return {"mean_u": mean_u, "M": M, "E": E}
 
 
-def run(state, cfg, T, store_every=0):
-    """Integrate to time T; returns (final_state, stored_states).
+def run(state, cfg, T, store_every=0, stored=None):
+    """Integrate to time T; returns (final_state, stored).
 
     ValueError unless T >= 0, T/dt is finite and
     |round(T/dt)*dt - T| <= 1e-9*max(T, dt): a run is never cut short or
     stretched silently. ValueError for store_every < 0.
 
     With store_every=m > 0 every m-th state (including the initial and
-    final ones) is kept, which the decomposition checks consume. The
-    initial one is a copy; the others are step()'s own fresh states,
-    so the last one is final_state. They are not copied, because copies
-    interleaved with the step temporaries fragment the heap (a 0.5 MB
-    larger malloc arena after an ibps-check solve keeping 257 states).
+    final ones) goes to stored.append: a new list by default, or a sink
+    such as the IBPS check's Simpson sum, which keeps no state. The
+    initial one is a copy; the others are step()'s own fresh states, so
+    the last one is final_state. A list keeps them uncopied, because
+    copies interleaved with the step temporaries fragment the heap (a
+    0.5 MB larger malloc arena after a solve keeping 257 states).
 
     One _Propagator serves every step, and each step() call gets the
     state the previous one returned, so it reuses that state's rows and
@@ -490,7 +491,9 @@ def run(state, cfg, T, store_every=0):
     if nsteps < 0 or abs(nsteps * cfg.dt - T) > 1e-9 * max(T, cfg.dt):
         raise ValueError("end time T=%r is not a non-negative whole number "
                          "of steps dt=%r" % (T, cfg.dt))
-    stored = [state.copy()] if store_every else []
+    stored = [] if stored is None else stored
+    if store_every:
+        stored.append(state.copy())
     prop = _Propagator(state, cfg)
     for i in range(nsteps):
         state = step(state, cfg, prop)

@@ -474,7 +474,7 @@ def _ref_residual(trajectory, a, cut):
     t0 = trajectory[0].t
     m = len(trajectory) - 1
     h = (trajectory[-1].t - t0) / m
-    w = ibps._simpson_weights(m, h)
+    w = np.array([1.0] + [4.0, 2.0] * (m // 2 - 1) + [4.0, 1.0]) * (h / 3)
     acc = np.zeros((4, grid.n), dtype=complex)
     for wi, st in zip(w, trajectory):
         cu, cv = _ref_coupling_terms(st, a, cut)
@@ -679,6 +679,87 @@ def test_terms_reject_other_couplings(key):
         eval_term("Bu", st, CUT10)
     with pytest.raises(ValueError, match="describes the system"):
         coupling_terms(st, CUT10)
+
+
+def _end_time(t0, dt, nsteps):
+    """The final time of nsteps steps from t0, by the float additions of
+    step(), as ibps-check forms it."""
+    t = t0
+    for _ in range(nsteps):
+        t += dt
+    return t
+
+
+@pytest.mark.parametrize("every", [1, 2, 3])
+@pytest.mark.parametrize("a", [-1.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [64, 128])
+def test_streamed_residual_equals_the_list_form(n, a, every):
+    # the Simpson sum that ibps-check hands to run() gives the residual
+    # of the kept list bit for bit
+    st = _gaussian_state(Grid(2.0 * np.pi, n), a)
+    cfg, nsteps = SolverConfig(dt=1e-4), 12
+    _, states = run(st, cfg, nsteps * 1e-4, store_every=every)
+    acc = ibps._SimpsonSum(_end_time(st.t, 1e-4, nsteps), nsteps // every,
+                           CutoffParams())
+    _, sink = run(st, cfg, nsteps * 1e-4, store_every=every, stored=acc)
+    assert sink is acc
+    assert len(acc) == len(states) == nsteps // every + 1
+    assert acc.value() == ibps_residual(states, CutoffParams())
+
+
+def test_simpson_sum_rejections_name_their_cause(short_trajectory):
+    s0, s1, s2, s3 = short_trajectory[:4]
+    cut, t_end = CutoffParams(), s2.t
+
+    def fed(states, t_end=t_end, intervals=2):
+        acc = ibps._SimpsonSum(t_end, intervals, cut)
+        for st in states:
+            acc.append(st)
+        return acc
+
+    with pytest.raises(ValueError, match="even interval count"):
+        ibps._SimpsonSum(t_end, 3, cut)
+    other = SimState(s1.t, s1.uhat, s1.vhat, _norm_params(2.0))
+    with pytest.raises(ValueError, match="describes the system"):
+        fed([s0, other])
+    g = Grid(s1.grid.L, s1.grid.n)
+    moved = SimState(s1.t, SpectralField(g, s1.uhat.coeffs),
+                     SpectralField(g, s1.vhat.coeffs), s1.params)
+    with pytest.raises(ValueError, match="share one grid"):
+        fed([s0, moved])
+    with pytest.raises(ValueError, match="not equally spaced"):
+        fed([s0, s2])
+    with pytest.raises(ValueError, match="of 2 intervals takes 3 states, "
+                       "not more"):
+        fed([s0, s1, s2, s3])
+    with pytest.raises(ValueError, match="holds 2 of its 3 states"):
+        fed([s0, s1]).value()
+    late = np.nextafter(t_end, 1.0)
+    with pytest.raises(ValueError, match=r"last state's time .* is not "
+                       r"the final time"):
+        fed([s0, s1, s2], t_end=late).value()
+    assert fed([s0, s1, s2]).value() == ibps_residual([s0, s1, s2], cut)
+
+
+@pytest.mark.parametrize("dt", [2e-5, 1e-4, 3e-4])
+def test_cli_end_time_is_the_last_state_time(tmp_path, monkeypatch, dt):
+    # ibps-check sums its states with a Simpson step from its own final
+    # time, which must be the solve's last t bit for bit
+    seen = []
+
+    class Recorded(ibps._SimpsonSum):
+        def append(self, state):
+            seen.append((self.t_end, state.t))
+            super().append(state)
+
+    monkeypatch.setattr(ibps, "_SimpsonSum", Recorded)
+    code = cli.main(["ibps-check", "--a", "0.5", "--n", "64",
+                     "--L", repr(2.0 * math.pi), "--dt", repr(dt),
+                     "--T", repr(40 * dt), "--store_every", "2",
+                     "--width", "0.25", "--out", str(tmp_path)])
+    assert code == cli.EXIT_OK
+    t_end, t_last = seen[-1]
+    assert len(seen) == 21 and t_end == t_last
 
 
 # The five vetted ibps-check tuples (n = 256, L = 2 pi, dt = 2e-5,
@@ -922,3 +1003,15 @@ def test_state_terms_call_memory():
     first = terms(st)
     assert _traced_peak(lambda: terms(st)) <= 0.15e6
     assert np.array_equal(terms(st), first)
+
+
+def test_ibps_check_keeps_no_states(tmp_path):
+    # the states are summed as the solve makes them: keeping the 257
+    # states of the vetted run peaked at 2.73 MB, streaming them at
+    # 0.54 MB (the kernels are built by the first, untraced run)
+    argv = ["ibps-check", "--a", "0.5", "--n", "256",
+            "--L", repr(2.0 * math.pi), "--dt", "2e-5", "--T", "0.01024",
+            "--store_every", "2", "--width", "0.25", "--u0_amp", "0.5",
+            "--v0_amp", "0.5", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert _traced_peak(lambda: cli.main(argv)) <= 0.8e6
